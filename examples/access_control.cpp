@@ -51,7 +51,7 @@ int main() {
   EvaluateStratified(installed, &db).value();
   PredicateId allowed = symbols->LookupPredicate("allowed").value();
   std::printf("effective permissions:\n");
-  for (const Tuple& t : db.relation(allowed).rows()) {
+  for (RowRef t : db.relation(allowed).rows()) {
     std::printf("  %s may %s %s\n", ToString(t[0], *symbols).c_str(),
                 ToString(t[1], *symbols).c_str(),
                 ToString(t[2], *symbols).c_str());

@@ -68,7 +68,7 @@ int main() {
 
   PredicateId uses_basic = symbols->LookupPredicate("uses_basic").value();
   std::printf("\nbasic parts used by each assembly:\n");
-  for (const Tuple& t : db.relation(uses_basic).rows()) {
+  for (RowRef t : db.relation(uses_basic).rows()) {
     std::printf("  %s needs %s\n", ToString(t[0], *symbols).c_str(),
                 ToString(t[1], *symbols).c_str());
   }

@@ -54,7 +54,7 @@ int main() {
   std::printf("full analysis: %zu points-to facts (%llu joins)\n",
               db.relation(pts).size(),
               static_cast<unsigned long long>(stats.match.substitutions));
-  for (const Tuple& t : db.relation(pts).rows()) {
+  for (RowRef t : db.relation(pts).rows()) {
     std::printf("  %s -> %s\n", ToString(t[0], *symbols).c_str(),
                 ToString(t[1], *symbols).c_str());
   }

@@ -35,7 +35,7 @@ void RecordStep(const Database& db, const Marks& before,
     auto it = before.find(pred);
     std::size_t from = it == before.end() ? 0 : it->second;
     for (std::size_t i = from; i < rel.size(); ++i) {
-      step.added.emplace_back(pred, rel.row(i));
+      step.added.emplace_back(pred, Tuple(rel.row(i)));
     }
   }
   if (!step.added.empty()) {

@@ -57,9 +57,10 @@ enum class Op : std::uint8_t {
   kLoad,
   // Fully-bound membership against the current state: dead -> jump t;
   // ++index_lookups; ++tuples_scanned; keys[a] not present -> jump t.
+  // One dedup-table lookup of the row equal to keys[a] (no index).
   kMember,
   // Fully-bound membership against the old snapshot: as kMember but the
-  // matching row must predate the old limit.
+  // matching row's id must lie below the old limit.
   kMemberOld,
   // EMIT: ++substitutions; negated literals absent -> buffer the head
   // row ids; always jump t (the innermost loop's next op, or HALT).
@@ -70,9 +71,10 @@ enum class Op : std::uint8_t {
   // winner's projection, fill the union membership keys.
   kSeek,
   // MULTIWAY_SEEK next: exhausted -> jump t; per candidate id
-  // ++tuples_scanned, membership-test the other probes (union-index
-  // seeks bump index_lookups, sorted-root probes bump tuples_scanned),
-  // bind survivors into the step's slot.
+  // ++tuples_scanned, membership-test the other probes (union seeks bump
+  // index_lookups -- a dedup-table row lookup when the union columns
+  // cover the whole atom, a union-index probe otherwise; sorted-root
+  // probes bump tuples_scanned), bind survivors into the step's slot.
   kSeekNext,
   // Fused superinstructions: open + full candidate loop + emission for
   // the innermost depth, then fall through.
@@ -212,15 +214,23 @@ bool Decode(const std::uint8_t* data, std::size_t size, Program* out,
 /// Per-opcode dispatch tallies for the obs layer (bytecode.dispatch).
 using DispatchCounts = std::array<std::uint64_t, kNumOps>;
 
-/// Executes a validated program: enumerates body matches and inserts
-/// instantiated heads into `out` (which may alias `full`), mirroring
-/// CompiledRule::Apply's batch/multiway executors bump for bump.
-/// Returns false -- before bumping any counter or inserting anything --
-/// when the program cannot run against these databases (a live relation
-/// is not columnar, or a relation's arity contradicts the program), in
-/// which case the caller falls back to the struct interpreter. When
-/// `dispatch` is non-null every executed instruction is tallied per
-/// opcode.
+/// Executes a validated program up to the emit boundary: enumerates body
+/// matches and appends each instantiated head row to `derived` (cleared
+/// first), mirroring CompiledRule::Apply's batch/multiway executors bump
+/// for bump. Returns false -- before bumping any counter -- when the
+/// program cannot run against these databases (a live relation is not
+/// columnar, or a relation's arity contradicts the program), in which
+/// case the caller falls back to the struct interpreter. When `dispatch`
+/// is non-null every executed instruction is tallied per opcode.
+bool Derive(const Program& program, const Database& full,
+            const Database* delta, const OldLimits* old_limits,
+            MatchStats* stats, IdRowBuffer* derived,
+            DispatchCounts* dispatch = nullptr);
+
+/// Derive, then one batch insert of the derived rows into `out` (which
+/// may alias `full`); `new_facts` receives how many were new. Also
+/// returns false, touching nothing, when the program's head predicate or
+/// arity does not exist in `out`'s symbol table.
 bool Run(const Program& program, const Database& full, const Database* delta,
          const OldLimits* old_limits, Database* out, MatchStats* stats,
          std::size_t* new_facts, DispatchCounts* dispatch = nullptr);

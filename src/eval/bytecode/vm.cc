@@ -96,6 +96,9 @@ struct StepRt {
   bool old_only = false;
   bool has_view = false;
   bool single_key = false;
+  // The probe key is a whole row (fully bound atom): membership is one
+  // dedup-table lookup, no index.
+  bool full_row = false;
   Relation::SingleIndexView single;
   Relation::MultiIndexView multi;
   // Column bases hoisted out of the fused inner loops: relation columns
@@ -120,6 +123,9 @@ struct MwProbeRt {
   Relation::SingleIndexView single;
   Relation::MultiIndexView multi;
   Relation::MultiIndexView union_index;
+  // Union columns cover the whole atom: seeks look the full row up in
+  // the dedup table instead of a union index (which is never built).
+  bool union_full_row = false;
   const std::vector<std::uint32_t>* root = nullptr;
 };
 
@@ -149,21 +155,13 @@ std::size_t OldLimitFor(const OldLimits* old_limits, PredicateId pred) {
 }
 
 template <bool kCount>
-bool RunImpl(const Program& p, const Database& full, const Database* delta,
-             const OldLimits* old_limits, Database* out, MatchStats* stats,
-             std::size_t* new_facts, DispatchCounts* dispatch) {
+bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
+                const OldLimits* old_limits, MatchStats* stats,
+                IdRowBuffer* derived_rows, DispatchCounts* dispatch) {
   if (p.code.empty() || p.shape > 1) return false;
   if (p.const_ids.size() != p.const_pool.size()) return false;  // unresolved
 
   // ---- Guards (no counter bumps, no side effects) -----------------------
-  const auto head_pred = static_cast<PredicateId>(p.head_predicate);
-  if (head_pred < 0 || head_pred >= out->symbols()->NumPredicates()) {
-    return false;
-  }
-  if (out->symbols()->PredicateArity(head_pred) !=
-      static_cast<int>(p.head.size())) {
-    return false;
-  }
   std::vector<NegRt> negs;
   negs.reserve(p.negated.size());
   for (const NegDesc& nd : p.negated) {
@@ -200,9 +198,9 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
     }
     if (p.shape != 0) continue;  // multiway code never runs left-deep probes
     const bool fully_bound = sd.key_cols.size() == sd.arity;
+    rt.full_row = fully_bound && sd.key_template_ids.size() == sd.arity;
     const bool probes_index =
-        p.use_index &&
-        (fully_bound ? rt.old_only : !sd.key_cols.empty());
+        p.use_index && !fully_bound && !sd.key_cols.empty();
     if (probes_index) {
       rt.single_key = sd.key_cols.size() == 1;
       if (rt.single_key) {
@@ -232,11 +230,12 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
   std::vector<MwStepRt> mrt;
   if (p.shape == 1) {
     if (p.mw_steps.empty()) return false;
-    // Any dead atom empties the whole intersection: report zero new facts
-    // without touching the head relation, exactly like ApplyMultiway.
+    // Any dead atom empties the whole intersection: derive nothing,
+    // exactly like ApplyMultiway.
     for (const StepRt& rt : srt) {
       if (rt.dead) {
-        *new_facts = 0;
+        derived_rows->ids.clear();
+        derived_rows->count = 0;
         return true;
       }
     }
@@ -269,7 +268,12 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
           } else {
             prt.multi = rel.PrepareIndex(probe.bound_cols);
           }
-          prt.union_index = rel.PrepareIndex(probe.union_cols);
+          prt.union_full_row =
+              static_cast<int>(probe.union_cols.size()) == rel.arity() &&
+              probe.union_template_ids.size() == probe.union_cols.size();
+          if (!prt.union_full_row) {
+            prt.union_index = rel.PrepareIndex(probe.union_cols);
+          }
           continue;
         }
         if (!at.old_only && probe.var_cols.size() == 1) {
@@ -309,9 +313,10 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
     iters[d].list = &Relation::EmptyRowIds();
   }
   MatchStats local;
-  std::vector<std::uint32_t> derived;
-  std::size_t derived_count = 0;
-  const std::size_t head_arity = p.head.size();
+  derived_rows->ids.clear();
+  derived_rows->count = 0;
+  std::vector<std::uint32_t>& derived = derived_rows->ids;
+  std::size_t& derived_count = derived_rows->count;
   std::vector<std::uint32_t> neg_key;
 
   // Emit boundary, shared by kEmit and the fused superinstructions:
@@ -436,8 +441,12 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
       ++local.index_lookups;
       std::vector<std::uint32_t>& ukey = mr.ukeys[pi];
       for (std::uint32_t pos : probe.union_var_positions) ukey[pos] = id;
-      const std::vector<std::uint32_t>& rows = prt.union_index.FindIds(ukey);
       const StepRt& at = srt[probe.atom];
+      if (prt.union_full_row) {
+        if (at.rel->FindRowIds(ukey.data()) >= at.limit) return false;
+        continue;
+      }
+      const std::vector<std::uint32_t>& rows = prt.union_index.FindIds(ukey);
       if (at.old_only) {
         bool found = false;
         for (std::uint32_t row_id : rows) {
@@ -588,31 +597,18 @@ vm_dispatch:
     VM_NEXT();
   }
 
-  VM_CASE(kMember) {
+  // Both membership ops are one dedup-table lookup of the unique row
+  // equal to the key; the limit is the relation size for the current
+  // state and the snapshot boundary for MEMBER_OLD (kNoRow exceeds both).
+  VM_CASE(kMember)
+  VM_CASE(kMemberOld) {
     const StepRt& rt = srt[ip->a];
     if (rt.dead) VM_JUMP(ip->t);
     ++local.index_lookups;
     ++local.tuples_scanned;
-    if (!rt.rel->ContainsIds(keys[ip->a])) VM_JUMP(ip->t);
-    VM_NEXT();
-  }
-
-  VM_CASE(kMemberOld) {
-    const StepRt& rt = srt[ip->a];
-    if (rt.dead || !rt.has_view) VM_JUMP(ip->t);
-    ++local.index_lookups;
-    ++local.tuples_scanned;
-    const std::vector<std::uint32_t>& key = keys[ip->a];
-    const std::vector<std::uint32_t>& list =
-        rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key);
-    bool found = false;
-    for (std::uint32_t r : list) {
-      if (r < rt.limit) {
-        found = true;
-        break;
-      }
+    if (!rt.full_row || rt.rel->FindRowIds(keys[ip->a].data()) >= rt.limit) {
+      VM_JUMP(ip->t);
     }
-    if (!found) VM_JUMP(ip->t);
     VM_NEXT();
   }
 
@@ -738,32 +734,42 @@ vm_done:
   for (std::uint32_t id : derived) {
     if (id >= dict_size) return false;
   }
-  Relation& head_rel = out->MutableRelation(head_pred);
-  if (head_rel.columnar()) head_rel.ReserveRows(derived_count);
-  std::size_t added = 0;
-  std::vector<std::uint32_t> row(head_arity);
-  for (std::size_t r = 0; r < derived_count; ++r) {
-    const std::uint32_t* base = derived.data() + r * head_arity;
-    row.assign(base, base + head_arity);
-    if (head_rel.InsertIds(row)) ++added;
-  }
-  *new_facts = added;
   if (stats != nullptr) stats->Add(local);
   return true;
 }
 
 }  // namespace
 
+bool Derive(const Program& program, const Database& full,
+            const Database* delta, const OldLimits* old_limits,
+            MatchStats* stats, IdRowBuffer* derived,
+            DispatchCounts* dispatch) {
+  if (dispatch != nullptr) {
+    dispatch->fill(0);
+    return DeriveImpl<true>(program, full, delta, old_limits, stats, derived,
+                            dispatch);
+  }
+  return DeriveImpl<false>(program, full, delta, old_limits, stats, derived,
+                           nullptr);
+}
+
 bool Run(const Program& program, const Database& full, const Database* delta,
          const OldLimits* old_limits, Database* out, MatchStats* stats,
          std::size_t* new_facts, DispatchCounts* dispatch) {
-  if (dispatch != nullptr) {
-    dispatch->fill(0);
-    return RunImpl<true>(program, full, delta, old_limits, out, stats,
-                         new_facts, dispatch);
+  // The head must name a predicate of `out` at the program's head arity,
+  // or the batch insert below would create a mismatched relation.
+  const auto head_pred = static_cast<PredicateId>(program.head_predicate);
+  if (head_pred < 0 || head_pred >= out->symbols()->NumPredicates() ||
+      out->symbols()->PredicateArity(head_pred) !=
+          static_cast<int>(program.head.size())) {
+    return false;
   }
-  return RunImpl<false>(program, full, delta, old_limits, out, stats,
-                        new_facts, nullptr);
+  IdRowBuffer derived;
+  if (!Derive(program, full, delta, old_limits, stats, &derived, dispatch)) {
+    return false;
+  }
+  *new_facts = out->MutableRelation(head_pred).InsertIdRows(derived);
+  return true;
 }
 
 }  // namespace bytecode

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "eval/eval_stats.h"
 #include "obs/metrics.h"
 #include "util/interning.h"
 
@@ -328,15 +329,12 @@ void CompiledRule::EnsureIndexes(const Database& full,
                                                               : full;
     const Relation& rel = src.relation(step.predicate);
     if (rel.empty() || rel.arity() != step.arity) continue;
-    // Partially bound probes use the index; fully bound probes use set
-    // membership except against the old snapshot, which needs row ids
-    // (including the zero-arity case, whose degenerate empty-column
-    // index maps the empty key to every row). Unbound non-old atoms are
-    // full scans and probe nothing.
-    const bool fully_bound =
-        static_cast<int>(step.key_cols.size()) == step.arity;
-    if (fully_bound ? step.source == AtomSource::kOld
-                    : !step.key_cols.empty()) {
+    // Only partially bound probes use an index. Fully bound ones --
+    // zero-arity atoms and old snapshots included -- look up the unique
+    // matching row in the relation's dedup table, and unbound atoms are
+    // full scans.
+    if (!step.key_cols.empty() &&
+        static_cast<int>(step.key_cols.size()) != step.arity) {
       rel.EnsureIndex(step.key_cols);
     }
   }
@@ -363,8 +361,12 @@ void CompiledRule::EnsureIndexes(const Database& full,
       } else {
         rel.EnsureIndex(probe.bound_cols);
         // Membership seeks for probes that are not the iteration source
-        // go through the index on bound-plus-variable columns.
-        rel.EnsureIndex(probe.union_cols);
+        // go through the index on bound-plus-variable columns -- unless
+        // those cover the whole atom, when the seek is a dedup-table
+        // lookup of the full row.
+        if (static_cast<int>(probe.union_cols.size()) != step.arity) {
+          rel.EnsureIndex(probe.union_cols);
+        }
       }
     }
   }
@@ -386,9 +388,8 @@ Tuple CompiledRule::InstantiateHeadFromFrame(const MatchFrame& frame) const {
 }
 
 bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
-                              const OldLimits* old_limits, Database* out,
-                              MatchStats* stats,
-                              std::size_t* new_facts) const {
+                              const OldLimits* old_limits, MatchStats* stats,
+                              IdRowBuffer* derived) const {
   // Loop-invariant per-depth state, resolved exactly as Execute resolves
   // MatchFrame::DepthSource -- same liveness rule, same limit, same
   // index-preparation condition -- so the two executors probe the same
@@ -422,8 +423,7 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
     bs.fully_bound =
         static_cast<int>(step.key_cols.size()) == step.arity;
     const bool probes_index =
-        use_index_ && (bs.fully_bound ? step.source == AtomSource::kOld
-                                      : !step.key_cols.empty());
+        use_index_ && !bs.fully_bound && !step.key_cols.empty();
     if (!bs.dead && probes_index) {
       if (step.key_cols.size() == 1) {
         bs.single_index = rel.PrepareSingleIndex(step.key_cols[0]);
@@ -487,25 +487,11 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       }
 
       if (use_index_ && bs.fully_bound) {
-        // Fully bound: membership test; the old snapshot additionally
-        // needs a matching row below the limit.
+        // Fully bound: one dedup-table lookup of the unique matching row
+        // (key_cols covers every column in order, so `key` is the full id
+        // row); the old snapshot additionally needs it below the limit.
         if (stats != nullptr) ++stats->tuples_scanned;
-        bool matched = false;
-        if (old_only) {
-          const std::vector<std::uint32_t>& row_ids =
-              step.key_cols.size() == 1 ? bs.single_index.FindId(key[0])
-                                        : bs.multi_index.FindIds(key);
-          for (std::uint32_t row_id : row_ids) {
-            if (row_id < limit) {
-              matched = true;
-              break;
-            }
-          }
-        } else {
-          // key_cols covers every column in order, so `key` is the full
-          // id row.
-          matched = rel.ContainsIds(key);
-        }
+        const bool matched = rel.FindRowIds(key.data()) < limit;
         if (matched) {
           // Survives unchanged: a fully bound atom writes no slot.
           next.resize((next_count + 1) * stride);
@@ -555,15 +541,13 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
     cur_count = next_count;
   }
 
-  // Emit boundary: the only place ids meet Values again -- and even here
-  // only inside InsertIds for genuinely new rows. Negated literals are
-  // probed in id space against `full` (ContainsIds handles a row-store
-  // relation, so negation over a predicate the plan never steps through
-  // is safe on either backend). Derivations are buffered until the
-  // enumeration is fully consumed because `out` may alias `full`.
-  std::vector<std::uint32_t> derived_ids;
-  std::size_t derived_count = 0;
-  const std::size_t head_arity = head_terms_.size();
+  // Emit boundary. Negated literals are probed in id space against
+  // `full` (ContainsIds handles a row-store relation, so negation over a
+  // predicate the plan never steps through is safe on either backend).
+  // Head rows go to the caller's buffer: Apply inserts them only after
+  // the enumeration is fully consumed, because `out` may alias `full`.
+  derived->ids.clear();
+  derived->count = 0;
   std::vector<std::uint32_t> neg_key;
   for (std::size_t f = 0; f < cur_count; ++f) {
     const std::uint32_t* slots = cur.data() + f * stride;
@@ -582,31 +566,19 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
     }
     if (excluded) continue;
     for (const CompiledTerm& t : head_terms_) {
-      derived_ids.push_back(t.is_constant
-                                ? t.value_id
-                                : slots[static_cast<std::size_t>(t.slot)]);
+      derived->ids.push_back(t.is_constant
+                                 ? t.value_id
+                                 : slots[static_cast<std::size_t>(t.slot)]);
     }
-    ++derived_count;
+    ++derived->count;
   }
-
-  std::size_t added = 0;
-  std::vector<std::uint32_t> row(head_arity);
-  Relation& head_rel = out->MutableRelation(head_predicate_);
-  if (head_rel.columnar()) head_rel.ReserveRows(derived_count);
-  for (std::size_t i = 0; i < derived_count; ++i) {
-    for (std::size_t k = 0; k < head_arity; ++k) {
-      row[k] = derived_ids[i * head_arity + k];
-    }
-    if (head_rel.InsertIds(row)) ++added;
-  }
-  *new_facts = added;
   return true;
 }
 
 bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
-                                 const OldLimits* old_limits, Database* out,
+                                 const OldLimits* old_limits,
                                  MatchStats* stats,
-                                 std::size_t* new_facts) const {
+                                 IdRowBuffer* derived) const {
   // Per-atom runtime state, resolved like ApplyBatch's BatchSource (same
   // liveness rule, same old-snapshot limit).
   struct AtomRt {
@@ -633,11 +605,12 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
     // before any counter moves and let Apply fall back to Execute.
     if (!at.dead && !rel.columnar()) return false;
   }
+  derived->ids.clear();
+  derived->count = 0;
   for (const AtomRt& at : atoms_rt) {
     if (at.dead) {
       // Every atom participates in every intersection, so one dead atom
       // kills every match before any probe happens.
-      *new_facts = 0;
       return true;
     }
   }
@@ -651,8 +624,11 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
     Relation::SingleIndexView single;
     Relation::MultiIndexView multi;
     // Bound-plus-variable column index: membership seeks for probes that
-    // did not win the iteration-source election.
+    // did not win the iteration-source election. Unused (and never
+    // built) when those columns cover the whole atom: the seek is then a
+    // dedup-table lookup of the full row.
     Relation::MultiIndexView union_index;
+    bool union_full_row = false;
   };
   std::deque<std::vector<std::uint32_t>> owned_roots;
   std::vector<std::vector<ProbeRt>> probes_rt(mw_steps_.size());
@@ -669,7 +645,11 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
         } else {
           rt.multi = rel.PrepareIndex(probe.bound_cols);
         }
-        rt.union_index = rel.PrepareIndex(probe.union_cols);
+        rt.union_full_row =
+            static_cast<int>(probe.union_cols.size()) == rel.arity();
+        if (!rt.union_full_row) {
+          rt.union_index = rel.PrepareIndex(probe.union_cols);
+        }
         continue;
       }
       if (!at.old_only && probe.var_cols.size() == 1) {
@@ -716,9 +696,6 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
   }
 
   std::vector<std::uint32_t> slots(static_cast<std::size_t>(num_slots_), 0);
-  std::vector<std::uint32_t> derived_ids;
-  std::size_t derived_count = 0;
-  const std::size_t head_arity = head_terms_.size();
   std::vector<std::uint32_t> neg_key;
 
   // Emit boundary: identical in structure to ApplyBatch's -- bump
@@ -736,11 +713,11 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
       if (full.relation(negated_preds_[i]).ContainsIds(neg_key)) return;
     }
     for (const CompiledTerm& t : head_terms_) {
-      derived_ids.push_back(t.is_constant
-                                ? t.value_id
-                                : slots[static_cast<std::size_t>(t.slot)]);
+      derived->ids.push_back(t.is_constant
+                                 ? t.value_id
+                                 : slots[static_cast<std::size_t>(t.slot)]);
     }
-    ++derived_count;
+    ++derived->count;
   };
 
   // Generic join: per variable, seek each containing atom's candidate
@@ -853,9 +830,13 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
         for (const int pos : probe.union_var_positions) {
           ukey[static_cast<std::size_t>(pos)] = id;
         }
+        const AtomRt& at = atoms_rt[probe.atom];
+        if (rt.union_full_row) {
+          in_all = at.rel->FindRowIds(ukey.data()) < at.limit;
+          continue;
+        }
         const std::vector<std::uint32_t>& rows =
             rt.union_index.FindIds(ukey);
-        const AtomRt& at = atoms_rt[probe.atom];
         if (at.old_only) {
           in_all = false;
           for (const std::uint32_t row_id : rows) {
@@ -874,80 +855,75 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
     }
   };
   enumerate(enumerate, 0);
-
-  std::size_t added = 0;
-  std::vector<std::uint32_t> row(head_arity);
-  Relation& head_rel = out->MutableRelation(head_predicate_);
-  if (head_rel.columnar()) head_rel.ReserveRows(derived_count);
-  for (std::size_t i = 0; i < derived_count; ++i) {
-    for (std::size_t k = 0; k < head_arity; ++k) {
-      row[k] = derived_ids[i * head_arity + k];
-    }
-    if (head_rel.InsertIds(row)) ++added;
-  }
-  *new_facts = added;
   return true;
 }
 
-std::size_t CompiledRule::Apply(const Database& full, const Database* delta,
-                                const OldLimits* old_limits, Database* out,
-                                MatchStats* stats) const {
+bool CompiledRule::DeriveIds(const Database& full, const Database* delta,
+                             const OldLimits* old_limits, MatchStats* stats,
+                             IdRowBuffer* derived) const {
   // Bytecode fast path: the lowered program run by the computed-goto VM,
-  // covering both plan shapes. Run returns false -- before bumping any
-  // counter or inserting anything -- when a live relation is not
-  // columnar, in which case the struct executors below re-resolve and
-  // take over (they re-check the same condition). The knob is consulted
-  // per Apply rather than snapshotted into the plan, so flipping it
-  // never replans.
+  // covering both plan shapes. Derive returns false -- before bumping any
+  // counter -- when a live relation is not columnar, in which case the
+  // struct executors below re-resolve and take over (they re-check the
+  // same condition). The knob is consulted per Apply rather than
+  // snapshotted into the plan, so flipping it never replans.
   if (!bc_.empty() && BytecodeExecutionEnabled() && ColumnarStorageEnabled()) {
-    std::size_t vm_facts = 0;
     if (MetricsRegistry::Get().enabled()) {
       bytecode::DispatchCounts counts;
-      if (bytecode::Run(bc_, full, delta, old_limits, out, stats, &vm_facts,
-                        &counts)) {
+      if (bytecode::Derive(bc_, full, delta, old_limits, stats, derived,
+                           &counts)) {
         bytecode::PublishDispatchCounts(counts);
-        return vm_facts;
+        return true;
       }
-    } else if (bytecode::Run(bc_, full, delta, old_limits, out, stats,
-                             &vm_facts)) {
-      return vm_facts;
+    } else if (bytecode::Derive(bc_, full, delta, old_limits, stats,
+                                derived)) {
+      return true;
     }
   }
   // Multiway plan shape: the worst-case-optimal intersection executor.
   // Derives the same fact set and the same substitution count as the
   // left-deep executors (assignments, not row visits, are what both
   // count), but probe/scan counters measure the shape's own work.
-  if (shape_ == PlanShape::kMultiway && ColumnarStorageEnabled()) {
-    std::size_t mw_facts = 0;
-    if (ApplyMultiway(full, delta, old_limits, out, stats, &mw_facts)) {
-      return mw_facts;
-    }
+  if (shape_ == PlanShape::kMultiway && ColumnarStorageEnabled() &&
+      ApplyMultiway(full, delta, old_limits, stats, derived)) {
+    return true;
   }
   // Vectorized fast path: only when the plan qualifies (batch_ok_), the
   // columnar knob is on, and -- checked inside -- every live relation is
   // columnar. An empty body stays on Execute, whose no-step epilogue
   // already handles it. Counters, derivation order and results are
   // bit-identical between the two paths.
-  if (batch_ok_ && !steps_.empty() && ColumnarStorageEnabled()) {
-    std::size_t batch_facts = 0;
-    if (ApplyBatch(full, delta, old_limits, out, stats, &batch_facts)) {
-      return batch_facts;
-    }
+  return batch_ok_ && !steps_.empty() && ColumnarStorageEnabled() &&
+         ApplyBatch(full, delta, old_limits, stats, derived);
+}
+
+std::size_t CompiledRule::Apply(const Database& full, const Database* delta,
+                                const OldLimits* old_limits, Database* out,
+                                MatchStats* stats,
+                                std::uint64_t* insert_ns) const {
+  // The id-space executors derive every head row first and insert them
+  // in one batch afterwards: `out` may alias `full`, and inserting while
+  // the enumeration reads the same relation would invalidate it.
+  IdRowBuffer derived;
+  if (DeriveIds(full, delta, old_limits, stats, &derived)) {
+    if (derived.count == 0) return 0;
+    PhaseTimer timer(insert_ns);
+    return out->MutableRelation(head_predicate_).InsertIdRows(derived);
   }
-  // Derived tuples are buffered and inserted only after the enumeration
-  // finishes: `out` may alias `full`, and inserting while the matcher is
-  // iterating rows/indexes of the same relation would invalidate them.
-  std::vector<Tuple> derived;
+  // Depth-first fallback (row-store relations, or a head variable the
+  // body never binds), buffered for the same reason.
+  std::vector<Tuple> derived_tuples;
   MatchFrame frame(*this);
   Tuple scratch;
   Execute(full, delta, old_limits, &frame, stats,
           [&](const MatchFrame& f) {
             if (!NegationHolds(full, f, &scratch)) return true;
-            derived.push_back(InstantiateHeadFromFrame(f));
+            derived_tuples.push_back(InstantiateHeadFromFrame(f));
             return true;
           });
+  PhaseTimer timer(insert_ns);
   std::size_t new_facts = 0;
-  for (Tuple& tuple : derived) {
+  for (Tuple& tuple : derived_tuples) {
     if (out->AddFact(head_predicate_, std::move(tuple))) ++new_facts;
   }
   return new_facts;

@@ -193,9 +193,15 @@ class CompiledRule {
   /// Execute does, replicates MatchStats bump for bump, and inserts
   /// derived facts in the same order, so the two executors are
   /// bit-for-bit interchangeable (tests/integration enforces this).
+  ///
+  /// Every executor hands its head rows to one batch insert
+  /// (Relation::InsertIdRows on the id-space paths); when `insert_ns` is
+  /// non-null its wall time is added there -- the engines pass one only
+  /// while the MetricsRegistry is enabled (EvalStats::insert_ns).
   std::size_t Apply(const Database& full, const Database* delta,
                     const OldLimits* old_limits, Database* out,
-                    MatchStats* stats) const;
+                    MatchStats* stats,
+                    std::uint64_t* insert_ns = nullptr) const;
 
   /// Enumerates every complete match into `sink` (called with the frame;
   /// return false to stop early). Counter semantics are identical to the
@@ -230,16 +236,11 @@ class CompiledRule {
       }
       // Prepare index views for exactly the probes Step will issue (the
       // same condition EnsureIndexes pre-builds for): partially bound
-      // indexed probes, and fully bound ones on the old snapshot -- where
-      // "fully bound" includes the zero-arity case, whose degenerate
-      // empty-column index maps the empty key to every row, exactly as
-      // the legacy matcher's Lookup did. The current-state membership
-      // test uses Contains and needs no view.
-      const bool fully_bound =
-          static_cast<int>(step.key_cols.size()) == step.arity;
-      const bool probes_index =
-          use_index_ && (fully_bound ? step.source == AtomSource::kOld
-                                     : !step.key_cols.empty());
+      // indexed probes. Fully bound atoms -- zero-arity ones included --
+      // are one dedup-table lookup (Relation::FindRow) and need no view.
+      const bool probes_index = use_index_ && !step.key_cols.empty() &&
+                                static_cast<int>(step.key_cols.size()) !=
+                                    step.arity;
       if (!ds.dead && probes_index) {
         if (step.key_cols.size() == 1) {
           ds.single_index = rel.PrepareSingleIndex(step.key_cols[0]);
@@ -296,14 +297,23 @@ class CompiledRule {
 
   void BuildSchedules(const Database& full, const Database* delta);
 
+  /// Runs the first id-space executor that accepts the databases -- the
+  /// bytecode VM, then ApplyMultiway, then ApplyBatch -- deriving the
+  /// head rows into `derived`. False when none can (Apply then falls back
+  /// to the depth-first Execute path).
+  bool DeriveIds(const Database& full, const Database* delta,
+                 const OldLimits* old_limits, MatchStats* stats,
+                 IdRowBuffer* derived) const;
+
   /// Vectorized executor behind Apply: per join depth, expand the whole
-  /// frontier of candidate frames at once against the raw id columns.
-  /// Returns false -- before bumping any counter or inserting anything --
-  /// when some live relation is not columnar (a knob flipped mid-stream),
-  /// in which case Apply falls back to the depth-first Execute path.
+  /// frontier of candidate frames at once against the raw id columns,
+  /// deriving head rows into `derived`. Returns false -- before bumping
+  /// any counter -- when some live relation is not columnar (a knob
+  /// flipped mid-stream), in which case Apply falls back to the
+  /// depth-first Execute path.
   bool ApplyBatch(const Database& full, const Database* delta,
-                  const OldLimits* old_limits, Database* out,
-                  MatchStats* stats, std::size_t* new_facts) const;
+                  const OldLimits* old_limits, MatchStats* stats,
+                  IdRowBuffer* derived) const;
 
   /// Builds the multiway variable order and per-step probe schedules
   /// (called by BuildSchedules after it selects PlanShape::kMultiway).
@@ -318,12 +328,12 @@ class CompiledRule {
   /// Generic worst-case-optimal executor behind Apply when the plan
   /// shape is kMultiway: iterates variables in the plan's fixed order,
   /// intersecting sorted candidate-id lists contributed by every atom
-  /// containing the variable. Returns false -- before bumping any
-  /// counter or inserting anything -- when some live relation is not
-  /// columnar, in which case Apply falls back to the left-deep path.
+  /// containing the variable, deriving head rows into `derived`. Returns
+  /// false -- before bumping any counter -- when some live relation is
+  /// not columnar, in which case Apply falls back to the left-deep path.
   bool ApplyMultiway(const Database& full, const Database* delta,
-                     const OldLimits* old_limits, Database* out,
-                     MatchStats* stats, std::size_t* new_facts) const;
+                     const OldLimits* old_limits, MatchStats* stats,
+                     IdRowBuffer* derived) const;
 
   static std::size_t OldLimitFor(const OldLimits* old_limits,
                                  PredicateId pred) {
@@ -373,27 +383,17 @@ class CompiledRule {
 
     if (use_index_ &&
         static_cast<int>(step.key_cols.size()) == step.arity) {
-      // Fully bound: membership test. The old snapshot additionally
-      // needs the matching row to predate the limit.
+      // Fully bound: membership test, one dedup-table lookup of the
+      // unique matching row. The old snapshot additionally needs that
+      // row to predate the limit (kNoRow never does).
       if (stats != nullptr) ++stats->tuples_scanned;
-      if (old_only) {
-        const std::vector<std::uint32_t>& row_ids =
-            step.key_cols.size() == 1 ? ds.single_index.Find(key[0])
-                                      : ds.multi_index.Find(key);
-        for (std::uint32_t row_id : row_ids) {
-          if (row_id < limit) {
-            return Step(depth + 1, frame, stats, sink);
-          }
-        }
-        return true;
-      }
-      if (rel.Contains(key)) {
+      if (rel.FindRow(key) < limit) {
         return Step(depth + 1, frame, stats, sink);
       }
       return true;
     }
 
-    auto try_row = [&](const Tuple& row) -> bool {
+    auto try_row = [&](RowRef row) -> bool {
       for (const CompiledAtomStep::SlotRef& w : step.writes) {
         frame.slots[static_cast<std::size_t>(w.slot)] =
             row[static_cast<std::size_t>(w.col)];
@@ -417,7 +417,7 @@ class CompiledRule {
 
     if (!use_index_) {
       for (std::size_t i = 0; i < limit; ++i) {
-        const Tuple& row = rel.row(i);
+        const RowRef row = rel.row(i);
         if (stats != nullptr) ++stats->tuples_scanned;
         bool matches = true;
         for (std::size_t k = 0; k < step.key_cols.size(); ++k) {

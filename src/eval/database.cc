@@ -29,19 +29,7 @@ bool Database::AddFactIds(PredicateId pred,
 std::size_t Database::AddRowRange(PredicateId pred, const Relation& rel,
                                   std::size_t begin, std::size_t end) {
   if (begin >= end) return 0;
-  Relation& dst = MutableRelation(pred);
-  std::size_t added = 0;
-  if (rel.columnar() && dst.columnar()) {
-    dst.ReserveRows(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (dst.AppendRowFrom(rel, i)) ++added;
-    }
-    return added;
-  }
-  for (std::size_t i = begin; i < end; ++i) {
-    if (dst.Insert(rel.row(i))) ++added;
-  }
-  return added;
+  return MutableRelation(pred).AddRowRange(rel, begin, end);
 }
 
 Status Database::AddAtom(const Atom& atom) {
@@ -72,9 +60,9 @@ std::size_t Database::ClearRelation(PredicateId pred) {
   return n;
 }
 
-bool Database::Contains(PredicateId pred, const Tuple& tuple) const {
+bool Database::Contains(PredicateId pred, RowRef row) const {
   auto it = relations_.find(pred);
-  return it != relations_.end() && it->second.Contains(tuple);
+  return it != relations_.end() && it->second.Contains(row);
 }
 
 const Relation& Database::relation(PredicateId pred) const {
@@ -103,8 +91,9 @@ std::size_t Database::NumFacts() const {
 std::size_t Database::UnionWith(const Database& other) {
   std::size_t added = 0;
   for (const auto& [pred, rel] : other.relations_) {
-    // Id-space copy when both sides are columnar (AddRowRange falls
-    // back to Tuple insertion otherwise).
+    // Id-space copy when both sides are columnar -- a bulk column copy
+    // into a relation this database did not have yet (AddRowRange falls
+    // back to Tuple insertion across backends).
     added += AddRowRange(pred, rel, 0, rel.size());
   }
   return added;
@@ -112,7 +101,7 @@ std::size_t Database::UnionWith(const Database& other) {
 
 bool Database::IsSubsetOf(const Database& other) const {
   for (const auto& [pred, rel] : relations_) {
-    for (const Tuple& row : rel.rows()) {
+    for (RowRef row : rel.rows()) {
       if (!other.Contains(pred, row)) return false;
     }
   }
@@ -122,7 +111,7 @@ bool Database::IsSubsetOf(const Database& other) const {
 std::string Database::ToString() const {
   std::vector<std::string> lines;
   for (const auto& [pred, rel] : relations_) {
-    for (const Tuple& row : rel.rows()) {
+    for (RowRef row : rel.rows()) {
       std::string line = symbols_->PredicateName(pred);
       if (!row.empty()) {
         line += "(";

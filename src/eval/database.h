@@ -35,10 +35,11 @@ class Database {
   bool AddFactIds(PredicateId pred, const std::vector<std::uint32_t>& ids);
 
   /// Appends rows [begin, end) of `rel` as facts of `pred`, preserving
-  /// their order; returns how many were new. When both `rel` and the
-  /// destination relation are columnar the copy stays in id space (no
-  /// Value hashing, no dictionary round-trip) -- this is how the
-  /// semi-naive drivers cut deltas and shards out of the full database.
+  /// their order; returns how many were new (Relation::AddRowRange).
+  /// When both relations are columnar the copy stays in id space, and
+  /// into a still-empty relation it is a bulk column copy -- this is how
+  /// the semi-naive drivers cut deltas and shards out of the full
+  /// database, and how UnionWith copies an EDB into a fresh database.
   std::size_t AddRowRange(PredicateId pred, const Relation& rel,
                           std::size_t begin, std::size_t end);
 
@@ -60,7 +61,12 @@ class Database {
   /// Removes every fact of `pred`; returns how many there were.
   std::size_t ClearRelation(PredicateId pred);
 
-  bool Contains(PredicateId pred, const Tuple& tuple) const;
+  /// True if `pred(row)` is a fact; `row` may be a Tuple or a row view
+  /// of any relation (the Tuple overload keeps braced lists working).
+  bool Contains(PredicateId pred, RowRef row) const;
+  bool Contains(PredicateId pred, const Tuple& tuple) const {
+    return Contains(pred, RowRef(tuple));
+  }
 
   /// The relation for `pred` (an empty relation if no fact was added).
   const Relation& relation(PredicateId pred) const;

@@ -1,6 +1,7 @@
 #ifndef DATALOG_EVAL_EVAL_STATS_H_
 #define DATALOG_EVAL_EVAL_STATS_H_
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -39,6 +40,14 @@ struct EvalStats {
   std::uint64_t parallel_match_ns = 0;  // workers matching into buffers
   std::uint64_t merge_ns = 0;           // single-threaded round-barrier merge
 
+  // Write-path phase split of the semi-naive engines, read from the clock
+  // only while the MetricsRegistry is enabled (zero otherwise), once per
+  // rule application / round -- never per row. Nanoseconds, like the
+  // parallel timers above; never part of MatchStats, which the
+  // differential suites compare bit for bit.
+  std::uint64_t insert_ns = 0;     // batch-inserting derived head rows
+  std::uint64_t delta_cut_ns = 0;  // cutting the next delta (CollectNewFacts)
+
   void Add(const EvalStats& other) {
     iterations += other.iterations;
     facts_derived += other.facts_derived;
@@ -48,6 +57,8 @@ struct EvalStats {
     index_build_ns += other.index_build_ns;
     parallel_match_ns += other.parallel_match_ns;
     merge_ns += other.merge_ns;
+    insert_ns += other.insert_ns;
+    delta_cut_ns += other.delta_cut_ns;
     match.Add(other.match);
     if (per_rule.size() < other.per_rule.size()) {
       per_rule.resize(other.per_rule.size());
@@ -56,6 +67,30 @@ struct EvalStats {
       per_rule[i].Add(other.per_rule[i]);
     }
   }
+};
+
+/// Adds the wall time from construction to destruction to `*sink`; does
+/// not read the clock at all when `sink` is null. The engines pass a null
+/// sink unless the MetricsRegistry is enabled, so an uninstrumented run
+/// pays one branch per timed phase.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(std::uint64_t* sink) : sink_(sink) {
+    if (sink_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~PhaseTimer() {
+    if (sink_ == nullptr) return;
+    *sink_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+  }
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+ private:
+  std::uint64_t* sink_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace datalog

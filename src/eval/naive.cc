@@ -2,6 +2,7 @@
 
 #include "ast/validate.h"
 #include "eval/compiled_rule.h"
+#include "obs/metrics.h"
 #include "obs/stats_export.h"
 #include "obs/trace.h"
 
@@ -14,6 +15,8 @@ Result<EvalStats> EvaluateNaive(const Program& program, Database* db) {
   stats.per_rule.resize(program.NumRules());
   // Plans persist across naive rounds; only cardinality drift replans.
   CompiledRuleCache cache;
+  std::uint64_t* insert_ns =
+      MetricsRegistry::Get().enabled() ? &stats.insert_ns : nullptr;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -27,7 +30,8 @@ Result<EvalStats> EvaluateNaive(const Program& program, Database* db) {
       ++stats.per_rule[ri].applications;
       TraceSpan apply_span("naive/apply");
       MatchStats local;
-      std::size_t added = ApplyRule(rule, *db, db, &local, &cache, ri);
+      std::size_t added =
+          ApplyRule(rule, *db, db, &local, &cache, ri, insert_ns);
       stats.match.Add(local);
       stats.facts_derived += added;
       stats.per_rule[ri].facts += added;

@@ -14,6 +14,7 @@
 #include "eval/compiled_rule.h"
 #include "eval/rule_matcher.h"
 #include "eval/seminaive.h"
+#include "obs/metrics.h"
 #include "obs/stats_export.h"
 #include "obs/trace.h"
 
@@ -51,6 +52,7 @@ struct PassTask {
   const Database* delta_shard;
   Database out;       // task-local derivation buffer
   MatchStats match;   // task-local join counters
+  std::uint64_t insert_ns = 0;  // task-local insert timer (metrics only)
   // Compiled plan resolved during prep (null on the legacy-matcher
   // ablation path); shared read-only across all shards of the pass.
   const CompiledRule* plan = nullptr;
@@ -91,12 +93,10 @@ void EnsureIndexesForPass(const Database& full, const Database& delta_shard,
         bound_cols.push_back(i);
       }
     }
-    const bool fully_bound =
-        static_cast<int>(bound_cols.size()) == atom.arity();
-    // Partially bound probes always use the index; fully bound probes use
-    // set membership except against the old snapshot, which needs row ids.
+    // Only partially bound probes use an index; fully bound ones (old
+    // snapshot included) look the row up in the dedup table.
     if (!bound_cols.empty() &&
-        (!fully_bound || planned.source == AtomSource::kOld)) {
+        static_cast<int>(bound_cols.size()) != atom.arity()) {
       rel.EnsureIndex(bound_cols);
     }
     for (const Term& t : atom.args()) {
@@ -149,6 +149,9 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
   // resolved plan read-only. The cache outlives the rounds, so join
   // orders persist until cardinalities drift >= 4x.
   CompiledRuleCache cache;
+
+  // Write-path phase timers: read the clock only while metrics are on.
+  const bool timed = MetricsRegistry::Get().enabled();
 
   while (!delta.empty()) {
     ++stats.iterations;
@@ -230,15 +233,17 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     stats.parallel_tasks += tasks.size();
     const Database& frozen = *db;
     for (PassTask& task : tasks) {
-      pool->Submit([&rules, &frozen, &old_limits, &task] {
+      pool->Submit([&rules, &frozen, &old_limits, &task, timed] {
         TraceSpan task_span("parallel/task");
+        std::uint64_t* insert_ns = timed ? &task.insert_ns : nullptr;
         if (task.plan != nullptr) {
           task.plan->Apply(frozen, task.delta_shard, &old_limits, &task.out,
-                           &task.match);
+                           &task.match, insert_ns);
         } else {
           ApplyRuleWithDelta(rules[task.rule_index], frozen, *task.delta_shard,
                              task.delta_pos, &task.out, &task.match,
-                             &old_limits);
+                             &old_limits, /*cache=*/nullptr, /*rule_index=*/0,
+                             insert_ns);
         }
         if (task_span.active()) {
           task_span.Note("rule", task.rule_index);
@@ -259,16 +264,16 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     const std::uint64_t facts_before_merge = stats.facts_derived;
     for (const PassTask& task : tasks) {
       stats.match.Add(task.match);
+      stats.insert_ns += task.insert_ns;
       stats.per_rule[task.rule_index].substitutions +=
           task.match.substitutions;
-      const Rule& rule = rules[task.rule_index];
-      PredicateId head = rule.head().predicate();
-      for (const Tuple& row : task.out.relation(head).rows()) {
-        if (db->AddFact(head, row)) {
-          ++stats.facts_derived;
-          ++stats.per_rule[task.rule_index].facts;
-        }
-      }
+      // Id-space row copy of the task's buffer, in its derivation order.
+      const PredicateId head = rules[task.rule_index].head().predicate();
+      const Relation& derived = task.out.relation(head);
+      const std::size_t added =
+          db->AddRowRange(head, derived, 0, derived.size());
+      stats.facts_derived += added;
+      stats.per_rule[task.rule_index].facts += added;
     }
     stats.merge_ns += ElapsedNs(merge_start);
     merge_span.Note("facts", stats.facts_derived - facts_before_merge);
@@ -276,6 +281,7 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     round_span.Note("facts", stats.facts_derived - facts_before_merge);
 
     old_limits = marks;
+    PhaseTimer cut_timer(timed ? &stats.delta_cut_ns : nullptr);
     delta = CollectNewFacts(*db, marks);
   }
   return stats;

@@ -43,11 +43,13 @@ Result<Derivation> ExplainFact(const Program& program, const Database& db,
   ProvenanceMap provenance;
   for (PredicateId pred : work.NonEmptyPredicates()) {
     const Relation& rel = work.relation(pred);
-    for (const Tuple& row : rel.rows()) {
+    for (RowRef row : rel.rows()) {
+      // Every input fact gets its own leaf node, which owns the fact.
       auto node = std::make_shared<Derivation>();
       node->predicate = pred;
-      node->fact = row;
-      provenance.emplace(FactKey{pred, row}, std::move(node));
+      node->fact = Tuple(row);
+      Tuple key = node->fact;
+      provenance.emplace(FactKey{pred, std::move(key)}, std::move(node));
     }
   }
 

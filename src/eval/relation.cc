@@ -1,6 +1,8 @@
 #include "eval/relation.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace datalog {
 
@@ -20,121 +22,170 @@ void SetColumnarStorage(bool enabled) { columnar_storage_enabled = enabled; }
 bool ColumnarStorageEnabled() { return columnar_storage_enabled; }
 
 bool Relation::RowIdTable::InsertOrFind(const Columns& columns,
-                                        const std::vector<std::uint32_t>& ids,
+                                        const std::uint32_t* ids,
+                                        std::uint64_t key,
                                         std::uint32_t row_id) {
-  if ((size_ + 1) * 4 > slots_.size() * 3) Grow(columns);
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t h = HashIds(ids) & mask;
-  while (slots_[h] != 0) {
-    if (RowEquals(columns, slots_[h] - 1, ids)) return false;
+  if ((size_ + 1) * 4 > keys_.size() * 3) Grow();
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t h = Home(key) & mask;
+  while (keys_[h] != kEmpty) {
+    if (keys_[h] == key && (packed_ || RowEquals(columns, rows_[h], ids))) {
+      return false;
+    }
     h = (h + 1) & mask;
   }
-  slots_[h] = row_id + 1;
+  keys_[h] = key;
+  rows_[h] = row_id;
   ++size_;
   return true;
 }
 
-bool Relation::RowIdTable::Contains(
-    const Columns& columns, const std::vector<std::uint32_t>& ids) const {
-  if (size_ == 0) return false;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t h = HashIds(ids) & mask;
-  while (slots_[h] != 0) {
-    if (RowEquals(columns, slots_[h] - 1, ids)) return true;
+void Relation::RowIdTable::InsertDistinct(const Columns& columns,
+                                          std::uint32_t row_id) {
+  if ((size_ + 1) * 4 > keys_.size() * 3) Grow();
+  Place(StoredKey(columns, row_id), row_id);
+  ++size_;
+}
+
+std::uint32_t Relation::RowIdTable::Find(const Columns& columns,
+                                         const std::uint32_t* ids) const {
+  if (size_ == 0) return kNoRow;
+  const std::uint64_t key = KeyOf(ids);
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t h = Home(key) & mask;
+  while (keys_[h] != kEmpty) {
+    if (keys_[h] == key && (packed_ || RowEquals(columns, rows_[h], ids))) {
+      return rows_[h];
+    }
     h = (h + 1) & mask;
   }
-  return false;
+  return kNoRow;
 }
 
-void Relation::RowIdTable::Grow(const Columns& columns) {
-  ResizeTo(columns, slots_.empty() ? 16 : slots_.size() * 2);
+void Relation::RowIdTable::Grow() {
+  ResizeTo(keys_.empty() ? 16 : keys_.size() * 2);
 }
 
-void Relation::RowIdTable::Reserve(const Columns& columns,
-                                   std::size_t additional) {
+void Relation::RowIdTable::Reserve(std::size_t additional) {
   const std::size_t needed = (size_ + additional) * 4 / 3 + 1;
-  std::size_t new_size = slots_.empty() ? 16 : slots_.size();
+  std::size_t new_size = keys_.empty() ? 16 : keys_.size();
   while (new_size < needed) new_size *= 2;
-  if (new_size > slots_.size()) ResizeTo(columns, new_size);
+  if (new_size > keys_.size()) ResizeTo(new_size);
 }
 
-void Relation::RowIdTable::ResizeTo(const Columns& columns,
-                                    std::size_t new_size) {
-  std::vector<std::uint32_t> old = std::move(slots_);
-  slots_.assign(new_size, 0);
-  const std::size_t mask = new_size - 1;
-  // Deliberately a local buffer, not IdScratch(): the caller's key may
-  // alias the scratch vector while we are mid-insert.
-  std::vector<std::uint32_t> ids(columns.size());
-  for (std::uint32_t slot : old) {
-    if (slot == 0) continue;
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      ids[c] = columns[c][slot - 1];
-    }
-    std::size_t h = HashIds(ids) & mask;
-    while (slots_[h] != 0) h = (h + 1) & mask;
-    slots_[h] = slot;
+void Relation::RowIdTable::ResizeTo(std::size_t new_size) {
+  std::vector<std::uint64_t> old_keys = std::move(keys_);
+  std::vector<std::uint32_t> old_rows = std::move(rows_);
+  keys_.assign(new_size, kEmpty);
+  rows_.assign(new_size, 0);
+  for (std::size_t i = 0; i < old_keys.size(); ++i) {
+    if (old_keys[i] != kEmpty) Place(old_keys[i], old_rows[i]);
   }
 }
 
 void Relation::RowIdTable::Rebuild(const Columns& columns,
                                    std::size_t num_rows) {
-  slots_.clear();
+  keys_.clear();
+  rows_.clear();
   size_ = 0;
   if (num_rows == 0) return;
-  std::vector<std::uint32_t> ids(columns.size());
+  Reserve(num_rows);
   for (std::size_t i = 0; i < num_rows; ++i) {
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      ids[c] = columns[c][i];
-    }
-    InsertOrFind(columns, ids, static_cast<std::uint32_t>(i));
+    InsertDistinct(columns, static_cast<std::uint32_t>(i));
   }
 }
 
+void Relation::CheckWidth(std::size_t width) const {
+  if (width != static_cast<std::size_t>(arity_)) {
+    throw std::invalid_argument(
+        "row of width " + std::to_string(width) +
+        " inserted into a relation of arity " + std::to_string(arity_));
+  }
+}
+
+bool Relation::InsertIdsUnchecked(const std::uint32_t* ids) {
+  if (!id_table_.InsertOrFind(columns_, ids, id_table_.KeyOf(ids),
+                              static_cast<std::uint32_t>(num_rows_))) {
+    return false;
+  }
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].push_back(ids[c]);
+  }
+  ++num_rows_;
+  return true;
+}
+
 bool Relation::Insert(Tuple tuple) {
+  CheckWidth(tuple.size());
   if (!columnar_) {
-    auto [it, inserted] = set_.insert(std::move(tuple));
+    auto [it, inserted] = row_ids_.emplace(
+        std::move(tuple), static_cast<std::uint32_t>(num_rows_));
     if (inserted) {
-      rows_.push_back(*it);
+      rows_.push_back(it->first);
+      ++num_rows_;
     }
     return inserted;
   }
   std::vector<std::uint32_t>& ids = IdScratch();
   ValueDictionary::Global().InternRow(tuple, &ids);
-  if (!id_table_.InsertOrFind(columns_, ids,
-                              static_cast<std::uint32_t>(rows_.size()))) {
-    return false;
-  }
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(ids[c]);
-  }
-  rows_.push_back(std::move(tuple));
-  return true;
+  return InsertIdsUnchecked(ids.data());
 }
 
 bool Relation::InsertIds(const std::vector<std::uint32_t>& ids) {
-  if (!columnar_) {
-    ValueDictionary& dict = ValueDictionary::Global();
-    Tuple tuple;
-    tuple.reserve(ids.size());
-    for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-    return Insert(std::move(tuple));
-  }
-  if (!id_table_.InsertOrFind(columns_, ids,
-                              static_cast<std::uint32_t>(rows_.size()))) {
-    return false;
-  }
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(ids[c]);
-  }
-  // The Tuple row view is resolved from the dictionary only for rows
-  // that are genuinely new -- duplicates never touch a Value.
+  CheckWidth(ids.size());
+  if (columnar_) return InsertIdsUnchecked(ids.data());
   ValueDictionary& dict = ValueDictionary::Global();
   Tuple tuple;
   tuple.reserve(ids.size());
   for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-  rows_.push_back(std::move(tuple));
-  return true;
+  return Insert(std::move(tuple));
+}
+
+std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
+  const std::size_t width = static_cast<std::size_t>(arity_);
+  if (rows.ids.size() != rows.count * width) {
+    throw std::invalid_argument(
+        "id batch of " + std::to_string(rows.ids.size()) + " ids is not " +
+        std::to_string(rows.count) + " rows of arity " +
+        std::to_string(arity_));
+  }
+  std::size_t added = 0;
+  if (columnar_) {
+    // Nothing is reserved up front: a batch of derived rows may be
+    // mostly duplicates, so storage grows with the rows actually new.
+    // Each row's first slot is prefetched kAhead rows before its probe
+    // (a table growth in between only wastes those few prefetches).
+    constexpr std::size_t kAhead = 8;
+    std::uint64_t keys[kAhead];
+    const std::uint32_t* ids = rows.ids.data();
+    for (std::size_t r = 0; r < rows.count && r < kAhead; ++r) {
+      keys[r] = id_table_.KeyOf(ids + r * width);
+      id_table_.Prefetch(keys[r]);
+    }
+    for (std::size_t r = 0; r < rows.count; ++r) {
+      const std::uint64_t key = keys[r % kAhead];
+      if (r + kAhead < rows.count) {
+        keys[r % kAhead] = id_table_.KeyOf(ids + (r + kAhead) * width);
+        id_table_.Prefetch(keys[r % kAhead]);
+      }
+      const std::uint32_t* row = ids + r * width;
+      if (!id_table_.InsertOrFind(columns_, row, key,
+                                  static_cast<std::uint32_t>(num_rows_))) {
+        continue;
+      }
+      for (std::size_t c = 0; c < width; ++c) columns_[c].push_back(row[c]);
+      ++num_rows_;
+      ++added;
+    }
+    return added;
+  }
+  std::vector<std::uint32_t> row(width);
+  for (std::size_t r = 0; r < rows.count; ++r) {
+    const std::uint32_t* base = rows.ids.data() + r * width;
+    row.assign(base, base + width);
+    if (InsertIds(row)) ++added;
+  }
+  return added;
 }
 
 void Relation::ReserveRows(std::size_t additional) {
@@ -142,105 +193,133 @@ void Relation::ReserveRows(std::size_t additional) {
   // every bulk copy into the same relation would pin capacity to the
   // exact request each time and degrade repeated appends to O(n^2)
   // element moves.
-  const std::size_t want = rows_.size() + additional;
-  if (want > rows_.capacity()) {
-    rows_.reserve(std::max(want, rows_.capacity() * 2));
+  const std::size_t want = num_rows_ + additional;
+  if (!columnar_) {
+    if (want > rows_.capacity()) {
+      rows_.reserve(std::max(want, rows_.capacity() * 2));
+    }
+    return;
   }
-  if (!columnar_) return;
   for (auto& col : columns_) {
     if (want > col.capacity()) col.reserve(std::max(want, col.capacity() * 2));
   }
-  id_table_.Reserve(columns_, additional);
 }
 
-bool Relation::AppendRowFrom(const Relation& src, std::size_t row) {
-  std::vector<std::uint32_t>& ids = IdScratch();
-  ids.resize(columns_.size());
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    ids[c] = src.columns_[c][row];
+std::size_t Relation::AddRowRange(const Relation& src, std::size_t begin,
+                                  std::size_t end) {
+  if (begin >= end) return 0;
+  CheckWidth(static_cast<std::size_t>(src.arity_));
+  if (columnar_ && src.columnar_) {
+    if (num_rows_ == 0) {
+      CopyIntoEmpty(src, begin, end);
+      return end - begin;
+    }
+    ReserveRows(end - begin);
+    std::vector<std::uint32_t>& ids = IdScratch();
+    ids.resize(columns_.size());
+    std::size_t added = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t c = 0; c < columns_.size(); ++c) {
+        ids[c] = src.columns_[c][i];
+      }
+      if (InsertIdsUnchecked(ids.data())) ++added;
+    }
+    return added;
   }
-  if (!id_table_.InsertOrFind(columns_, ids,
-                              static_cast<std::uint32_t>(rows_.size()))) {
-    return false;
+  std::size_t added = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (Insert(Tuple(src.row(i)))) ++added;
   }
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(ids[c]);
-  }
-  // Copy src's materialized Tuple view instead of resolving the ids
-  // through the dictionary -- the whole point of this entry over
-  // InsertIds on the bulk copy path.
-  rows_.push_back(src.rows_[row]);
-  return true;
+  return added;
 }
 
-bool Relation::Contains(const Tuple& tuple) const {
-  if (!columnar_) return set_.contains(tuple);
-  if (rows_.empty()) return false;
+void Relation::CopyIntoEmpty(const Relation& src, std::size_t begin,
+                             std::size_t end) {
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    const std::vector<std::uint32_t>& from = src.columns_[c];
+    columns_[c].assign(from.begin() + static_cast<std::ptrdiff_t>(begin),
+                       from.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  num_rows_ = end - begin;
+  if (begin == 0 && end == src.num_rows_) {
+    // A whole-relation copy keeps every row id, so src's dedup table is
+    // already this one, verbatim.
+    id_table_ = src.id_table_;
+    return;
+  }
+  id_table_.Rebuild(columns_, num_rows_);
+}
+
+std::uint32_t Relation::FindRow(RowRef row) const {
+  if (row.size() != static_cast<std::size_t>(arity_) || num_rows_ == 0) {
+    return kNoRow;
+  }
+  if (!columnar_) {
+    auto it = row_ids_.find(row);
+    return it == row_ids_.end() ? kNoRow : it->second;
+  }
   std::vector<std::uint32_t>& ids = IdScratch();
-  // A tuple containing a value the dictionary has never seen cannot be
-  // stored in any columnar relation.
-  if (!ValueDictionary::Global().LookupRow(tuple, &ids)) return false;
-  return id_table_.Contains(columns_, ids);
+  ids.resize(row.size());
+  if (row.columnar()) {
+    for (std::size_t c = 0; c < row.size(); ++c) ids[c] = row.id(c);
+  } else if (!ValueDictionary::Global().LookupRow(row.values_, row.size(),
+                                                  &ids)) {
+    // A value the dictionary has never seen cannot be stored in any
+    // columnar relation.
+    return kNoRow;
+  }
+  return id_table_.Find(columns_, ids.data());
 }
 
 bool Relation::ContainsIds(const std::vector<std::uint32_t>& ids) const {
-  if (columnar_) return id_table_.Contains(columns_, ids);
-  if (rows_.empty()) return false;
+  if (ids.size() != static_cast<std::size_t>(arity_) || num_rows_ == 0) {
+    return false;
+  }
+  if (columnar_) return id_table_.Find(columns_, ids.data()) != kNoRow;
   ValueDictionary& dict = ValueDictionary::Global();
   Tuple tuple;
   tuple.reserve(ids.size());
   for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-  return set_.contains(tuple);
+  return row_ids_.contains(tuple);
 }
 
 std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
+  // Mark the distinct stored rows to remove (erasure is cold: the
+  // incremental engine runs it between rounds with exclusive access).
+  std::vector<bool> doomed(num_rows_, false);
   std::size_t erased = 0;
-  if (!columnar_) {
-    for (const Tuple& tuple : tuples) {
-      erased += set_.erase(tuple);
+  for (const Tuple& tuple : tuples) {
+    const std::uint32_t r = FindRow(tuple);
+    if (r != kNoRow && !doomed[r]) {
+      doomed[r] = true;
+      ++erased;
     }
-    if (erased == 0) return 0;
-    // Compact the row vector to the surviving tuples, preserving their
-    // relative order.
-    std::vector<Tuple> survivors;
-    survivors.reserve(rows_.size() - erased);
-    for (Tuple& row : rows_) {
-      if (set_.contains(row)) survivors.push_back(std::move(row));
-    }
-    rows_ = std::move(survivors);
-  } else {
-    // Collect the distinct stored rows to remove (erasure is cold: the
-    // incremental engine runs it between rounds with exclusive access,
-    // so a temporary node-based set here is fine).
-    std::unordered_set<std::vector<std::uint32_t>, IdRowHash> doomed;
-    std::vector<std::uint32_t>& ids = IdScratch();
-    ValueDictionary& dict = ValueDictionary::Global();
-    for (const Tuple& tuple : tuples) {
-      if (!dict.LookupRow(tuple, &ids)) continue;  // never stored
-      if (id_table_.Contains(columns_, ids)) {
-        if (doomed.insert(ids).second) ++erased;
-      }
-    }
-    if (erased == 0) return 0;
-    std::vector<Tuple> survivors;
-    survivors.reserve(rows_.size() - erased);
-    ids.resize(columns_.size());
-    std::vector<std::vector<std::uint32_t>> new_columns(columns_.size());
-    for (auto& col : new_columns) col.reserve(rows_.size() - erased);
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      for (std::size_t c = 0; c < columns_.size(); ++c) {
-        ids[c] = columns_[c][i];
-      }
-      if (doomed.contains(ids)) continue;
-      for (std::size_t c = 0; c < columns_.size(); ++c) {
-        new_columns[c].push_back(ids[c]);
-      }
-      survivors.push_back(std::move(rows_[i]));
-    }
-    columns_ = std::move(new_columns);
-    rows_ = std::move(survivors);
-    id_table_.Rebuild(columns_, rows_.size());
   }
+  if (erased == 0) return 0;
+  // Compact to the survivors, preserving their relative order.
+  const std::size_t survivors = num_rows_ - erased;
+  if (!columnar_) {
+    std::vector<Tuple> kept;
+    kept.reserve(survivors);
+    for (std::size_t i = 0; i < num_rows_; ++i) {
+      if (!doomed[i]) kept.push_back(std::move(rows_[i]));
+    }
+    rows_ = std::move(kept);
+    row_ids_.clear();
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      row_ids_.emplace(rows_[i], static_cast<std::uint32_t>(i));
+    }
+  } else {
+    for (std::vector<std::uint32_t>& col : columns_) {
+      std::size_t out = 0;
+      for (std::size_t i = 0; i < num_rows_; ++i) {
+        if (!doomed[i]) col[out++] = col[i];
+      }
+      col.resize(out);
+    }
+    id_table_.Rebuild(columns_, survivors);
+  }
+  num_rows_ = survivors;
   // Invalidate every index: row ids shifted, so the incremental
   // built_up_to watermarks are meaningless now. The entries are emptied
   // in place -- NOT erased -- so any outstanding Prepare{Single,}Index
@@ -274,7 +353,7 @@ const std::vector<std::uint32_t>& Relation::SortedColumnKeys(
     int column) const {
   if (!columnar_) return EmptyRowIds();  // row store: no id columns
   SortedKeyCache& cache = sorted_keys_[column];
-  if (cache.built_up_to != rows_.size()) {
+  if (cache.built_up_to != num_rows_) {
     // Appended (or erased-and-compacted) rows since the last build: a
     // merge of the new ids is no cheaper than re-sorting the column, so
     // rebuild from scratch. The fixpoint engines call this once per
@@ -285,7 +364,7 @@ const std::vector<std::uint32_t>& Relation::SortedColumnKeys(
     std::sort(cache.keys.begin(), cache.keys.end());
     cache.keys.erase(std::unique(cache.keys.begin(), cache.keys.end()),
                      cache.keys.end());
-    cache.built_up_to = rows_.size();
+    cache.built_up_to = num_rows_;
   }
   return cache.keys;
 }
@@ -366,8 +445,8 @@ void Relation::ExtendIndex(const std::vector<int>& columns,
                            ColumnIndex* index) const {
   // Write-free when already current, so concurrent Lookups on an
   // EnsureIndex'd column set never race on built_up_to.
-  if (index->built_up_to == rows_.size()) return;
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
+  if (index->built_up_to == num_rows_) return;
+  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     Tuple key;
     key.reserve(columns.size());
     for (int c : columns) {
@@ -375,42 +454,42 @@ void Relation::ExtendIndex(const std::vector<int>& columns,
     }
     index->map[std::move(key)].push_back(static_cast<std::uint32_t>(i));
   }
-  index->built_up_to = rows_.size();
+  index->built_up_to = num_rows_;
 }
 
 void Relation::ExtendSingleIndex(int column, SingleColumnIndex* index) const {
   // Write-free when already current (frozen-snapshot contract), like
   // ExtendIndex above.
-  if (index->built_up_to == rows_.size()) return;
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
+  if (index->built_up_to == num_rows_) return;
+  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     index->map[rows_[i][static_cast<std::size_t>(column)]].push_back(
         static_cast<std::uint32_t>(i));
   }
-  index->built_up_to = rows_.size();
+  index->built_up_to = num_rows_;
 }
 
 void Relation::ExtendIdIndex(const std::vector<int>& columns,
                              IdColumnIndex* index) const {
-  if (index->built_up_to == rows_.size()) return;
+  if (index->built_up_to == num_rows_) return;
   std::vector<std::uint32_t> key(columns.size());
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
+  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     for (std::size_t k = 0; k < columns.size(); ++k) {
       key[k] = columns_[static_cast<std::size_t>(columns[k])][i];
     }
     index->map[key].push_back(static_cast<std::uint32_t>(i));
   }
-  index->built_up_to = rows_.size();
+  index->built_up_to = num_rows_;
 }
 
 void Relation::ExtendSingleIdIndex(int column,
                                    SingleIdColumnIndex* index) const {
-  if (index->built_up_to == rows_.size()) return;
+  if (index->built_up_to == num_rows_) return;
   const std::vector<std::uint32_t>& col =
       columns_[static_cast<std::size_t>(column)];
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
+  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     index->map[col[i]].push_back(static_cast<std::uint32_t>(i));
   }
-  index->built_up_to = rows_.size();
+  index->built_up_to = num_rows_;
 }
 
 }  // namespace datalog

@@ -1,10 +1,11 @@
 #ifndef DATALOG_EVAL_RELATION_H_
 #define DATALOG_EVAL_RELATION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "eval/tuple.h"
@@ -24,6 +25,86 @@ namespace datalog {
 void SetColumnarStorage(bool enabled);
 bool ColumnarStorageEnabled();
 
+/// Rows of dictionary ids buffered for one batch insert: `count` rows of
+/// the target relation's arity, laid out row-major in `ids`. The count is
+/// explicit because zero-arity rows take no ids. The id-space executors
+/// (bytecode VM, ApplyBatch, ApplyMultiway) derive each rule
+/// application's head rows into one of these before inserting them.
+struct IdRowBuffer {
+  std::vector<std::uint32_t> ids;
+  std::size_t count = 0;
+};
+
+class Relation;
+
+/// A non-owning view of one row: a row of a Relation (either backend) or
+/// a Tuple. `operator[]` yields the column's Value -- on a columnar
+/// relation by resolving the stored id through the lock-free
+/// ValueDictionary::Resolve -- so readers index rows without allocating;
+/// conversion to an owning Tuple is explicit. Implicitly constructible
+/// from a Tuple (like std::string_view from std::string), which lets
+/// every row-consuming API take probe keys and stored rows alike.
+///
+/// A view of a relation row stays valid across later inserts (it holds
+/// the row index, not a pointer into row storage) until the relation is
+/// destroyed, moved, or erased from; a view of a Tuple lives as long as
+/// the Tuple.
+class RowRef {
+ public:
+  RowRef(const Tuple& tuple)  // NOLINT(google-explicit-constructor)
+      : values_(tuple.data()),
+        size_(static_cast<std::uint32_t>(tuple.size())) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  Value operator[](std::size_t c) const {
+    if (columns_ == nullptr) return values_[c];
+    return ValueDictionary::Global().Resolve((*columns_)[c][row_]);
+  }
+
+  /// The dictionary id of column `c`. Only for rows of a columnar
+  /// relation (columnar() is true).
+  std::uint32_t id(std::size_t c) const { return (*columns_)[c][row_]; }
+  bool columnar() const { return columns_ != nullptr; }
+
+  explicit operator Tuple() const {
+    Tuple tuple;
+    tuple.reserve(size_);
+    for (std::size_t c = 0; c < size_; ++c) tuple.push_back((*this)[c]);
+    return tuple;
+  }
+
+  /// Value-wise equality, whatever backs either side.
+  friend bool operator==(const RowRef& a, const RowRef& b) {
+    if (a.size_ != b.size_) return false;
+    for (std::size_t c = 0; c < a.size_; ++c) {
+      if (a[c] != b[c]) return false;
+    }
+    return true;
+  }
+
+  /// Agrees with TupleHash on the equal Tuple.
+  std::size_t Hash() const {
+    std::size_t seed = size_;
+    for (std::size_t c = 0; c < size_; ++c) {
+      HashCombine(seed, (*this)[c].Hash());
+    }
+    return seed;
+  }
+
+ private:
+  friend class Relation;
+  RowRef(const std::vector<std::vector<std::uint32_t>>* columns,
+         std::uint32_t row, std::uint32_t size)
+      : columns_(columns), row_(row), size_(size) {}
+
+  const Value* values_ = nullptr;  // Tuple-backed (and row-store) rows
+  const std::vector<std::vector<std::uint32_t>>* columns_ = nullptr;
+  std::uint32_t row_ = 0;
+  std::uint32_t size_ = 0;
+};
+
 /// A set of tuples of fixed arity with insertion-order iteration and lazy
 /// hash indexes on column subsets. Rows are append-only, which lets indexes
 /// extend incrementally and lets callers treat a row-count watermark as a
@@ -33,35 +114,43 @@ bool ColumnarStorageEnabled();
 /// SetColumnarStorage knob; see docs/columnar_storage.md):
 ///
 ///  - Row store (legacy): rows are `Tuple`s, dedup and membership go
-///    through a Tuple-keyed hash set, and indexes key on `Value`/`Tuple`.
+///    through a Tuple-keyed hash map (row -> row id), and indexes key on
+///    `Value`/`Tuple`.
 ///  - Columnar: every inserted value is interned to a dense u32 id in the
 ///    global ValueDictionary and each column is a contiguous
-///    `std::vector<std::uint32_t>`; dedup, membership and the postings
-///    indexes all key on ids, so probes compare 4-byte integers. The
-///    insertion-ordered `rows()` Tuple view is still maintained (it is
-///    the API every engine iterates), assembled from the dictionary at
-///    insert time; the columns are the substrate the compiled batch
-///    probe path scans (eval/compiled_rule.cc).
+///    `std::vector<std::uint32_t>`. The columns are the only row storage:
+///    dedup, membership and the postings indexes all key on ids, so
+///    probes compare 4-byte integers, and rows are read back through
+///    RowRef views that resolve ids on access.
+///
+/// Rows of a width other than arity() are rejected by every insert entry
+/// (std::invalid_argument); membership probes of another width simply
+/// find nothing.
 ///
 /// Thread safety: mutation (Insert) requires exclusive access, and Lookup
 /// lazily builds indexes, so it is not a pure read in general. Concurrent
 /// access from multiple threads is safe only under the frozen-snapshot
 /// contract: no Insert is in flight, and every column set that will be
 /// probed has been EnsureIndex'd since the last Insert. Under that
-/// contract Lookup, Contains, rows(), row(), column() and size() are all
-/// read-only (see docs/parallel_eval.md).
+/// contract Lookup, Contains, FindRow, rows(), row(), column() and size()
+/// are all read-only (see docs/parallel_eval.md).
 class Relation {
  public:
+  /// FindRow's "no such row".
+  static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
+
   explicit Relation(int arity = 0)
-      : arity_(arity), columnar_(ColumnarStorageEnabled()) {
+      : arity_(arity),
+        columnar_(ColumnarStorageEnabled()),
+        id_table_(static_cast<std::size_t>(arity)) {
     if (columnar_) {
       columns_.resize(static_cast<std::size_t>(arity));
     }
   }
 
   int arity() const { return arity_; }
-  std::size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
+  std::size_t size() const { return num_rows_; }
+  bool empty() const { return num_rows_ == 0; }
 
   /// True when this relation uses the columnar backend (decided at
   /// construction; a later knob flip does not migrate existing storage).
@@ -70,30 +159,30 @@ class Relation {
   /// Inserts `tuple`; returns true if it was not already present.
   bool Insert(Tuple tuple);
 
-  /// Columnar-backend insert by dictionary ids (`ids.size()` must equal
-  /// arity()); returns true if the row was new. The Tuple row view is
-  /// assembled from the dictionary only for rows that are actually new,
-  /// which is what lets the batch probe path derive and dedup entirely
-  /// in id space. Falls back to Insert (resolving the ids) on a
-  /// row-store relation, so callers need not check the backend.
+  /// Insert by dictionary ids (`ids.size()` must equal arity()); returns
+  /// true if the row was new. On the columnar backend only the id
+  /// columns and the dedup table are written -- no Value is touched. On
+  /// a row-store relation the ids are resolved and inserted as a Tuple,
+  /// so callers need not check the backend.
   bool InsertIds(const std::vector<std::uint32_t>& ids);
 
-  /// Pre-sizes storage (columns, row views, and the dedup table) for
-  /// `additional` more rows, so bulk copies pay one table resize instead
-  /// of a doubling cascade. Purely an optimization; inserting more or
-  /// fewer rows than reserved is fine.
-  void ReserveRows(std::size_t additional);
+  /// Inserts every row of `rows` in order (each of arity() ids); returns
+  /// how many were new. The single write-path entry of the id-space
+  /// executors: storage is reserved once for the whole batch.
+  std::size_t InsertIdRows(const IdRowBuffer& rows);
 
-  /// Copies row `row` of `src` into this relation (both must be columnar
-  /// and share an arity); returns true if it was new. Unlike InsertIds
-  /// this reuses src's already-materialized Tuple view instead of
-  /// resolving ids through the dictionary -- the fast path under
-  /// Database::AddRowRange.
-  bool AppendRowFrom(const Relation& src, std::size_t row);
+  /// Appends rows [begin, end) of `src` (same arity) in order; returns
+  /// how many were new. Between columnar relations the copy stays in id
+  /// space, and into an EMPTY relation -- every semi-naive delta cut,
+  /// parallel shard and EDB copy -- it is a bulk column copy that fills
+  /// the dedup table without a single equality probe: the rows of one
+  /// relation are already distinct.
+  std::size_t AddRowRange(const Relation& src, std::size_t begin,
+                          std::size_t end);
 
   /// Erases every tuple of `tuples` that is present; returns how many
-  /// were removed. Removal compacts the row vector (later rows shift
-  /// down) and invalidates every index -- including any outstanding
+  /// were removed. Removal compacts the rows (later rows shift down) and
+  /// invalidates every index -- including any outstanding
   /// Prepare{Single,}Index views, which keep pointing at live (now
   /// empty) index maps rather than freed memory -- so erasure breaks the
   /// append-only watermark contract and must never run concurrently with
@@ -102,15 +191,76 @@ class Relation {
   /// docs/incremental_eval.md).
   std::size_t EraseAll(const std::vector<Tuple>& tuples);
 
-  bool Contains(const Tuple& tuple) const;
+  /// The id of the stored row equal to `row`, or kNoRow. On the columnar
+  /// backend this is one dedup-table probe (ids read straight from `row`
+  /// when it is itself a columnar row view); on the row store one hash
+  /// lookup. Rows are append-only, so on an old snapshot a fully bound
+  /// atom matches iff the id is below the snapshot's limit.
+  std::uint32_t FindRow(RowRef row) const;
+  bool Contains(RowRef row) const { return FindRow(row) != kNoRow; }
+  bool Contains(const Tuple& tuple) const { return Contains(RowRef(tuple)); }
 
-  /// Columnar membership by dictionary ids; agrees with Contains on the
-  /// resolved tuple. Works on either backend (row store resolves the ids
-  /// and probes the Tuple set).
+  /// Columnar-only hot path of FindRow: `ids` points at arity() ids.
+  std::uint32_t FindRowIds(const std::uint32_t* ids) const {
+    return id_table_.Find(columns_, ids);
+  }
+
+  /// Membership by dictionary ids; agrees with Contains on the resolved
+  /// tuple. Works on either backend (row store resolves the ids and
+  /// probes the Tuple map).
   bool ContainsIds(const std::vector<std::uint32_t>& ids) const;
 
-  const std::vector<Tuple>& rows() const { return rows_; }
-  const Tuple& row(std::size_t i) const { return rows_[i]; }
+  /// The rows in insertion order, as RowRef views.
+  class RowRange {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = RowRef;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = RowRef;
+
+      iterator() = default;
+      RowRef operator*() const { return rel_->row(i_); }
+      iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++i_;
+        return old;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.i_ == b.i_;
+      }
+
+     private:
+      friend class RowRange;
+      iterator(const Relation* rel, std::size_t i) : rel_(rel), i_(i) {}
+      const Relation* rel_ = nullptr;
+      std::size_t i_ = 0;
+    };
+
+    iterator begin() const { return iterator(rel_, 0); }
+    iterator end() const { return iterator(rel_, rel_->size()); }
+    std::size_t size() const { return rel_->size(); }
+    bool empty() const { return rel_->empty(); }
+    RowRef operator[](std::size_t i) const { return rel_->row(i); }
+
+   private:
+    friend class Relation;
+    explicit RowRange(const Relation* rel) : rel_(rel) {}
+    const Relation* rel_;
+  };
+
+  RowRange rows() const { return RowRange(this); }
+  RowRef row(std::size_t i) const {
+    if (!columnar_) return RowRef(rows_[i]);
+    return RowRef(&columns_, static_cast<std::uint32_t>(i),
+                  static_cast<std::uint32_t>(arity_));
+  }
 
   /// The id column for `c` (columnar backend only): column(c)[i] is the
   /// dictionary id of row(i)[c]. Contiguous, insertion-ordered, append-
@@ -221,71 +371,163 @@ class Relation {
   static const std::vector<std::uint32_t>& EmptyRowIds();
 
  private:
-  /// Open-addressing dedup/membership table for the columnar backend.
-  /// Slots store row_id + 1 (0 marks an empty slot); the keys are the id
-  /// rows already sitting in columns_, so neither insert nor probe ever
-  /// allocates per row, and growth just re-scatters u32 indices --
-  /// unlike a node-based hash set of id vectors, which pays a node and a
-  /// vector allocation per row and re-links every node on rehash.
+  /// Open-addressing dedup/membership table for the columnar backend:
+  /// power-of-two size, linear probing, load <= 3/4. Each slot holds a
+  /// 64-bit key word plus, in a parallel array, its row id; the rows
+  /// themselves stay in columns_, so neither insert nor probe allocates.
+  ///
+  /// The key word is the row itself when it fits in 64 bits -- arity 2 or
+  /// less, by far the common case -- and the row's 64-bit hash
+  /// otherwise. Narrow rows are therefore deduplicated by one word
+  /// compare, without ever reading the columns; wider rows read a stored
+  /// row's columns only when the hash words agree. Either way a rehash
+  /// re-scatters key words without touching the columns. Every key is
+  /// exactly `width` dictionary ids (the Relation checks widths at its
+  /// entry points); a dictionary id is never kInvalidId, so the all-ones
+  /// word can mark an empty slot.
   class RowIdTable {
    public:
     using Columns = std::vector<std::vector<std::uint32_t>>;
 
-    /// Appends `ids` (about to become row `row_id` of `columns`) unless
-    /// an equal row is already present; returns true if inserted. The
-    /// caller appends to `columns` after a true return; probing only
-    /// ever dereferences rows below `row_id`.
-    bool InsertOrFind(const Columns& columns,
-                      const std::vector<std::uint32_t>& ids,
-                      std::uint32_t row_id);
-    bool Contains(const Columns& columns,
-                  const std::vector<std::uint32_t>& ids) const;
-    /// Drops every entry and re-inserts rows [0, num_rows) of `columns`
-    /// (used after EraseAll compacts the columns).
+    explicit RowIdTable(std::size_t width = 0)
+        : width_(width), packed_(width <= 2) {}
+
+    /// The key word of the row `ids` (width_ ids).
+    std::uint64_t KeyOf(const std::uint32_t* ids) const {
+      if (packed_) return Pack(ids);
+      return WideKey(HashRow([ids](std::size_t c) { return ids[c]; }));
+    }
+
+    /// Records `ids` (about to become row `row_id` of `columns`) unless
+    /// an equal row is already present; returns true if inserted. `key`
+    /// is KeyOf(ids). The caller appends to `columns` after a true
+    /// return; probing only ever dereferences rows below `row_id`.
+    bool InsertOrFind(const Columns& columns, const std::uint32_t* ids,
+                      std::uint64_t key, std::uint32_t row_id);
+    /// Pulls the first slot a row of this key probes into cache (no-op
+    /// before the first insert allocates the table).
+    void Prefetch(std::uint64_t key) const {
+      if (keys_.empty()) return;
+      __builtin_prefetch(keys_.data() + (Home(key) & (keys_.size() - 1)));
+    }
+    /// Records row `row_id`, already in `columns`, which the caller
+    /// guarantees is distinct from every recorded row: lands in the first
+    /// free slot of its probe run without comparing any row.
+    void InsertDistinct(const Columns& columns, std::uint32_t row_id);
+    /// The row id equal to `ids`, or kNoRow.
+    std::uint32_t Find(const Columns& columns,
+                       const std::uint32_t* ids) const;
+    /// Drops every entry and re-records rows [0, num_rows) of `columns`,
+    /// which must be distinct (used after EraseAll compacts them).
     void Rebuild(const Columns& columns, std::size_t num_rows);
 
-    /// Resizes the slot array once so `additional` more rows fit under
+    /// Resizes the slot arrays once so `additional` more rows fit under
     /// the 3/4 load factor (no-op when they already do).
-    void Reserve(const Columns& columns, std::size_t additional);
+    void Reserve(std::size_t additional);
 
    private:
-    static std::size_t HashIds(const std::vector<std::uint32_t>& ids) {
-      std::size_t seed = ids.size();
-      for (std::uint32_t id : ids) {
-        HashCombine(seed, std::hash<std::uint32_t>{}(id));
-      }
-      // Finalizer (murmur3 fmix64). HashCombine alone leaves dictionary
-      // ids -- dense, sequential -- poorly mixed in the low bits, and the
-      // table masks with a power of two, so without this the linear
-      // probes cluster into long runs on chain-shaped workloads.
-      seed ^= seed >> 33;
-      seed *= 0xff51afd7ed558ccdULL;
-      seed ^= seed >> 33;
-      seed *= 0xc4ceb9fe1a85ec53ULL;
-      seed ^= seed >> 33;
-      return seed;
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+    /// murmur3's fmix64: a bijection that spreads dense dictionary ids
+    /// over the low bits the power-of-two mask keeps.
+    static std::uint64_t Mix(std::uint64_t x) {
+      x ^= x >> 33;
+      x *= 0xff51afd7ed558ccdULL;
+      x ^= x >> 33;
+      x *= 0xc4ceb9fe1a85ec53ULL;
+      x ^= x >> 33;
+      return x;
     }
-    static bool RowEquals(const Columns& columns, std::uint32_t row,
-                          const std::vector<std::uint32_t>& ids) {
-      for (std::size_t c = 0; c < ids.size(); ++c) {
+    std::uint64_t Pack(const std::uint32_t* ids) const {
+      if (width_ == 0) return 0;
+      if (width_ == 1) return ids[0];
+      return (static_cast<std::uint64_t>(ids[0]) << 32) | ids[1];
+    }
+    template <typename IdAt>
+    std::uint64_t HashRow(IdAt id_at) const {
+      std::size_t seed = width_;
+      for (std::size_t c = 0; c < width_; ++c) {
+        HashCombine(seed, std::hash<std::uint32_t>{}(id_at(c)));
+      }
+      // HashCombine alone leaves dense, sequential dictionary ids poorly
+      // mixed in the low bits, and the table masks with a power of two,
+      // so without the finalizer the linear probes cluster into long
+      // runs on chain-shaped workloads.
+      return Mix(seed);
+    }
+    /// A hash word never collides with the empty marker.
+    static std::uint64_t WideKey(std::uint64_t hash) {
+      return hash == kEmpty ? 0 : hash;
+    }
+    std::uint64_t StoredKey(const Columns& columns, std::uint32_t row) const {
+      if (packed_) {
+        std::uint32_t ids[2] = {0, 0};
+        for (std::size_t c = 0; c < width_; ++c) ids[c] = columns[c][row];
+        return Pack(ids);
+      }
+      return WideKey(
+          HashRow([&columns, row](std::size_t c) { return columns[c][row]; }));
+    }
+    /// The probe start of a key: packed rows are mixed, hash words
+    /// already are.
+    std::uint64_t Home(std::uint64_t key) const {
+      return packed_ ? Mix(key) : key;
+    }
+    bool RowEquals(const Columns& columns, std::uint32_t row,
+                   const std::uint32_t* ids) const {
+      for (std::size_t c = 0; c < width_; ++c) {
         if (columns[c][row] != ids[c]) return false;
       }
       return true;
     }
-    void Grow(const Columns& columns);
-    void ResizeTo(const Columns& columns, std::size_t new_size);
+    /// Places an entry in the first free slot of its probe run.
+    void Place(std::uint64_t key, std::uint32_t row_id) {
+      const std::size_t mask = keys_.size() - 1;
+      std::size_t h = Home(key) & mask;
+      while (keys_[h] != kEmpty) h = (h + 1) & mask;
+      keys_[h] = key;
+      rows_[h] = row_id;
+    }
+    void Grow();
+    void ResizeTo(std::size_t new_size);
 
-    std::vector<std::uint32_t> slots_;  // power-of-two size; 0 = empty
+    std::size_t width_;
+    bool packed_;                      // width_ <= 2: keys are the rows
+    std::vector<std::uint64_t> keys_;  // power-of-two size; kEmpty = free
+    std::vector<std::uint32_t> rows_;  // row id of each occupied slot
     std::size_t size_ = 0;
+  };
+
+  /// Pre-sizes the id columns (the row vector on the row store) for
+  /// `additional` more rows about to be appended. The dedup table is left
+  /// to grow with the rows actually inserted, which may be far fewer.
+  void ReserveRows(std::size_t additional);
+  /// Width check shared by the insert entries.
+  void CheckWidth(std::size_t width) const;
+  /// Columnar insert of arity() ids at `ids` (width already checked).
+  bool InsertIdsUnchecked(const std::uint32_t* ids);
+  /// Bulk id-space copy of src rows [begin, end) into this empty columnar
+  /// relation (see AddRowRange).
+  void CopyIntoEmpty(const Relation& src, std::size_t begin, std::size_t end);
+
+  /// Transparent hashing/equality over RowRef, so the row store's map
+  /// answers probes by any row view without building a key Tuple.
+  struct RowRefHash {
+    using is_transparent = void;
+    std::size_t operator()(RowRef row) const { return row.Hash(); }
+  };
+  struct RowRefEq {
+    using is_transparent = void;
+    bool operator()(RowRef a, RowRef b) const { return a == b; }
   };
 
   struct ColumnIndex {
     std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> map;
-    std::size_t built_up_to = 0;  // rows_[0, built_up_to) are indexed
+    std::size_t built_up_to = 0;  // rows [0, built_up_to) are indexed
   };
   struct SingleColumnIndex {
     std::unordered_map<Value, std::vector<std::uint32_t>, ValueHash> map;
-    std::size_t built_up_to = 0;  // rows_[0, built_up_to) are indexed
+    std::size_t built_up_to = 0;  // rows [0, built_up_to) are indexed
   };
   struct IdColumnIndex {
     std::unordered_map<std::vector<std::uint32_t>,
@@ -299,7 +541,7 @@ class Relation {
   };
   struct SortedKeyCache {
     std::vector<std::uint32_t> keys;  // sorted distinct ids
-    std::size_t built_up_to = 0;      // rows_[0, built_up_to) contributed
+    std::size_t built_up_to = 0;      // rows [0, built_up_to) contributed
   };
 
   void ExtendIndex(const std::vector<int>& columns, ColumnIndex* index) const;
@@ -310,14 +552,14 @@ class Relation {
 
   int arity_;
   bool columnar_;
-  // Insertion-ordered materialized rows: the iteration API of both
-  // backends. On the columnar backend this is the Value view assembled
-  // at insert time; columns_ is the probe substrate.
+  std::size_t num_rows_ = 0;
+  // Row store: insertion-ordered rows plus the dedup/membership map from
+  // each row to its row id.
   std::vector<Tuple> rows_;
-  // Row-store dedup/membership set (row backend only).
-  std::unordered_set<Tuple, TupleHash> set_;
-  // Columnar backend: one contiguous id vector per column, plus the
-  // allocation-free open-addressing dedup table over those columns.
+  std::unordered_map<Tuple, std::uint32_t, RowRefHash, RowRefEq> row_ids_;
+  // Columnar backend: one contiguous id vector per column -- the only
+  // row storage -- plus the allocation-free open-addressing dedup table
+  // over those columns.
   std::vector<std::vector<std::uint32_t>> columns_;
   RowIdTable id_table_;
   // Ordered maps keyed by column list (or single column); indexes are

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "eval/compiled_rule.h"
+#include "eval/eval_stats.h"
 
 namespace datalog {
 
@@ -136,22 +137,17 @@ class Matcher {
     // any other bound atom.
     if (IndexLookupsEnabled() &&
         static_cast<int>(bound_cols.size()) == atom.arity()) {
-      // Fully bound: membership test. The old snapshot additionally needs
-      // the matching row to predate the limit.
+      // Fully bound: membership test, one lookup of the unique matching
+      // row. The old snapshot additionally needs that row to predate the
+      // limit (old_limit is the relation size otherwise).
       if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (old_only) {
-        for (std::uint32_t row_id : rel.Lookup(bound_cols, key)) {
-          if (row_id < old_limit) return Enumerate(depth + 1);
-        }
-        return true;
-      }
-      if (rel.Contains(key)) {
+      if (rel.FindRow(key) < old_limit) {
         return Enumerate(depth + 1);
       }
       return true;
     }
 
-    auto try_row = [&](const Tuple& row) {
+    auto try_row = [&](RowRef row) {
       std::vector<VariableId> newly_bound;
       bool ok = true;
       for (int i = 0; i < atom.arity() && ok; ++i) {
@@ -181,7 +177,7 @@ class Matcher {
 
     if (!IndexLookupsEnabled()) {
       for (std::size_t i = 0; i < old_limit; ++i) {
-        const Tuple& row = rel.row(i);
+        const RowRef row = rel.row(i);
         if (stats_ != nullptr) ++stats_->tuples_scanned;
         bool matches = true;
         for (std::size_t k = 0; k < bound_cols.size(); ++k) {
@@ -231,17 +227,18 @@ std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
                           std::size_t delta_pos,  // or npos
                           Database* out, MatchStats* stats,
                           const OldLimits* old_limits,
-                          CompiledRuleCache* cache, std::size_t rule_index) {
+                          CompiledRuleCache* cache, std::size_t rule_index,
+                          std::uint64_t* insert_ns) {
   const bool use_old = old_limits != nullptr;
   if (CompiledRulePlansEnabled()) {
     if (cache != nullptr) {
       const CompiledRule& plan =
           cache->Get(rule_index, rule, delta_pos, use_old, full, delta);
-      return plan.Apply(full, delta, old_limits, out, stats);
+      return plan.Apply(full, delta, old_limits, out, stats, insert_ns);
     }
     CompiledRule plan =
         CompiledRule::Compile(rule, delta_pos, use_old, full, delta);
-    return plan.Apply(full, delta, old_limits, out, stats);
+    return plan.Apply(full, delta, old_limits, out, stats, insert_ns);
   }
 
   std::vector<PlannedAtom> atoms =
@@ -259,6 +256,7 @@ std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
   Matcher matcher(full, delta, atoms, on_match, stats, old_limits);
   matcher.Run();
 
+  PhaseTimer timer(insert_ns);
   std::size_t new_facts = 0;
   for (Tuple& tuple : derived) {
     if (out->AddFact(rule.head().predicate(), std::move(tuple))) {
@@ -405,10 +403,11 @@ Tuple InstantiateHead(const Atom& atom, const Binding& binding) {
 
 std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
                       MatchStats* stats, CompiledRuleCache* cache,
-                      std::size_t rule_index) {
+                      std::size_t rule_index, std::uint64_t* insert_ns) {
   return ApplyRuleImpl(rule, full, /*delta=*/nullptr,
                        /*delta_pos=*/std::numeric_limits<std::size_t>::max(),
-                       out, stats, /*old_limits=*/nullptr, cache, rule_index);
+                       out, stats, /*old_limits=*/nullptr, cache, rule_index,
+                       insert_ns);
 }
 
 std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
@@ -416,9 +415,10 @@ std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
                                Database* out, MatchStats* stats,
                                const OldLimits* old_limits,
                                CompiledRuleCache* cache,
-                               std::size_t rule_index) {
+                               std::size_t rule_index,
+                               std::uint64_t* insert_ns) {
   return ApplyRuleImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
-                       cache, rule_index);
+                       cache, rule_index, insert_ns);
 }
 
 }  // namespace datalog

@@ -165,9 +165,12 @@ Tuple InstantiateHead(const Atom& atom, const Binding& binding);
 /// replanned only when a participating relation's cardinality drifts --
 /// instead of being rebuilt per call. `rule_index` must identify `rule`
 /// stably for the cache's lifetime. A null cache compiles transiently.
+/// A non-null `insert_ns` accumulates the wall time of inserting the
+/// derived facts into `out` (see EvalStats::insert_ns).
 std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
                       MatchStats* stats, CompiledRuleCache* cache = nullptr,
-                      std::size_t rule_index = 0);
+                      std::size_t rule_index = 0,
+                      std::uint64_t* insert_ns = nullptr);
 
 /// Semi-naive variant: like ApplyRule but the body atom at position
 /// `delta_pos` (an index into rule.body(), which must be positive there)
@@ -182,7 +185,8 @@ std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
                                Database* out, MatchStats* stats,
                                const OldLimits* old_limits = nullptr,
                                CompiledRuleCache* cache = nullptr,
-                               std::size_t rule_index = 0);
+                               std::size_t rule_index = 0,
+                               std::uint64_t* insert_ns = nullptr);
 
 }  // namespace datalog
 

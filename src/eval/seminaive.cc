@@ -8,6 +8,7 @@
 #include "ast/dependence_graph.h"
 #include "ast/validate.h"
 #include "eval/compiled_rule.h"
+#include "obs/metrics.h"
 #include "obs/stats_export.h"
 #include "obs/trace.h"
 
@@ -76,6 +77,10 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
   // join orders are replanned only on >= 4x cardinality drift.
   CompiledRuleCache cache;
 
+  // Write-path phase timers: read the clock only while metrics are on.
+  const bool timed = MetricsRegistry::Get().enabled();
+  std::uint64_t* insert_ns = timed ? &stats.insert_ns : nullptr;
+
   while (!delta.empty()) {
     ++stats.iterations;
     TraceSpan round_span("seminaive/round");
@@ -99,8 +104,9 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
         ++stats.per_rule[ri].applications;
         TraceSpan apply_span("seminaive/apply");
         MatchStats local;
-        std::size_t added = ApplyRuleWithDelta(rule, *db, delta, p, db,
-                                               &local, &old_limits, &cache, ri);
+        std::size_t added =
+            ApplyRuleWithDelta(rule, *db, delta, p, db, &local, &old_limits,
+                               &cache, ri, insert_ns);
         stats.match.Add(local);
         stats.facts_derived += added;
         stats.per_rule[ri].facts += added;
@@ -115,6 +121,7 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
     }
     round_span.Note("facts", stats.facts_derived - facts_before_round);
     old_limits = marks;
+    PhaseTimer cut_timer(timed ? &stats.delta_cut_ns : nullptr);
     delta = CollectNewFacts(*db, marks);
   }
   return stats;

@@ -55,9 +55,9 @@ class Solver {
     // Select the root table's rows that honor repeated variables in the
     // query (the pattern alone cannot express them).
     std::vector<Tuple> out;
-    for (const Tuple& row : tables_.at(root).rows()) {
+    for (RowRef row : tables_.at(root).rows()) {
       Binding binding;
-      if (RowMatchesAtom(query, row, &binding)) out.push_back(row);
+      if (RowMatchesAtom(query, row, &binding)) out.push_back(Tuple(row));
     }
     return out;
   }
@@ -92,15 +92,15 @@ class Solver {
     // Seed with matching input facts: the input database may assign
     // initial relations to intentional predicates (the uniform semantics
     // of Section IV), and those facts answer the subgoal directly.
-    for (const Tuple& row : edb_.relation(key.pred).rows()) {
+    for (RowRef row : edb_.relation(key.pred).rows()) {
       if (MatchesPattern(key.pattern, row)) {
-        it->second.Insert(row);
+        it->second.Insert(Tuple(row));
       }
     }
   }
 
   static bool MatchesPattern(const std::vector<std::optional<Value>>& pattern,
-                             const Tuple& row) {
+                             RowRef row) {
     for (std::size_t i = 0; i < pattern.size(); ++i) {
       if (pattern[i].has_value() && *pattern[i] != row[i]) return false;
     }
@@ -109,7 +109,7 @@ class Solver {
 
   /// Extends `binding` so the atom's arguments match `row`; false on a
   /// conflict (constants or repeated variables).
-  static bool RowMatchesAtom(const Atom& atom, const Tuple& row,
+  static bool RowMatchesAtom(const Atom& atom, RowRef row,
                              Binding* binding) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       const Term& t = atom.args()[i];
@@ -161,13 +161,13 @@ class Solver {
       SubgoalKey sub = KeyForAtom(atom, *binding);
       Register(sub);
       const Relation& table = tables_.at(sub);
-      // Snapshot by size: the table can grow (and its row storage
-      // reallocate) below us when the rule is recursive, so iterate up to
-      // the current size over a copied row; later rows are picked up by
-      // the outer fixpoint rounds.
+      // Snapshot by size: the table can grow below us when the rule is
+      // recursive, so iterate up to the current size (a row view stays
+      // valid across those inserts); later rows are picked up by the
+      // outer fixpoint rounds.
       std::size_t size = table.size();
       for (std::size_t i = 0; i < size; ++i) {
-        Tuple row = table.row(i);
+        const RowRef row = table.row(i);
         Binding extended = *binding;
         if (RowMatchesAtom(atom, row, &extended)) {
           EnumerateBody(rule, key, idx + 1, &extended);
@@ -194,14 +194,14 @@ class Solver {
         }
       }
     }
-    auto try_row = [&](const Tuple& row) {
+    auto try_row = [&](RowRef row) {
       Binding extended = *binding;
       if (RowMatchesAtom(atom, row, &extended)) {
         EnumerateBody(rule, key, idx + 1, &extended);
       }
     };
     if (bound_cols.empty()) {
-      for (const Tuple& row : rel.rows()) try_row(row);
+      for (RowRef row : rel.rows()) try_row(row);
     } else if (static_cast<int>(bound_cols.size()) == atom.arity()) {
       if (rel.Contains(probe)) try_row(probe);
     } else {

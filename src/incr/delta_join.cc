@@ -101,7 +101,7 @@ class DeltaMatcher {
       }
     }
 
-    auto try_row = [&](const Tuple& row, bool check_subtraction) {
+    auto try_row = [&](RowRef row, bool check_subtraction) {
       if (stats_ != nullptr) ++stats_->tuples_scanned;
       if (check_subtraction && spec.subtraction != nullptr &&
           spec.subtraction->Contains(atom.predicate(), row)) {
@@ -111,7 +111,7 @@ class DeltaMatcher {
       bool ok = true;
       for (int i = 0; i < atom.arity() && ok; ++i) {
         const Term& t = atom.args()[static_cast<std::size_t>(i)];
-        const Value& v = row[static_cast<std::size_t>(i)];
+        const Value v = row[static_cast<std::size_t>(i)];
         if (t.is_constant()) {
           ok = t.value() == v;
         } else if (auto it = binding_.find(t.var()); it != binding_.end()) {
@@ -132,7 +132,7 @@ class DeltaMatcher {
       if (rel.empty() || rel.arity() != atom.arity()) return true;
       if (bound_cols.empty()) {
         if (stats_ != nullptr) ++stats_->index_lookups;
-        for (const Tuple& row : rel.rows()) {
+        for (RowRef row : rel.rows()) {
           if (!try_row(row, check_subtraction)) return false;
         }
         return true;
@@ -316,7 +316,7 @@ class CompiledDeltaMatcher {
           slots_[static_cast<std::size_t>(kf.slot)];
     }
 
-    auto try_row = [&](const Tuple& row, bool check_subtraction) {
+    auto try_row = [&](RowRef row, bool check_subtraction) {
       if (stats_ != nullptr) ++stats_->tuples_scanned;
       if (check_subtraction && spec.subtraction != nullptr &&
           spec.subtraction->Contains(step.predicate, row)) {
@@ -340,7 +340,7 @@ class CompiledDeltaMatcher {
       if (rel.empty() || rel.arity() != step.arity) return true;
       if (step.key_cols.empty()) {
         if (stats_ != nullptr) ++stats_->index_lookups;
-        for (const Tuple& row : rel.rows()) {
+        for (RowRef row : rel.rows()) {
           if (!try_row(row, check_subtraction)) return false;
         }
         return true;
@@ -499,20 +499,20 @@ class MultiwayDeltaMatcher {
       const Relation& rel = db.relation(atom.predicate());
       if (rel.empty() || rel.arity() != atom.arity()) return;
       if (stats_ != nullptr) ++stats_->index_lookups;
-      auto consider = [&](const Tuple& row) {
+      auto consider = [&](RowRef row) {
         if (stats_ != nullptr) ++stats_->tuples_scanned;
         if (check_subtraction && spec.subtraction != nullptr &&
             spec.subtraction->Contains(atom.predicate(), row)) {
           return;
         }
-        const Value& v = row[static_cast<std::size_t>(var_cols[0])];
+        const Value v = row[static_cast<std::size_t>(var_cols[0])];
         for (std::size_t k = 1; k < var_cols.size(); ++k) {
           if (row[static_cast<std::size_t>(var_cols[k])] != v) return;
         }
         values.push_back(v);
       };
       if (bound_cols.empty()) {
-        for (const Tuple& row : rel.rows()) consider(row);
+        for (RowRef row : rel.rows()) consider(row);
         return;
       }
       for (std::uint32_t row_id : rel.Lookup(bound_cols, key)) {

@@ -22,6 +22,14 @@ namespace datalog {
 
 namespace {
 
+/// Materializes every row of `rel` as an owning Tuple, in row order.
+std::vector<Tuple> TuplesOf(const Relation& rel) {
+  std::vector<Tuple> tuples;
+  tuples.reserve(rel.size());
+  for (RowRef row : rel.rows()) tuples.emplace_back(row);
+  return tuples;
+}
+
 /// Unifies a ground tuple with a rule head, extending `binding`. Fails on
 /// a constant mismatch or an inconsistent repeated variable.
 bool BindHead(const Atom& head, const Tuple& fact, Binding* binding) {
@@ -150,8 +158,8 @@ Status MaterializedView::Initialize() {
 void MaterializedView::InitializeCounts(const SccPlan& plan) {
   PredicateId p = plan.preds.front();
   FactCounts& counts = counts_[p];
-  for (const Tuple& t : base_.relation(p).rows()) ++counts[t];
-  for (const Tuple& t : program_facts_.relation(p).rows()) ++counts[t];
+  for (RowRef t : base_.relation(p).rows()) ++counts[Tuple(t)];
+  for (RowRef t : program_facts_.relation(p).rows()) ++counts[Tuple(t)];
   for (const Rule& rule : plan.rules) {
     if (rule.IsFact()) continue;
     std::vector<Atom> atoms = rule.PositiveBodyAtoms();
@@ -216,17 +224,18 @@ void MaterializedView::UpdateExtensional(const Database& base_plus,
   for (PredicateId pred : base_minus.NonEmptyPredicates()) {
     if (program_.IsIntentional(pred)) continue;
     std::vector<Tuple> removed;
-    for (const Tuple& t : base_minus.relation(pred).rows()) {
-      if (db_.Contains(pred, t) && !program_facts_.Contains(pred, t)) {
-        removed.push_back(t);
-        RecordRemove(pred, t);
+    for (RowRef row : base_minus.relation(pred).rows()) {
+      if (db_.Contains(pred, row) && !program_facts_.Contains(pred, row)) {
+        removed.emplace_back(row);
+        RecordRemove(pred, removed.back());
       }
     }
     db_.EraseFacts(pred, removed);
   }
   for (PredicateId pred : base_plus.NonEmptyPredicates()) {
     if (program_.IsIntentional(pred)) continue;
-    for (const Tuple& t : base_plus.relation(pred).rows()) {
+    for (RowRef row : base_plus.relation(pred).rows()) {
+      Tuple t(row);
       if (db_.AddFact(pred, t)) RecordAdd(pred, t);
     }
   }
@@ -281,8 +290,8 @@ void MaterializedView::UpdateCounting(const SccPlan& plan,
   run_passes(delta_plus_, /*deletion=*/false);
 
   // Base-fact support.
-  for (const Tuple& t : base_minus.relation(p).rows()) delta_counts[t] -= 1;
-  for (const Tuple& t : base_plus.relation(p).rows()) delta_counts[t] += 1;
+  for (RowRef t : base_minus.relation(p).rows()) delta_counts[Tuple(t)] -= 1;
+  for (RowRef t : base_plus.relation(p).rows()) delta_counts[Tuple(t)] += 1;
 
   std::vector<Tuple> removed;
   for (auto& [tuple, change] : delta_counts) {
@@ -353,10 +362,11 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
   Database round(symbols_);
   round.UnionWith(delta_minus_);
   for (PredicateId pred : plan.preds) {
-    for (const Tuple& t : base_minus.relation(pred).rows()) {
+    for (RowRef row : base_minus.relation(pred).rows()) {
+      Tuple t(row);
       if (db_.Contains(pred, t) && !IsPinned(pred, t) &&
           over.AddFact(pred, t)) {
-        round.AddFact(pred, t);
+        round.AddFact(pred, std::move(t));
       }
     }
   }
@@ -408,8 +418,10 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
     progress = false;
     std::vector<std::pair<PredicateId, Tuple>> candidates;
     for (PredicateId pred : over.NonEmptyPredicates()) {
-      for (const Tuple& t : over.relation(pred).rows()) {
-        if (!rederived.Contains(pred, t)) candidates.emplace_back(pred, t);
+      for (RowRef row : over.relation(pred).rows()) {
+        if (!rederived.Contains(pred, row)) {
+          candidates.emplace_back(pred, Tuple(row));
+        }
       }
     }
     if (candidates.empty()) break;
@@ -469,10 +481,10 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
   // --- Apply the net deletions.
   for (PredicateId pred : over.NonEmptyPredicates()) {
     std::vector<Tuple> removed;
-    for (const Tuple& t : over.relation(pred).rows()) {
-      if (!rederived.Contains(pred, t)) {
-        removed.push_back(t);
-        RecordRemove(pred, t);
+    for (RowRef row : over.relation(pred).rows()) {
+      if (!rederived.Contains(pred, row)) {
+        removed.emplace_back(row);
+        RecordRemove(pred, removed.back());
       }
     }
     db_.EraseFacts(pred, removed);
@@ -485,10 +497,11 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
   Database cur(symbols_);
   cur.UnionWith(delta_plus_);
   for (PredicateId pred : plan.preds) {
-    for (const Tuple& t : base_plus.relation(pred).rows()) {
+    for (RowRef row : base_plus.relation(pred).rows()) {
+      Tuple t(row);
       if (db_.AddFact(pred, t)) {
         RecordAdd(pred, t);
-        cur.AddFact(pred, t);
+        cur.AddFact(pred, std::move(t));
       }
     }
   }
@@ -515,7 +528,7 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
     ++stats->recompute.iterations;
     Database fresh = CollectNewFacts(db_, marks);
     for (PredicateId pred : fresh.NonEmptyPredicates()) {
-      for (const Tuple& t : fresh.relation(pred).rows()) RecordAdd(pred, t);
+      for (RowRef t : fresh.relation(pred).rows()) RecordAdd(pred, Tuple(t));
     }
     cur = std::move(fresh);
   }
@@ -530,9 +543,10 @@ void MaterializedView::UpdateRecompute(const SccPlan& plan,
   // negated -- lies in an earlier SCC and is already at its new state.
   std::map<PredicateId, std::vector<Tuple>> old_rows;
   for (PredicateId pred : plan.preds) {
-    old_rows[pred] = db_.relation(pred).rows();
+    old_rows[pred] = TuplesOf(db_.relation(pred));
     db_.ClearRelation(pred);
-    for (const Tuple& t : base_.relation(pred).rows()) db_.AddFact(pred, t);
+    const Relation& base = base_.relation(pred);
+    db_.AddRowRange(pred, base, 0, base.size());
   }
   EvalStats run =
       pool_ != nullptr
@@ -545,7 +559,8 @@ void MaterializedView::UpdateRecompute(const SccPlan& plan,
     for (const Tuple& t : rows) {
       if (!db_.Contains(pred, t)) RecordRemove(pred, t);
     }
-    for (const Tuple& t : db_.relation(pred).rows()) {
+    for (RowRef row : db_.relation(pred).rows()) {
+      Tuple t(row);
       if (!old_set.contains(t)) RecordAdd(pred, t);
     }
   }
@@ -574,7 +589,7 @@ Result<CommitStats> MaterializedView::Apply(
   }
 
   for (PredicateId pred : base_minus.NonEmptyPredicates()) {
-    base_.EraseFacts(pred, base_minus.relation(pred).rows());
+    base_.EraseFacts(pred, TuplesOf(base_minus.relation(pred)));
   }
   base_.UnionWith(base_plus);
 

@@ -11,7 +11,7 @@ namespace {
 
 /// True when `row` matches `pattern`: constants agree positionally and
 /// repeated variables bind consistently.
-bool RowMatches(const Atom& pattern, const Tuple& row) {
+bool RowMatches(const Atom& pattern, RowRef row) {
   const std::vector<Term>& args = pattern.args();
   for (std::size_t i = 0; i < args.size(); ++i) {
     const Term& t = args[i];
@@ -70,16 +70,16 @@ Result<std::vector<Tuple>> QuerySnapshot(const Database& db,
       stats->tuples_scanned += row_ids.size();
     }
     for (std::uint32_t row_id : row_ids) {
-      const Tuple& row = rel.row(row_id);
-      if (RowMatches(pattern, row)) out.push_back(row);
+      const RowRef row = rel.row(row_id);
+      if (RowMatches(pattern, row)) out.push_back(Tuple(row));
     }
   } else {
     if (stats != nullptr) {
       ++stats->index_lookups;  // counted as one (scan) probe, like a plan
       stats->tuples_scanned += rel.size();
     }
-    for (const Tuple& row : rel.rows()) {
-      if (RowMatches(pattern, row)) out.push_back(row);
+    for (RowRef row : rel.rows()) {
+      if (RowMatches(pattern, row)) out.push_back(Tuple(row));
     }
   }
   std::sort(out.begin(), out.end());

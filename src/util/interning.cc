@@ -89,9 +89,14 @@ std::uint32_t ValueDictionary::LookupId(const Value& v) const {
 
 bool ValueDictionary::LookupRow(const std::vector<Value>& row,
                                 std::vector<std::uint32_t>* out) const {
-  out->resize(row.size());
+  return LookupRow(row.data(), row.size(), out);
+}
+
+bool ValueDictionary::LookupRow(const Value* row, std::size_t size,
+                                std::vector<std::uint32_t>* out) const {
+  out->resize(size);
   std::shared_lock<std::shared_mutex> lock(mu_);
-  for (std::size_t i = 0; i < row.size(); ++i) {
+  for (std::size_t i = 0; i < size; ++i) {
     auto it = index_.find(row[i]);
     if (it == index_.end()) return false;
     (*out)[i] = it->second;

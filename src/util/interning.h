@@ -99,6 +99,8 @@ class ValueDictionary {
   /// present in any columnar relation.
   bool LookupRow(const std::vector<Value>& row,
                  std::vector<std::uint32_t>* out) const;
+  bool LookupRow(const Value* row, std::size_t size,
+                 std::vector<std::uint32_t>* out) const;
 
   /// Returns the value for a valid id (any id previously returned by
   /// Intern). Lock-free; safe concurrently with interning threads.

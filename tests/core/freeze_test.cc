@@ -34,8 +34,8 @@ TEST(FreezeTest, FreezeRuleSharedVariables) {
   PredicateId g = symbols->LookupPredicate("g").value();
   const Relation& rel = frozen->body.relation(g);
   ASSERT_EQ(rel.size(), 2u);
-  const Tuple& first = rel.row(0);
-  const Tuple& second = rel.row(1);
+  const RowRef first = rel.row(0);
+  const RowRef second = rel.row(1);
   EXPECT_EQ(first[1], second[0]);  // shared y
   EXPECT_EQ(frozen->head_tuple[0], first[0]);
   EXPECT_EQ(frozen->head_tuple[1], second[1]);

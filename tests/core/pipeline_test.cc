@@ -36,8 +36,7 @@ TEST(PipelineTest, StagesComposeAsDocumented) {
   work.UnionWith(edb);
   ASSERT_TRUE(EvaluateSemiNaive(plan->magic.program, &work).ok());
   std::size_t query_answers = 0;
-  for (const Tuple& t :
-       work.relation(plan->magic.answer_predicate).rows()) {
+  for (RowRef t : work.relation(plan->magic.answer_predicate).rows()) {
     if (t[0] == Value::Int(1)) ++query_answers;
   }
   EXPECT_EQ(query_answers, 2u);
@@ -60,9 +59,8 @@ TEST(PipelineTest, AnswersMatchUnoptimizedEvaluation) {
   ASSERT_TRUE(reference.ok());
   std::set<Tuple> expected(reference->begin(), reference->end());
   std::set<Tuple> actual;
-  for (const Tuple& t :
-       work.relation(plan->magic.answer_predicate).rows()) {
-    if (t[0] == Value::Int(1)) actual.insert(t);
+  for (RowRef t : work.relation(plan->magic.answer_predicate).rows()) {
+    if (t[0] == Value::Int(1)) actual.insert(Tuple(t));
   }
   EXPECT_EQ(actual, expected);
 }

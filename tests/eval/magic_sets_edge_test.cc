@@ -142,8 +142,8 @@ TEST(MagicSetsEdgeTest, SipStrategiesAgreeOnAnswers) {
     work.UnionWith(edb);
     EXPECT_TRUE(EvaluateSemiNaive(magic.program, &work).ok());
     std::set<Tuple> out;
-    for (const Tuple& t : work.relation(magic.answer_predicate).rows()) {
-      out.insert(t);
+    for (RowRef t : work.relation(magic.answer_predicate).rows()) {
+      out.insert(Tuple(t));
     }
     return out;
   };
@@ -181,8 +181,8 @@ TEST(MagicSetsEdgeTest, BoundFirstSipReordersBadBodies) {
     work.UnionWith(edb);
     EXPECT_TRUE(EvaluateSemiNaive(magic.program, &work).ok());
     std::set<Tuple> out;
-    for (const Tuple& t : work.relation(magic.answer_predicate).rows()) {
-      if (t[0] == Value::Int(1)) out.insert(t);
+    for (RowRef t : work.relation(magic.answer_predicate).rows()) {
+      if (t[0] == Value::Int(1)) out.insert(Tuple(t));
     }
     return out;
   };

@@ -7,8 +7,11 @@
 // would surface as a cross-engine mismatch in the differential fuzzer,
 // so keep this suite the first, cheapest line of defense.
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "eval/database.h"
 #include "eval/relation.h"
 #include "gtest/gtest.h"
 
@@ -17,6 +20,14 @@ namespace {
 
 Tuple T2(std::int64_t a, std::int64_t b) {
   return {Value::Int(a), Value::Int(b)};
+}
+
+/// A deterministic relation of `n` distinct pairs with repeated first
+/// columns, so single-column indexes have multi-row postings.
+Relation PairRelation(std::int64_t n) {
+  Relation rel(2);
+  for (std::int64_t i = 0; i < n; ++i) rel.Insert(T2(i % 7, i * 3 + 1));
+  return rel;
 }
 
 /// Runs each test body under one backend and restores the process-wide
@@ -259,6 +270,161 @@ TEST_P(RelationConformanceTest, ColumnViewMirrorsRows) {
       EXPECT_EQ(dict.Resolve(rel.column(c)[i]),
                 rel.row(i)[static_cast<std::size_t>(c)]);
     }
+  }
+}
+
+TEST_P(RelationConformanceTest, RejectsRowsOfTheWrongWidth) {
+  // Regression test: a row wider than the arity used to be read past the
+  // end of the column array by the dedup table's equality check (a
+  // heap-buffer-overflow under ASan on the second insert). Every insert
+  // entry now rejects it and leaves the relation untouched.
+  Relation rel(1);
+  EXPECT_THROW(rel.Insert(T2(1, 2)), std::invalid_argument);
+  EXPECT_THROW(rel.Insert(T2(1, 2)), std::invalid_argument);
+  EXPECT_THROW(rel.Insert(Tuple{}), std::invalid_argument);
+  std::vector<std::uint32_t> ids;
+  ValueDictionary::Global().InternRow(T2(1, 2), &ids);
+  EXPECT_THROW(rel.InsertIds(ids), std::invalid_argument);
+  EXPECT_THROW(rel.InsertIdRows(IdRowBuffer{ids, 1}), std::invalid_argument);
+  const Relation wide = PairRelation(3);
+  EXPECT_THROW(rel.AddRowRange(wide, 0, wide.size()), std::invalid_argument);
+  EXPECT_TRUE(rel.empty());
+  // Probes of another width are not errors: no such row is stored.
+  EXPECT_FALSE(rel.Contains(T2(1, 2)));
+  EXPECT_FALSE(rel.ContainsIds(ids));
+  EXPECT_EQ(rel.FindRow(T2(1, 2)), Relation::kNoRow);
+  EXPECT_TRUE(rel.Insert(Tuple{Value::Int(1)}));
+  EXPECT_EQ(rel.size(), 1u);
+  // Database::AddFact reaches the same check.
+  auto symbols = std::make_shared<SymbolTable>();
+  const PredicateId p = symbols->InternPredicate("p", 1).value();
+  Database db(symbols);
+  EXPECT_THROW(db.AddFact(p, T2(1, 2)), std::invalid_argument);
+  EXPECT_EQ(db.NumFacts(), 0u);
+}
+
+TEST_P(RelationConformanceTest, RowViewsReadInsertionOrderAcrossLaterInserts) {
+  Relation rel(2);
+  rel.Insert(T2(5, 6));
+  rel.Insert(T2(1, 2));
+  const RowRef first = rel.row(0);
+  const RowRef second = rel.row(1);
+  // Enough later inserts to reallocate every piece of row storage.
+  for (std::int64_t i = 0; i < 1000; ++i) rel.Insert(T2(100 + i, i));
+  EXPECT_EQ(first, T2(5, 6));
+  EXPECT_EQ(second, T2(1, 2));
+  EXPECT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0], Value::Int(5));
+  EXPECT_EQ(second[1], Value::Int(2));
+  EXPECT_EQ(Tuple(second), T2(1, 2));
+  // rows() walks the same views in insertion order.
+  std::size_t i = 0;
+  for (RowRef row : rel.rows()) {
+    const Tuple expected = i == 0   ? T2(5, 6)
+                           : i == 1 ? T2(1, 2)
+                                    : T2(100 + static_cast<std::int64_t>(i) - 2,
+                                         static_cast<std::int64_t>(i) - 2);
+    EXPECT_EQ(row, expected) << "row " << i;
+    EXPECT_EQ(rel.rows()[i], row);
+    ++i;
+  }
+  EXPECT_EQ(i, rel.size());
+  EXPECT_EQ(rel.rows().size(), rel.size());
+}
+
+TEST_P(RelationConformanceTest, BulkCopyIntoEmptyMatchesPerRowCopy) {
+  const Relation src = PairRelation(200);
+  // The whole relation, and a middle range (a delta cut between two
+  // watermarks): both land in an empty relation through the bulk path.
+  for (const auto& [begin, end] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{0, 200}, {37, 150}}) {
+    Relation bulk(2);
+    ASSERT_EQ(bulk.AddRowRange(src, begin, end), end - begin);
+    Relation per_row(2);
+    for (std::size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(per_row.Insert(Tuple(src.row(i))));
+    }
+    ASSERT_EQ(bulk.size(), per_row.size());
+    for (std::size_t i = 0; i < bulk.size(); ++i) {
+      EXPECT_EQ(bulk.row(i), per_row.row(i)) << "row " << i;
+    }
+    std::vector<std::uint32_t> ids;
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      const bool inside = i >= begin && i < end;
+      EXPECT_EQ(bulk.Contains(src.row(i)), inside) << "src row " << i;
+      EXPECT_EQ(per_row.Contains(src.row(i)), inside) << "src row " << i;
+      ValueDictionary::Global().InternRow(Tuple(src.row(i)), &ids);
+      EXPECT_EQ(bulk.ContainsIds(ids), inside) << "src row " << i;
+    }
+    EXPECT_FALSE(bulk.Contains(T2(0, 0)));
+    // A re-inserted duplicate is rejected, by row and by range.
+    EXPECT_FALSE(bulk.Insert(Tuple(src.row(begin))));
+    EXPECT_EQ(bulk.AddRowRange(src, begin, end), 0u);
+    EXPECT_EQ(bulk.size(), end - begin);
+    // Indexes built after the copy extend over later inserts.
+    EXPECT_EQ(bulk.Lookup(0, Value::Int(3)), per_row.Lookup(0, Value::Int(3)));
+    bulk.Insert(T2(3, -1));
+    per_row.Insert(T2(3, -1));
+    EXPECT_EQ(bulk.Lookup(0, Value::Int(3)), per_row.Lookup(0, Value::Int(3)));
+    EXPECT_EQ(bulk.Lookup({0, 1}, T2(3, -1)),
+              per_row.Lookup({0, 1}, T2(3, -1)));
+    EXPECT_EQ(bulk.Lookup(0, Value::Int(3)).back(), bulk.size() - 1);
+  }
+}
+
+TEST_P(RelationConformanceTest, DatabaseCopyIsIndependentOfItsSource) {
+  // The server publishes each epoch as a copy of the live database; the
+  // copy and its source must never observe each other's writes.
+  auto symbols = std::make_shared<SymbolTable>();
+  const PredicateId e = symbols->InternPredicate("e", 2).value();
+  Database source(symbols);
+  for (std::int64_t i = 0; i < 50; ++i) source.AddFact(e, T2(i % 5, i));
+  EXPECT_EQ(source.relation(e).Lookup(0, Value::Int(1)).size(), 10u);
+  Database copy = source;
+  EXPECT_TRUE(copy.AddFact(e, T2(1, 1000)));
+  EXPECT_TRUE(source.AddFact(e, T2(1, 2000)));
+  EXPECT_EQ(source.EraseFacts(e, {T2(1, 1)}), 1u);
+  EXPECT_TRUE(copy.Contains(e, T2(1, 1000)));
+  EXPECT_FALSE(copy.Contains(e, T2(1, 2000)));
+  EXPECT_TRUE(copy.Contains(e, T2(1, 1)));
+  EXPECT_FALSE(source.Contains(e, T2(1, 1000)));
+  EXPECT_EQ(copy.relation(e).size(), 51u);
+  EXPECT_EQ(source.relation(e).size(), 50u);
+  EXPECT_EQ(copy.relation(e).Lookup(0, Value::Int(1)).size(), 11u);
+  EXPECT_EQ(copy.relation(e).row(50), T2(1, 1000));
+  EXPECT_EQ(source.relation(e).row(49), T2(1, 2000));
+}
+
+TEST_P(RelationConformanceTest, RowLookupAgreesWithLimitFilteredIndexScan) {
+  // Fully bound atoms on an old snapshot use the dedup table's unique
+  // row id against the limit; a scan of the full-row postings, filtered
+  // by the limit, is the reference.
+  Relation rel = PairRelation(60);
+  std::vector<Tuple> probes;
+  for (std::size_t i = 0; i < rel.size(); ++i) {
+    probes.push_back(Tuple(rel.row(i)));
+  }
+  probes.push_back(T2(0, 0));   // absent, values known
+  probes.push_back(T2(-5, 9));  // absent, a value never interned before
+  const Relation::MultiIndexView all_columns = rel.PrepareIndex({0, 1});
+  for (std::size_t limit : {std::size_t{0}, std::size_t{1}, std::size_t{17},
+                            std::size_t{59}, std::size_t{60}}) {
+    for (const Tuple& probe : probes) {
+      bool reference = false;
+      for (std::uint32_t row_id : all_columns.Find(probe)) {
+        if (row_id < limit) reference = true;
+      }
+      EXPECT_EQ(rel.FindRow(probe) < limit, reference)
+          << "limit " << limit << ", probe (" << probe[0].payload() << ", "
+          << probe[1].payload() << ")";
+    }
+  }
+  if (!rel.columnar()) return;
+  std::vector<std::uint32_t> ids;
+  for (std::size_t i = 0; i < rel.size(); ++i) {
+    ValueDictionary::Global().InternRow(probes[i], &ids);
+    EXPECT_EQ(rel.FindRowIds(ids.data()), i);
+    EXPECT_EQ(rel.FindRow(rel.row(i)), i);
   }
 }
 

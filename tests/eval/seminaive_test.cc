@@ -1,5 +1,8 @@
 #include "eval/seminaive.h"
 
+#include <cstddef>
+#include <cstdint>
+
 #include "eval/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -65,10 +68,21 @@ TEST(SemiNaiveTest, MatchesNaiveOnChain) {
 }
 
 struct ShapeParam {
+  ShapeParam(GraphShape shape, std::size_t nodes, std::size_t edges)
+      : shape(shape), nodes(nodes), edges(edges) {}
+
   GraphShape shape;
+  // gtest prints a parameter with no PrintTo as its raw bytes, and the
+  // test names are built from that print. This field fills the bytes the
+  // compiler would otherwise pad after `shape`, so that no byte of a test
+  // name is uninitialised memory and the names are the same on every run.
+  std::uint32_t unused = 0;
   std::size_t nodes;
   std::size_t edges;
 };
+static_assert(sizeof(ShapeParam) ==
+              sizeof(GraphShape) + sizeof(std::uint32_t) +
+                  2 * sizeof(std::size_t));
 
 class SemiNaiveEquivalenceTest : public ::testing::TestWithParam<ShapeParam> {};
 

@@ -208,7 +208,8 @@ TEST_P(DifferentialEngineTest, IncrementalViewMatchesFromScratchAfterCommits) {
       const auto& rows = view->base().relation(pred).rows();
       if (!insert && !rows.empty() && rng() % 4 != 0) {
         // Mostly retract facts that exist so deletions do real work.
-        ASSERT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
+        ASSERT_TRUE(
+            txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
         continue;
       }
       Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
@@ -384,7 +385,8 @@ TEST_P(DifferentialEngineTest, BytecodeVmAgreesOnIncrementalCommits) {
         const bool insert = rng() % 2 == 0;
         const auto& rows = view->base().relation(pred).rows();
         if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
+          EXPECT_TRUE(
+              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
           continue;
         }
         Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
@@ -442,7 +444,8 @@ TEST_P(DifferentialEngineTest, CompiledPlansAgreeOnIncrementalCommits) {
         const bool insert = rng() % 2 == 0;
         const auto& rows = view->base().relation(pred).rows();
         if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
+          EXPECT_TRUE(
+              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
           continue;
         }
         Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
@@ -630,7 +633,8 @@ TEST_P(DifferentialEngineMultiwayTest, MultiwayIncrementalCommitScriptsAgree) {
         const bool insert = rng() % 2 == 0;
         const auto& rows = view->base().relation(pred).rows();
         if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
+          EXPECT_TRUE(
+              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
           continue;
         }
         Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 16)),
@@ -759,7 +763,8 @@ TEST_P(DifferentialEngineMultiwayTest,
         const bool insert = rng() % 2 == 0;
         const auto& rows = view->base().relation(pred).rows();
         if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
+          EXPECT_TRUE(
+              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
           continue;
         }
         Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 16)),

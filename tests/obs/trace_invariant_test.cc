@@ -7,7 +7,8 @@
 //  2. A disabled tracer emits nothing, whatever runs underneath it.
 //  3. The MetricsRegistry counters published by RecordEvalStats equal the
 //     EvalStats an engine returned, bit for bit -- including the parallel
-//     engine at 4 threads and the per-rule breakdown.
+//     engine at 4 threads, the per-rule breakdown, and the write-path
+//     phase timers (insert_ns, delta_cut_ns).
 
 #include <cstring>
 #include <map>
@@ -154,7 +155,7 @@ TEST_F(TraceInvariantTest, IncrementalCommitSpansBalance) {
   PredicateId e = w.symbols->LookupPredicate("e").value();
   Transaction txn = view->Begin();
   ASSERT_TRUE(txn.Insert(e, {Value::Int(1), Value::Int(5)}).ok());
-  ASSERT_TRUE(txn.Retract(e, w.edb.relation(e).rows()[0]).ok());
+  ASSERT_TRUE(txn.Retract(e, Tuple(w.edb.relation(e).rows()[0])).ok());
   ASSERT_TRUE(txn.Commit().ok());
 
   std::vector<TraceEvent> events = Tracer::Get().Events();
@@ -171,7 +172,11 @@ TEST_F(TraceInvariantTest, DisabledTracerEmitsNothing) {
   ASSERT_FALSE(Tracer::Get().enabled());
   for (const EngineRun& engine : kEngines) {
     Database db = w.edb;
-    ASSERT_TRUE(engine.run(w.program, &db).ok()) << engine.name;
+    Result<EvalStats> stats = engine.run(w.program, &db);
+    ASSERT_TRUE(stats.ok()) << engine.name;
+    // With metrics off the write-path timers never read the clock.
+    EXPECT_EQ(stats->insert_ns, 0u) << engine.name;
+    EXPECT_EQ(stats->delta_cut_ns, 0u) << engine.name;
   }
   Atom query = ParseQueryOrDie(w.symbols, "?- t(x, y).");
   ASSERT_TRUE(SolveTopDown(w.program, w.edb, query).ok());
@@ -214,6 +219,17 @@ TEST_F(TraceInvariantTest, MetricsEqualEvalStatsBitForBit) {
         << engine.name;
     EXPECT_EQ(m.Value("eval.parallel_tasks", labels), stats->parallel_tasks)
         << engine.name;
+    // The write-path timers are wall clock, so only their export is
+    // exact; but with metrics on every engine inserts derived heads, and
+    // every engine but naive cuts at least one delta.
+    EXPECT_EQ(m.Value("eval.insert_ns", labels), stats->insert_ns)
+        << engine.name;
+    EXPECT_EQ(m.Value("eval.delta_cut_ns", labels), stats->delta_cut_ns)
+        << engine.name;
+    EXPECT_GT(stats->insert_ns, 0u) << engine.name;
+    if (std::strcmp(engine.name, "naive") != 0) {
+      EXPECT_GT(stats->delta_cut_ns, 0u) << engine.name;
+    }
     for (std::size_t i = 0; i < stats->per_rule.size(); ++i) {
       const MetricLabels rule_labels = {{"engine", engine.name},
                                         {"rule", std::to_string(i)}};
@@ -261,7 +277,7 @@ TEST_F(TraceInvariantTest, MetricsEqualCommitStatsBitForBit) {
   PredicateId e = w.symbols->LookupPredicate("e").value();
   Transaction txn = view->Begin();
   ASSERT_TRUE(txn.Insert(e, {Value::Int(2), Value::Int(9)}).ok());
-  ASSERT_TRUE(txn.Retract(e, w.edb.relation(e).rows()[1]).ok());
+  ASSERT_TRUE(txn.Retract(e, Tuple(w.edb.relation(e).rows()[1])).ok());
   Result<CommitStats> stats = txn.Commit();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   m.Disable();
