@@ -34,16 +34,17 @@ enum class Op : std::uint8_t {
   // of step a's probe key before the depth's open op runs.
   kLoadKey,
   // SCAN open: dead -> jump t; ++index_lookups; rewind step a's row
-  // cursor. LOOP in the ISA doc.
+  // cursor to the first row of the step's range. LOOP in the ISA doc.
   kLoop,
   // SCAN next (END_LOOP edge): cursor exhausted -> jump t; else advance,
   // ++tuples_scanned.
   kLoopNext,
   // INDEX_PROBE open: dead or no prepared view -> jump t;
-  // ++index_lookups; position on the posting list for keys[a].
+  // ++index_lookups; position on the segment of keys[a]'s posting list
+  // inside the step's row range (rows outside are never visited).
   kProbe,
-  // INDEX_PROBE next: list exhausted -> jump t; skips old-snapshot rows
-  // at or past the limit without bumping, else ++tuples_scanned.
+  // INDEX_PROBE next: segment exhausted -> jump t; else advance,
+  // ++tuples_scanned.
   kProbeNext,
   // FILTER_CONST: column b of step a's current row != pool constant c ->
   // jump t (continue the enclosing loop).
@@ -59,8 +60,9 @@ enum class Op : std::uint8_t {
   // ++index_lookups; ++tuples_scanned; keys[a] not present -> jump t.
   // One dedup-table lookup of the row equal to keys[a] (no index).
   kMember,
-  // Fully-bound membership against the old snapshot: as kMember but the
-  // matching row's id must lie below the old limit.
+  // Fully-bound membership against the old snapshot: as kMember (whose
+  // matching row's id must lie in the step's row range, here the rows
+  // below the old limit).
   kMemberOld,
   // EMIT: ++substitutions; negated literals absent -> buffer the head
   // row ids; always jump t (the innermost loop's next op, or HALT).
@@ -223,16 +225,15 @@ using DispatchCounts = std::array<std::uint64_t, kNumOps>;
 /// case the caller falls back to the struct interpreter. When `dispatch`
 /// is non-null every executed instruction is tallied per opcode.
 bool Derive(const Program& program, const Database& full,
-            const Database* delta, const OldLimits* old_limits,
-            MatchStats* stats, IdRowBuffer* derived,
-            DispatchCounts* dispatch = nullptr);
+            const DeltaRanges* ranges, MatchStats* stats,
+            IdRowBuffer* derived, DispatchCounts* dispatch = nullptr);
 
 /// Derive, then one batch insert of the derived rows into `out` (which
 /// may alias `full`); `new_facts` receives how many were new. Also
 /// returns false, touching nothing, when the program's head predicate or
 /// arity does not exist in `out`'s symbol table.
-bool Run(const Program& program, const Database& full, const Database* delta,
-         const OldLimits* old_limits, Database* out, MatchStats* stats,
+bool Run(const Program& program, const Database& full,
+         const DeltaRanges* ranges, Database* out, MatchStats* stats,
          std::size_t* new_facts, DispatchCounts* dispatch = nullptr);
 
 /// Publishes a run's dispatch tallies to the process MetricsRegistry as

@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "eval/bytecode/bytecode.h"
@@ -84,14 +85,14 @@ void PublishDispatchCounts(const DispatchCounts& counts) {
 namespace {
 
 // Loop-invariant per-step source state, resolved once per Run with
-// exactly ApplyBatch's rules (see eval/compiled_rule.cc): relation,
-// old-snapshot limit, liveness, and -- when the step probes an index --
-// a direct view. `limit` is clamped to 0 for dead steps so a validated
-// but hand-written program that enters a dead step's Next op yields no
-// rows instead of touching mismatched columns.
+// exactly ApplyBatch's rules (see eval/compiled_rule.cc): relation, the
+// rows the atom reads, liveness, and -- when the step probes an index --
+// a direct view. `rows` is emptied for dead steps so a validated but
+// hand-written program that enters a dead step's Next op yields no rows
+// instead of touching mismatched columns.
 struct StepRt {
   const Relation* rel = nullptr;
-  std::size_t limit = 0;
+  RowSpan rows;
   bool dead = false;
   bool old_only = false;
   bool has_view = false;
@@ -111,10 +112,10 @@ struct StepRt {
   std::vector<std::pair<const std::uint32_t*, std::uint32_t>> write_ptrs;
 };
 
-// Per-step enumeration cursor: the posting list (indexed probes), the
-// next position to try, and the current row.
+// Per-step enumeration cursor: the in-range posting segment (indexed
+// probes), the next position to try, and the current row.
 struct IterRt {
-  const std::vector<std::uint32_t>* list = nullptr;
+  std::span<const std::uint32_t> list;
   std::size_t pos = 0;
   std::uint32_t row = 0;
 };
@@ -137,8 +138,8 @@ struct MwStepRt {
   std::vector<std::vector<std::uint32_t>> keys;
   std::vector<std::vector<std::uint32_t>> ukeys;
   std::vector<std::vector<std::uint32_t>> proj;
-  std::vector<const std::vector<std::uint32_t>*> lists;
-  const std::vector<std::uint32_t>* iter = nullptr;
+  std::vector<std::span<const std::uint32_t>> lists;
+  std::span<const std::uint32_t> iter;
   std::size_t pos = 0;
   std::size_t smallest = 0;
 };
@@ -148,15 +149,9 @@ struct NegRt {
   bool row_store = false;
 };
 
-std::size_t OldLimitFor(const OldLimits* old_limits, PredicateId pred) {
-  if (old_limits == nullptr) return 0;
-  auto it = old_limits->find(pred);
-  return it == old_limits->end() ? 0 : it->second;
-}
-
 template <bool kCount>
-bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
-                const OldLimits* old_limits, MatchStats* stats,
+bool DeriveImpl(const Program& p, const Database& full,
+                const DeltaRanges* ranges, MatchStats* stats,
                 IdRowBuffer* derived_rows, DispatchCounts* dispatch) {
   if (p.code.empty() || p.shape > 1) return false;
   if (p.const_ids.size() != p.const_pool.size()) return false;  // unresolved
@@ -179,21 +174,18 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
   for (std::size_t d = 0; d < nsteps; ++d) {
     const StepDesc& sd = p.steps[d];
     const auto source = static_cast<AtomSource>(sd.source);
-    if (source == AtomSource::kDelta && delta == nullptr) return false;
-    const Database& src = source == AtomSource::kDelta ? *delta : full;
-    const Relation& rel = src.relation(static_cast<PredicateId>(sd.predicate));
+    if (source == AtomSource::kDelta && ranges == nullptr) return false;
+    const AtomRows src = ResolveAtomRows(
+        full, ranges, source, static_cast<PredicateId>(sd.predicate));
+    const Relation& rel = *src.rel;
     StepRt& rt = srt[d];
     rt.rel = &rel;
-    rt.limit = rel.size();
-    rt.dead = rel.empty() || rel.arity() != static_cast<int>(sd.arity);
+    rt.rows = src.rows;
+    rt.dead = rt.rows.empty() || rel.arity() != static_cast<int>(sd.arity);
     rt.old_only = source == AtomSource::kOld;
-    if (rt.old_only && !rt.dead) {
-      rt.limit = OldLimitFor(old_limits, static_cast<PredicateId>(sd.predicate));
-      rt.dead = rt.limit == 0;
-    }
     if (!rt.dead && !rel.columnar()) return false;
     if (rt.dead) {
-      rt.limit = 0;
+      rt.rows = RowSpan{};
       continue;
     }
     if (p.shape != 0) continue;  // multiway code never runs left-deep probes
@@ -249,8 +241,8 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
       mr.keys.resize(num_probes);
       mr.ukeys.resize(num_probes);
       mr.proj.resize(num_probes);
-      mr.lists.assign(num_probes, nullptr);
-      mr.iter = &Relation::EmptyRowIds();
+      mr.lists.assign(num_probes, {});
+      mr.iter = {};
       for (std::size_t pi = 0; pi < num_probes; ++pi) {
         const ProbeDesc& probe = ms.probes[pi];
         if (probe.atom >= nsteps || probe.var_cols.empty()) return false;
@@ -277,28 +269,14 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
           continue;
         }
         if (!at.old_only && probe.var_cols.size() == 1) {
-          prt.root = &rel.SortedColumnKeys(probe.var_cols[0]);
+          prt.root = &rel.SortedKeys(probe.var_cols[0], at.rows);
           continue;
         }
-        // Old snapshot or repeated variable: project the qualifying
-        // prefix once per Run, sorted and deduplicated.
+        // Old snapshot or repeated variable: collect the qualifying rows'
+        // keys once per Run, sorted and deduplicated.
         owned_roots.emplace_back();
-        std::vector<std::uint32_t>& list = owned_roots.back();
-        const std::vector<std::uint32_t>& c0 = rel.column(probe.var_cols[0]);
-        for (std::size_t i = 0; i < at.limit; ++i) {
-          const std::uint32_t id = c0[i];
-          bool ok = true;
-          for (std::size_t k = 1; k < probe.var_cols.size(); ++k) {
-            if (rel.column(probe.var_cols[k])[i] != id) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok) list.push_back(id);
-        }
-        std::sort(list.begin(), list.end());
-        list.erase(std::unique(list.begin(), list.end()), list.end());
-        prt.root = &list;
+        rel.CollectSortedKeys(probe.var_cols, at.rows, &owned_roots.back());
+        prt.root = &owned_roots.back();
       }
     }
   }
@@ -310,7 +288,6 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
   std::vector<IterRt> iters(nsteps);
   for (std::size_t d = 0; d < nsteps; ++d) {
     keys[d] = p.steps[d].key_template_ids;
-    iters[d].list = &Relation::EmptyRowIds();
   }
   MatchStats local;
   derived_rows->ids.clear();
@@ -365,7 +342,7 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
       ++local.index_lookups;
       std::size_t est;
       if (probe.unconditional) {
-        mr.lists[pi] = prt.root;
+        mr.lists[pi] = *prt.root;
         est = prt.root->size();
       } else {
         std::vector<std::uint32_t>& key = mr.keys[pi];
@@ -376,8 +353,9 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
         const std::vector<std::uint32_t>& rows =
             probe.bound_cols.size() == 1 ? prt.single.FindId(key[0])
                                          : prt.multi.FindIds(key);
-        mr.lists[pi] = &rows;
-        est = rows.size();
+        const StepRt& at = srt[probe.atom];
+        mr.lists[pi] = at.rel->PostingsIn(rows, at.rows);
+        est = at.old_only ? rows.size() : mr.lists[pi].size();
       }
       if (est < smallest_size) {
         smallest_size = est;
@@ -393,8 +371,7 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
       const std::vector<std::uint32_t>& c0 = rel.column(sp.var_cols[0]);
       std::vector<std::uint32_t>& proj = mr.proj[smallest];
       proj.clear();
-      for (std::uint32_t row_id : *mr.lists[smallest]) {
-        if (at.old_only && row_id >= at.limit) continue;
+      for (std::uint32_t row_id : mr.lists[smallest]) {
         ++local.tuples_scanned;
         const std::uint32_t id = c0[row_id];
         bool ok = true;
@@ -408,7 +385,7 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
       }
       std::sort(proj.begin(), proj.end());
       proj.erase(std::unique(proj.begin(), proj.end()), proj.end());
-      mr.iter = &proj;
+      mr.iter = proj;
     }
     for (std::size_t pi = 0; pi < num_probes; ++pi) {
       if (pi == smallest || ms.probes[pi].unconditional) continue;
@@ -443,20 +420,13 @@ bool DeriveImpl(const Program& p, const Database& full, const Database* delta,
       for (std::uint32_t pos : probe.union_var_positions) ukey[pos] = id;
       const StepRt& at = srt[probe.atom];
       if (prt.union_full_row) {
-        if (at.rel->FindRowIds(ukey.data()) >= at.limit) return false;
+        if (at.rel->FindRowIdsIn(ukey.data(), at.rows) == Relation::kNoRow) {
+          return false;
+        }
         continue;
       }
-      const std::vector<std::uint32_t>& rows = prt.union_index.FindIds(ukey);
-      if (at.old_only) {
-        bool found = false;
-        for (std::uint32_t row_id : rows) {
-          if (row_id < at.limit) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
-      } else if (rows.empty()) {
+      if (at.rel->PostingsIn(prt.union_index.FindIds(ukey), at.rows)
+              .empty()) {
         return false;
       }
     }
@@ -525,14 +495,14 @@ vm_dispatch:
     const StepRt& rt = srt[ip->a];
     if (rt.dead) VM_JUMP(ip->t);
     ++local.index_lookups;
-    iters[ip->a].pos = 0;
+    iters[ip->a].pos = rt.rows.begin;
     VM_NEXT();
   }
 
   VM_CASE(kLoopNext) {
     const StepRt& rt = srt[ip->a];
     IterRt& it = iters[ip->a];
-    if (it.pos >= rt.limit) VM_JUMP(ip->t);
+    if (it.pos >= rt.rows.end) VM_JUMP(ip->t);
     it.row = static_cast<std::uint32_t>(it.pos++);
     ++local.tuples_scanned;
     VM_NEXT();
@@ -544,23 +514,17 @@ vm_dispatch:
     ++local.index_lookups;
     const std::vector<std::uint32_t>& key = keys[ip->a];
     IterRt& it = iters[ip->a];
-    it.list = rt.single_key ? &rt.single.FindId(key[0])
-                            : &rt.multi.FindIds(key);
+    it.list = rt.rel->PostingsIn(
+        rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key),
+        rt.rows);
     it.pos = 0;
     VM_NEXT();
   }
 
   VM_CASE(kProbeNext) {
-    const StepRt& rt = srt[ip->a];
     IterRt& it = iters[ip->a];
-    const std::vector<std::uint32_t>& list = *it.list;
-    for (;;) {
-      if (it.pos >= list.size()) VM_JUMP(ip->t);
-      const std::uint32_t r = list[it.pos++];
-      if (rt.old_only && r >= rt.limit) continue;
-      it.row = r;
-      break;
-    }
+    if (it.pos >= it.list.size()) VM_JUMP(ip->t);
+    it.row = it.list[it.pos++];
     ++local.tuples_scanned;
     VM_NEXT();
   }
@@ -598,15 +562,16 @@ vm_dispatch:
   }
 
   // Both membership ops are one dedup-table lookup of the unique row
-  // equal to the key; the limit is the relation size for the current
-  // state and the snapshot boundary for MEMBER_OLD (kNoRow exceeds both).
+  // equal to the key, which must lie in the step's rows: the whole
+  // relation, the old snapshot for MEMBER_OLD, or the delta range.
   VM_CASE(kMember)
   VM_CASE(kMemberOld) {
     const StepRt& rt = srt[ip->a];
     if (rt.dead) VM_JUMP(ip->t);
     ++local.index_lookups;
     ++local.tuples_scanned;
-    if (!rt.full_row || rt.rel->FindRowIds(keys[ip->a].data()) >= rt.limit) {
+    if (!rt.full_row || rt.rel->FindRowIdsIn(keys[ip->a].data(), rt.rows) ==
+                            Relation::kNoRow) {
       VM_JUMP(ip->t);
     }
     VM_NEXT();
@@ -627,10 +592,9 @@ vm_dispatch:
   VM_CASE(kSeekNext) {
     MwStepRt& mr = mrt[ip->a];
     const MwStepDesc& ms = p.mw_steps[ip->a];
-    const std::vector<std::uint32_t>& iter = *mr.iter;
     for (;;) {
-      if (mr.pos >= iter.size()) VM_JUMP(ip->t);
-      const std::uint32_t id = iter[mr.pos++];
+      if (mr.pos >= mr.iter.size()) VM_JUMP(ip->t);
+      const std::uint32_t id = mr.iter[mr.pos++];
       ++local.tuples_scanned;
       if (!seek_accept(mr, ms, id)) continue;
       slots[ms.slot] = id;
@@ -644,10 +608,10 @@ vm_dispatch:
     if (!rt.dead) {
       ++local.index_lookups;
       const std::vector<std::uint32_t>& key = keys[ip->a];
-      const std::size_t limit = rt.limit;
+      const std::size_t end = rt.rows.end;
       const std::size_t num_keys = rt.key_ptrs.size();
-      local.tuples_scanned += limit;  // every row below the limit is scanned
-      for (std::size_t r = 0; r < limit; ++r) {
+      local.tuples_scanned += rt.rows.size();  // every row in range is scanned
+      for (std::size_t r = rt.rows.begin; r < end; ++r) {
         bool ok = true;
         for (std::size_t k = 0; k < num_keys; ++k) {
           if (rt.key_ptrs[k][r] != key[k]) {
@@ -675,16 +639,11 @@ vm_dispatch:
     if (!rt.dead && rt.has_view) {
       ++local.index_lookups;
       const std::vector<std::uint32_t>& key = keys[ip->a];
-      const std::vector<std::uint32_t>& list =
-          rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key);
-      const bool old_only = rt.old_only;
-      const std::size_t limit = rt.limit;
-      if (!old_only) local.tuples_scanned += list.size();
+      const std::span<const std::uint32_t> list = rt.rel->PostingsIn(
+          rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key),
+          rt.rows);
+      local.tuples_scanned += list.size();
       for (std::uint32_t r : list) {
-        if (old_only) {
-          if (r >= limit) continue;
-          ++local.tuples_scanned;
-        }
         bool ok = true;
         for (const auto& [first, repeat] : rt.check_ptrs) {
           if (first[r] != repeat[r]) {
@@ -704,7 +663,7 @@ vm_dispatch:
     seek_open(ip->a);
     MwStepRt& mr = mrt[ip->a];
     const MwStepDesc& ms = p.mw_steps[ip->a];
-    for (std::uint32_t id : *mr.iter) {
+    for (std::uint32_t id : mr.iter) {
       ++local.tuples_scanned;
       if (!seek_accept(mr, ms, id)) continue;
       slots[ms.slot] = id;
@@ -741,20 +700,17 @@ vm_done:
 }  // namespace
 
 bool Derive(const Program& program, const Database& full,
-            const Database* delta, const OldLimits* old_limits,
-            MatchStats* stats, IdRowBuffer* derived,
-            DispatchCounts* dispatch) {
+            const DeltaRanges* ranges, MatchStats* stats,
+            IdRowBuffer* derived, DispatchCounts* dispatch) {
   if (dispatch != nullptr) {
     dispatch->fill(0);
-    return DeriveImpl<true>(program, full, delta, old_limits, stats, derived,
-                            dispatch);
+    return DeriveImpl<true>(program, full, ranges, stats, derived, dispatch);
   }
-  return DeriveImpl<false>(program, full, delta, old_limits, stats, derived,
-                           nullptr);
+  return DeriveImpl<false>(program, full, ranges, stats, derived, nullptr);
 }
 
-bool Run(const Program& program, const Database& full, const Database* delta,
-         const OldLimits* old_limits, Database* out, MatchStats* stats,
+bool Run(const Program& program, const Database& full,
+         const DeltaRanges* ranges, Database* out, MatchStats* stats,
          std::size_t* new_facts, DispatchCounts* dispatch) {
   // The head must name a predicate of `out` at the program's head arity,
   // or the batch insert below would create a mismatched relation.
@@ -765,7 +721,7 @@ bool Run(const Program& program, const Database& full, const Database* delta,
     return false;
   }
   IdRowBuffer derived;
-  if (!Derive(program, full, delta, old_limits, stats, &derived, dispatch)) {
+  if (!Derive(program, full, ranges, stats, &derived, dispatch)) {
     return false;
   }
   *new_facts = out->MutableRelation(head_pred).InsertIdRows(derived);

@@ -25,7 +25,7 @@ void MatchFrame::Reset(const CompiledRule& plan) {
 
 CompiledRule CompiledRule::Compile(const Rule& rule, std::size_t delta_pos,
                                    bool use_old, const Database& full,
-                                   const Database* delta) {
+                                   const DeltaRanges* ranges) {
   CompiledRule plan;
   plan.atoms_ = BuildDeltaPassAtoms(rule, delta_pos, use_old);
   plan.has_rule_ = true;
@@ -36,21 +36,21 @@ CompiledRule CompiledRule::Compile(const Rule& rule, std::size_t delta_pos,
     plan.negated_.push_back(lit.atom);
     plan.negated_preds_.push_back(lit.atom.predicate());
   }
-  plan.BuildSchedules(full, delta);
+  plan.BuildSchedules(full, ranges);
   return plan;
 }
 
 CompiledRule CompiledRule::CompileAtoms(std::vector<PlannedAtom> atoms,
                                         const Database& full,
-                                        const Database* delta) {
+                                        const DeltaRanges* ranges) {
   CompiledRule plan;
   plan.atoms_ = std::move(atoms);
-  plan.BuildSchedules(full, delta);
+  plan.BuildSchedules(full, ranges);
   return plan;
 }
 
 void CompiledRule::BuildSchedules(const Database& full,
-                                  const Database* delta) {
+                                  const DeltaRanges* ranges) {
   greedy_ = GreedyJoinOrderingEnabled();
   use_index_ = IndexLookupsEnabled();
   multiway_ = MultiwayJoinsEnabled();
@@ -62,7 +62,7 @@ void CompiledRule::BuildSchedules(const Database& full,
   mw_candidate_ = false;
   mw_steps_.clear();
 
-  const std::vector<PlannedAtom> order = PlanJoinOrder(full, delta, atoms_);
+  const std::vector<PlannedAtom> order = PlanJoinOrder(full, ranges, atoms_);
 
   std::unordered_map<VariableId, int> slot_of;
   auto slot_for = [&](VariableId v) {
@@ -82,10 +82,8 @@ void CompiledRule::BuildSchedules(const Database& full,
     step.predicate = atom.predicate();
     step.arity = atom.arity();
     step.source = planned.source;
-    const Database& src =
-        planned.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                                 : full;
-    step.planned_size = src.relation(atom.predicate()).size();
+    step.planned_size =
+        PlanningSize(full, ranges, planned.source, atom.predicate());
 
     std::unordered_set<VariableId> written_here;
     for (int i = 0; i < atom.arity(); ++i) {
@@ -288,7 +286,7 @@ void CompiledRule::BuildMultiwaySchedules(
 }
 
 bool CompiledRule::NeedsReplan(const Database& full,
-                               const Database* delta) const {
+                               const DeltaRanges* ranges) const {
   if (greedy_ != GreedyJoinOrderingEnabled() ||
       use_index_ != IndexLookupsEnabled() ||
       multiway_ != MultiwayJoinsEnabled() ||
@@ -303,32 +301,28 @@ bool CompiledRule::NeedsReplan(const Database& full,
   // the fixed-order never-replan behavior.
   if (!greedy_ && !(multiway_ && use_index_ && mw_candidate_)) return false;
   for (const CompiledAtomStep& step : steps_) {
-    const Database& src =
-        step.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                              : full;
     // Clamp to 1 so empty relations compare on the same log scale
     // instead of always forcing a replan.
-    const std::size_t now =
-        std::max<std::size_t>(src.relation(step.predicate).size(), 1);
+    const std::size_t now = std::max<std::size_t>(
+        PlanningSize(full, ranges, step.source, step.predicate), 1);
     const std::size_t then = std::max<std::size_t>(step.planned_size, 1);
     if (now >= 4 * then || then >= 4 * now) return true;
   }
   return false;
 }
 
-void CompiledRule::Replan(const Database& full, const Database* delta) {
-  BuildSchedules(full, delta);
+void CompiledRule::Replan(const Database& full, const DeltaRanges* ranges) {
+  BuildSchedules(full, ranges);
 }
 
 void CompiledRule::EnsureIndexes(const Database& full,
-                                 const Database* delta) const {
+                                 const DeltaRanges* ranges) const {
   if (!use_index_) return;  // knob off: Execute only scans
   for (const CompiledAtomStep& step : steps_) {
-    const Database& src =
-        step.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                              : full;
-    const Relation& rel = src.relation(step.predicate);
-    if (rel.empty() || rel.arity() != step.arity) continue;
+    const AtomRows src =
+        ResolveAtomRows(full, ranges, step.source, step.predicate);
+    const Relation& rel = *src.rel;
+    if (src.rows.empty() || rel.arity() != step.arity) continue;
     // Only partially bound probes use an index. Fully bound ones --
     // zero-arity atoms and old snapshots included -- look up the unique
     // matching row in the relation's dedup table, and unbound atoms are
@@ -346,18 +340,17 @@ void CompiledRule::EnsureIndexes(const Database& full,
   for (const MultiwayStep& mw_step : mw_steps_) {
     for (const MultiwayProbe& probe : mw_step.probes) {
       const CompiledAtomStep& step = steps_[probe.atom];
-      const Database& src =
-          step.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                                : full;
-      const Relation& rel = src.relation(step.predicate);
-      if (rel.empty() || rel.arity() != step.arity) continue;
+      const AtomRows src =
+          ResolveAtomRows(full, ranges, step.source, step.predicate);
+      const Relation& rel = *src.rel;
+      if (src.rows.empty() || rel.arity() != step.arity) continue;
       if (probe.unconditional) {
         if (step.source != AtomSource::kOld && probe.var_cols.size() == 1 &&
             rel.columnar()) {
-          rel.EnsureSortedKeys(probe.var_cols[0]);
+          rel.EnsureSortedKeys(probe.var_cols[0], src.rows);
         }
-        // Old-snapshot and repeated-variable roots are built by scanning
-        // rows at Apply time: reads only, no index to pre-build.
+        // Old-snapshot and repeated-variable roots are collected from
+        // the rows at Apply time: reads only, nothing to pre-build.
       } else {
         rel.EnsureIndex(probe.bound_cols);
         // Membership seeks for probes that are not the iteration source
@@ -387,16 +380,15 @@ Tuple CompiledRule::InstantiateHeadFromFrame(const MatchFrame& frame) const {
   return tuple;
 }
 
-bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
-                              const OldLimits* old_limits, MatchStats* stats,
-                              IdRowBuffer* derived) const {
+bool CompiledRule::ApplyBatch(const Database& full, const DeltaRanges* ranges,
+                              MatchStats* stats, IdRowBuffer* derived) const {
   // Loop-invariant per-depth state, resolved exactly as Execute resolves
-  // MatchFrame::DepthSource -- same liveness rule, same limit, same
+  // MatchFrame::DepthSource -- same liveness rule, same rows, same
   // index-preparation condition -- so the two executors probe the same
   // structures in the same order.
   struct BatchSource {
     const Relation* rel = nullptr;
-    std::size_t limit = 0;
+    RowSpan rows;
     bool dead = false;
     bool fully_bound = false;
     Relation::SingleIndexView single_index;
@@ -405,17 +397,13 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
   std::vector<BatchSource> sources(steps_.size());
   for (std::size_t d = 0; d < steps_.size(); ++d) {
     const CompiledAtomStep& step = steps_[d];
-    const Database& src =
-        step.source == AtomSource::kDelta ? *delta : full;
-    const Relation& rel = src.relation(step.predicate);
+    const AtomRows src =
+        ResolveAtomRows(full, ranges, step.source, step.predicate);
+    const Relation& rel = *src.rel;
     BatchSource& bs = sources[d];
     bs.rel = &rel;
-    bs.limit = rel.size();
-    bs.dead = rel.empty() || rel.arity() != step.arity;
-    if (step.source == AtomSource::kOld && !bs.dead) {
-      bs.limit = OldLimitFor(old_limits, step.predicate);
-      bs.dead = bs.limit == 0;
-    }
+    bs.rows = src.rows;
+    bs.dead = bs.rows.empty() || rel.arity() != step.arity;
     // A live row-store relation (constructed before the knob flipped on)
     // has no id columns to scan: bail out before any counter moves and
     // let Apply run the depth-first path instead.
@@ -455,8 +443,7 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       break;
     }
     const Relation& rel = *bs.rel;
-    const bool old_only = step.source == AtomSource::kOld;
-    const std::size_t limit = bs.limit;
+    const RowSpan rows = bs.rows;
     key = step.key_template_ids;  // constants pre-filled
     next.clear();
     std::size_t next_count = 0;
@@ -489,9 +476,10 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       if (use_index_ && bs.fully_bound) {
         // Fully bound: one dedup-table lookup of the unique matching row
         // (key_cols covers every column in order, so `key` is the full id
-        // row); the old snapshot additionally needs it below the limit.
+        // row), which must lie in the atom's rows.
         if (stats != nullptr) ++stats->tuples_scanned;
-        const bool matched = rel.FindRowIds(key.data()) < limit;
+        const bool matched =
+            rel.FindRowIdsIn(key.data(), rows) != Relation::kNoRow;
         if (matched) {
           // Survives unchanged: a fully bound atom writes no slot.
           next.resize((next_count + 1) * stride);
@@ -505,7 +493,7 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       }
 
       if (step.key_cols.empty()) {
-        for (std::size_t i = 0; i < limit; ++i) {
+        for (std::size_t i = rows.begin; i < rows.end; ++i) {
           if (stats != nullptr) ++stats->tuples_scanned;
           emit_row(slots, static_cast<std::uint32_t>(i));
         }
@@ -513,7 +501,7 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       }
 
       if (!use_index_) {
-        for (std::size_t i = 0; i < limit; ++i) {
+        for (std::size_t i = rows.begin; i < rows.end; ++i) {
           if (stats != nullptr) ++stats->tuples_scanned;
           bool matches = true;
           for (std::size_t k = 0; k < step.key_cols.size(); ++k) {
@@ -530,8 +518,7 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       const std::vector<std::uint32_t>& row_ids =
           step.key_cols.size() == 1 ? bs.single_index.FindId(key[0])
                                     : bs.multi_index.FindIds(key);
-      for (std::uint32_t row_id : row_ids) {
-        if (old_only && row_id >= limit) continue;
+      for (std::uint32_t row_id : rel.PostingsIn(row_ids, rows)) {
         if (stats != nullptr) ++stats->tuples_scanned;
         emit_row(slots, row_id);
       }
@@ -575,32 +562,29 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
   return true;
 }
 
-bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
-                                 const OldLimits* old_limits,
+bool CompiledRule::ApplyMultiway(const Database& full,
+                                 const DeltaRanges* ranges,
                                  MatchStats* stats,
                                  IdRowBuffer* derived) const {
   // Per-atom runtime state, resolved like ApplyBatch's BatchSource (same
-  // liveness rule, same old-snapshot limit).
+  // liveness rule, same rows).
   struct AtomRt {
     const Relation* rel = nullptr;
-    std::size_t limit = 0;
+    RowSpan rows;
     bool old_only = false;
     bool dead = false;
   };
   std::vector<AtomRt> atoms_rt(steps_.size());
   for (std::size_t d = 0; d < steps_.size(); ++d) {
     const CompiledAtomStep& step = steps_[d];
-    const Database& src = step.source == AtomSource::kDelta ? *delta : full;
-    const Relation& rel = src.relation(step.predicate);
+    const AtomRows src =
+        ResolveAtomRows(full, ranges, step.source, step.predicate);
+    const Relation& rel = *src.rel;
     AtomRt& at = atoms_rt[d];
     at.rel = &rel;
-    at.limit = rel.size();
+    at.rows = src.rows;
     at.old_only = step.source == AtomSource::kOld;
-    at.dead = rel.empty() || rel.arity() != step.arity;
-    if (at.old_only && !at.dead) {
-      at.limit = OldLimitFor(old_limits, step.predicate);
-      at.dead = at.limit == 0;
-    }
+    at.dead = at.rows.empty() || rel.arity() != step.arity;
     // A live row-store relation has no id columns to intersect: bail out
     // before any counter moves and let Apply fall back to Execute.
     if (!at.dead && !rel.columnar()) return false;
@@ -616,7 +600,7 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
   }
 
   // Per-probe runtime state: an index view for bound probes, a root
-  // candidate list for unconditional ones. Root lists built by scanning
+  // candidate list for unconditional ones. Root lists collected per Apply
   // (old snapshots, repeated variables) are owned by a deque so the
   // pointers stay stable as more are added.
   struct ProbeRt {
@@ -653,40 +637,25 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
         continue;
       }
       if (!at.old_only && probe.var_cols.size() == 1) {
-        // kFull/kDelta cover all rows, so the cached sorted distinct
-        // column keys are exactly the candidate list.
-        rt.root = &rel.SortedColumnKeys(probe.var_cols[0]);
+        // kFull/kDelta: the cached sorted distinct keys of the atom's
+        // rows are exactly the candidate list.
+        rt.root = &rel.SortedKeys(probe.var_cols[0], at.rows);
         continue;
       }
-      // Old snapshot (limit may stop short of the cache) or repeated
-      // variable: scan rows [0, limit) once per Apply.
+      // Old snapshot or repeated variable: collect once per Apply.
       owned_roots.emplace_back();
-      std::vector<std::uint32_t>& list = owned_roots.back();
-      const std::vector<std::uint32_t>& c0 = rel.column(probe.var_cols[0]);
-      for (std::size_t i = 0; i < at.limit; ++i) {
-        const std::uint32_t id = c0[i];
-        bool ok = true;
-        for (std::size_t k = 1; k < probe.var_cols.size(); ++k) {
-          if (rel.column(probe.var_cols[k])[i] != id) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) list.push_back(id);
-      }
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-      rt.root = &list;
+      rel.CollectSortedKeys(probe.var_cols, at.rows, &owned_roots.back());
+      rt.root = &owned_roots.back();
     }
   }
 
   // Per-depth scratch, allocated once: projection buffers and key
   // buffers (seek key plus union membership key) per probe, plus the
-  // per-probe seek-result pointer array.
+  // per-probe seek results (root lists, or in-range posting segments).
   std::vector<std::vector<std::vector<std::uint32_t>>> proj(mw_steps_.size());
   std::vector<std::vector<std::vector<std::uint32_t>>> keys(mw_steps_.size());
   std::vector<std::vector<std::vector<std::uint32_t>>> ukeys(mw_steps_.size());
-  std::vector<std::vector<const std::vector<std::uint32_t>*>> lists(
+  std::vector<std::vector<std::span<const std::uint32_t>>> lists(
       mw_steps_.size());
   for (std::size_t s = 0; s < mw_steps_.size(); ++s) {
     proj[s].resize(mw_steps_[s].probes.size());
@@ -737,9 +706,10 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
     const MultiwayStep& step = mw_steps_[depth];
     const std::size_t num_probes = step.probes.size();
 
-    // Election pass: one seek per probe to size its candidate set. The
-    // posting size over-counts for old snapshots and repeated variables
-    // (filtering happens at projection time), but only as an estimate.
+    // Election pass: one seek per probe to size its candidate set: the
+    // in-range posting count. Old snapshots keep the whole posting size,
+    // and repeated variables over-count (filtering happens at
+    // projection time), but only as an estimate.
     std::size_t smallest = 0;
     std::size_t smallest_size = std::numeric_limits<std::size_t>::max();
     for (std::size_t p = 0; p < num_probes; ++p) {
@@ -748,7 +718,7 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
       if (stats != nullptr) ++stats->index_lookups;
       std::size_t est;
       if (probe.unconditional) {
-        lists[depth][p] = rt.root;
+        lists[depth][p] = *rt.root;
         est = rt.root->size();
       } else {
         std::vector<std::uint32_t>& key = keys[depth][p];
@@ -760,8 +730,10 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
         const std::vector<std::uint32_t>& row_ids =
             probe.bound_cols.size() == 1 ? rt.single.FindId(key[0])
                                          : rt.multi.FindIds(key);
-        lists[depth][p] = &row_ids;  // row ids, pending projection
-        est = row_ids.size();
+        // Row ids, pending projection.
+        const AtomRt& at = atoms_rt[probe.atom];
+        lists[depth][p] = at.rel->PostingsIn(row_ids, at.rows);
+        est = at.old_only ? row_ids.size() : lists[depth][p].size();
       }
       if (est < smallest_size) {
         smallest_size = est;
@@ -771,7 +743,7 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
 
     // Materialize the winner only.
     const MultiwayProbe& src_probe = step.probes[smallest];
-    const std::vector<std::uint32_t>* iter;
+    std::span<const std::uint32_t> iter;
     if (src_probe.unconditional) {
       iter = lists[depth][smallest];
     } else {
@@ -781,8 +753,7 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
           rel.column(src_probe.var_cols[0]);
       std::vector<std::uint32_t>& out_list = proj[depth][smallest];
       out_list.clear();
-      for (std::uint32_t row_id : *lists[depth][smallest]) {
-        if (at.old_only && row_id >= at.limit) continue;
+      for (std::uint32_t row_id : lists[depth][smallest]) {
         if (stats != nullptr) ++stats->tuples_scanned;
         const std::uint32_t id = c0[row_id];
         bool ok = true;
@@ -797,7 +768,7 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
       std::sort(out_list.begin(), out_list.end());
       out_list.erase(std::unique(out_list.begin(), out_list.end()),
                      out_list.end());
-      iter = &out_list;
+      iter = out_list;
     }
 
     // Union membership keys change only at the candidate positions
@@ -813,7 +784,7 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
       }
     }
 
-    for (const std::uint32_t id : *iter) {
+    for (const std::uint32_t id : iter) {
       if (stats != nullptr) ++stats->tuples_scanned;
       bool in_all = true;
       for (std::size_t p = 0; p < num_probes && in_all; ++p) {
@@ -832,22 +803,12 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
         }
         const AtomRt& at = atoms_rt[probe.atom];
         if (rt.union_full_row) {
-          in_all = at.rel->FindRowIds(ukey.data()) < at.limit;
+          in_all = at.rel->FindRowIdsIn(ukey.data(), at.rows) !=
+                   Relation::kNoRow;
           continue;
         }
-        const std::vector<std::uint32_t>& rows =
-            rt.union_index.FindIds(ukey);
-        if (at.old_only) {
-          in_all = false;
-          for (const std::uint32_t row_id : rows) {
-            if (row_id < at.limit) {
-              in_all = true;
-              break;
-            }
-          }
-        } else {
-          in_all = !rows.empty();
-        }
+        in_all =
+            !at.rel->PostingsIn(rt.union_index.FindIds(ukey), at.rows).empty();
       }
       if (!in_all) continue;
       slots[static_cast<std::size_t>(step.slot)] = id;
@@ -858,9 +819,8 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
   return true;
 }
 
-bool CompiledRule::DeriveIds(const Database& full, const Database* delta,
-                             const OldLimits* old_limits, MatchStats* stats,
-                             IdRowBuffer* derived) const {
+bool CompiledRule::DeriveIds(const Database& full, const DeltaRanges* ranges,
+                             MatchStats* stats, IdRowBuffer* derived) const {
   // Bytecode fast path: the lowered program run by the computed-goto VM,
   // covering both plan shapes. Derive returns false -- before bumping any
   // counter -- when a live relation is not columnar, in which case the
@@ -870,13 +830,11 @@ bool CompiledRule::DeriveIds(const Database& full, const Database* delta,
   if (!bc_.empty() && BytecodeExecutionEnabled() && ColumnarStorageEnabled()) {
     if (MetricsRegistry::Get().enabled()) {
       bytecode::DispatchCounts counts;
-      if (bytecode::Derive(bc_, full, delta, old_limits, stats, derived,
-                           &counts)) {
+      if (bytecode::Derive(bc_, full, ranges, stats, derived, &counts)) {
         bytecode::PublishDispatchCounts(counts);
         return true;
       }
-    } else if (bytecode::Derive(bc_, full, delta, old_limits, stats,
-                                derived)) {
+    } else if (bytecode::Derive(bc_, full, ranges, stats, derived)) {
       return true;
     }
   }
@@ -885,7 +843,7 @@ bool CompiledRule::DeriveIds(const Database& full, const Database* delta,
   // left-deep executors (assignments, not row visits, are what both
   // count), but probe/scan counters measure the shape's own work.
   if (shape_ == PlanShape::kMultiway && ColumnarStorageEnabled() &&
-      ApplyMultiway(full, delta, old_limits, stats, derived)) {
+      ApplyMultiway(full, ranges, stats, derived)) {
     return true;
   }
   // Vectorized fast path: only when the plan qualifies (batch_ok_), the
@@ -894,37 +852,44 @@ bool CompiledRule::DeriveIds(const Database& full, const Database* delta,
   // already handles it. Counters, derivation order and results are
   // bit-identical between the two paths.
   return batch_ok_ && !steps_.empty() && ColumnarStorageEnabled() &&
-         ApplyBatch(full, delta, old_limits, stats, derived);
+         ApplyBatch(full, ranges, stats, derived);
 }
 
-std::size_t CompiledRule::Apply(const Database& full, const Database* delta,
-                                const OldLimits* old_limits, Database* out,
+std::size_t CompiledRule::Apply(const Database& full,
+                                const DeltaRanges* ranges, Relation* out,
                                 MatchStats* stats,
-                                std::uint64_t* insert_ns) const {
+                                const PhaseSinks& sinks) const {
   // The id-space executors derive every head row first and insert them
-  // in one batch afterwards: `out` may alias `full`, and inserting while
-  // the enumeration reads the same relation would invalidate it.
+  // in one batch afterwards: `out` may be a relation of `full`, and
+  // inserting while the enumeration reads the same relation would
+  // invalidate it. The depth-first fallback (row-store relations, or a
+  // head variable the body never binds) buffers tuples for the same
+  // reason.
   IdRowBuffer derived;
-  if (DeriveIds(full, delta, old_limits, stats, &derived)) {
-    if (derived.count == 0) return 0;
-    PhaseTimer timer(insert_ns);
-    return out->MutableRelation(head_predicate_).InsertIdRows(derived);
-  }
-  // Depth-first fallback (row-store relations, or a head variable the
-  // body never binds), buffered for the same reason.
   std::vector<Tuple> derived_tuples;
-  MatchFrame frame(*this);
-  Tuple scratch;
-  Execute(full, delta, old_limits, &frame, stats,
-          [&](const MatchFrame& f) {
-            if (!NegationHolds(full, f, &scratch)) return true;
-            derived_tuples.push_back(InstantiateHeadFromFrame(f));
-            return true;
-          });
-  PhaseTimer timer(insert_ns);
+  bool derived_ids;
+  {
+    PhaseTimer timer(sinks.derive_ns);
+    derived_ids = DeriveIds(full, ranges, stats, &derived);
+    if (!derived_ids) {
+      MatchFrame frame(*this);
+      Tuple scratch;
+      Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
+        if (!NegationHolds(full, f, &scratch)) return true;
+        derived_tuples.push_back(InstantiateHeadFromFrame(f));
+        return true;
+      });
+    }
+  }
+  if (derived_ids) {
+    if (derived.count == 0) return 0;
+    PhaseTimer timer(sinks.insert_ns);
+    return out->InsertIdRows(derived);
+  }
+  PhaseTimer timer(sinks.insert_ns);
   std::size_t new_facts = 0;
   for (Tuple& tuple : derived_tuples) {
-    if (out->AddFact(head_predicate_, std::move(tuple))) ++new_facts;
+    if (out->Insert(std::move(tuple))) ++new_facts;
   }
   return new_facts;
 }
@@ -933,12 +898,12 @@ const CompiledRule& CompiledRuleCache::Get(std::size_t rule_index,
                                            const Rule& rule,
                                            std::size_t delta_pos,
                                            bool use_old, const Database& full,
-                                           const Database* delta) {
+                                           const DeltaRanges* ranges) {
   CompiledRule& plan = plans_[std::make_tuple(rule_index, delta_pos, use_old)];
   if (!plan.compiled()) {
-    plan = CompiledRule::Compile(rule, delta_pos, use_old, full, delta);
-  } else if (plan.NeedsReplan(full, delta)) {
-    plan.Replan(full, delta);
+    plan = CompiledRule::Compile(rule, delta_pos, use_old, full, ranges);
+  } else if (plan.NeedsReplan(full, ranges)) {
+    plan.Replan(full, ranges);
   }
   return plan;
 }

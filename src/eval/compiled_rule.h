@@ -122,12 +122,12 @@ struct MatchFrame {
 
   /// Loop-invariant per-depth source state, resolved once per Execute
   /// instead of once per visit: the relation pointer (a hash lookup in
-  /// Database), the scan limit, whether the depth can match at all, and
-  /// -- for indexed probes -- a direct view of the index, skipping the
-  /// per-probe index-map find inside Relation::Lookup.
+  /// Database), the rows the atom reads, whether the depth can match at
+  /// all, and -- for indexed probes -- a direct view of the index,
+  /// skipping the per-probe index-map find inside Relation::Lookup.
   struct DepthSource {
     const Relation* rel = nullptr;
-    std::size_t limit = 0;
+    RowSpan rows;
     bool dead = false;
     Relation::SingleIndexView single_index;
     Relation::MultiIndexView multi_index;
@@ -153,15 +153,18 @@ class CompiledRule {
   CompiledRule() = default;
 
   /// Compiles the delta-pass variant of `rule` (see BuildDeltaPassAtoms).
+  /// Plans -- here and in NeedsReplan, Replan and EnsureIndexes -- weigh
+  /// atoms by PlanningSize over `ranges` (null when no atom reads a
+  /// delta).
   static CompiledRule Compile(const Rule& rule, std::size_t delta_pos,
                               bool use_old, const Database& full,
-                              const Database* delta);
+                              const DeltaRanges* ranges);
 
   /// Compiles a bare atom list (the MatchAtoms adapter): no head, no
   /// negated literals.
   static CompiledRule CompileAtoms(std::vector<PlannedAtom> atoms,
                                    const Database& full,
-                                   const Database* delta);
+                                   const DeltaRanges* ranges);
 
   bool compiled() const { return compiled_; }
 
@@ -170,18 +173,22 @@ class CompiledRule {
   /// >= 4x since planning -- one step of the greedy planner's own
   /// selectivity granularity (cost /= 4 per bound column), below which a
   /// new plan could not change the order anyway.
-  bool NeedsReplan(const Database& full, const Database* delta) const;
+  bool NeedsReplan(const Database& full, const DeltaRanges* ranges) const;
 
   /// Recomputes the join order and all schedules against current sizes.
-  void Replan(const Database& full, const Database* delta);
+  void Replan(const Database& full, const DeltaRanges* ranges);
 
-  /// Pre-builds every index Execute can probe, making a subsequent
-  /// Execute/Apply read-only on the relations (frozen-snapshot contract).
-  void EnsureIndexes(const Database& full, const Database* delta) const;
+  /// Pre-builds every index and sorted-key list Execute can probe --
+  /// for delta steps, those of the relation the delta range reads (the
+  /// full one, normally) -- making a subsequent Execute/Apply over the
+  /// same ranges read-only on the relations (frozen-snapshot contract).
+  void EnsureIndexes(const Database& full, const DeltaRanges* ranges) const;
 
-  /// Enumerates body matches and inserts instantiated heads into `out`
-  /// (negated literals are tested against `full`). Derived tuples are
-  /// buffered until the enumeration finishes, so `out` may alias `full`.
+  /// Enumerates body matches -- every atom reading its rows as
+  /// ResolveAtomRows(full, ranges, ...) says -- and inserts instantiated
+  /// heads into `out`, the head predicate's relation (negated literals
+  /// are tested against `full`). Derived tuples are buffered until the
+  /// enumeration finishes, so `out` may be `full`'s own relation.
   /// Returns the number of facts new in `out`. Only valid for plans
   /// compiled from a Rule.
   ///
@@ -195,45 +202,39 @@ class CompiledRule {
   /// bit-for-bit interchangeable (tests/integration enforces this).
   ///
   /// Every executor hands its head rows to one batch insert
-  /// (Relation::InsertIdRows on the id-space paths); when `insert_ns` is
-  /// non-null its wall time is added there -- the engines pass one only
-  /// while the MetricsRegistry is enabled (EvalStats::insert_ns).
-  std::size_t Apply(const Database& full, const Database* delta,
-                    const OldLimits* old_limits, Database* out,
-                    MatchStats* stats,
-                    std::uint64_t* insert_ns = nullptr) const;
+  /// (Relation::InsertIdRows on the id-space paths). The enumeration's
+  /// wall time goes to `sinks.derive_ns` and the insert's to
+  /// `sinks.insert_ns` (null sinks read no clock).
+  std::size_t Apply(const Database& full, const DeltaRanges* ranges,
+                    Relation* out, MatchStats* stats,
+                    const PhaseSinks& sinks = {}) const;
 
   /// Enumerates every complete match into `sink` (called with the frame;
   /// return false to stop early). Counter semantics are identical to the
   /// legacy Matcher, row for row.
   template <typename Sink>
-  void Execute(const Database& full, const Database* delta,
-               const OldLimits* old_limits, MatchFrame* frame,
-               MatchStats* stats, Sink&& sink) const {
+  void Execute(const Database& full, const DeltaRanges* ranges,
+               MatchFrame* frame, MatchStats* stats, Sink&& sink) const {
     if (steps_.empty()) {
       if (stats != nullptr) ++stats->substitutions;
       sink(*frame);
       return;
     }
-    // Resolve each depth's relation, scan limit, and viability once: all
-    // three are invariant for the whole enumeration (no insert happens
-    // while matching), and resolving them per visit would cost a hash
-    // lookup per parent row per depth. A dead depth still lets shallower
-    // depths run -- and count -- exactly as the legacy matcher's early
-    // returns do.
+    // Resolve each depth's relation, rows, and viability once: all three
+    // are invariant for the whole enumeration (no insert happens while
+    // matching), and resolving them per visit would cost a hash lookup
+    // per parent row per depth. A dead depth still lets shallower depths
+    // run -- and count -- exactly as the legacy matcher's early returns
+    // do.
     for (std::size_t d = 0; d < steps_.size(); ++d) {
       const CompiledAtomStep& step = steps_[d];
-      const Database& src =
-          step.source == AtomSource::kDelta ? *delta : full;
-      const Relation& rel = src.relation(step.predicate);
+      const AtomRows src =
+          ResolveAtomRows(full, ranges, step.source, step.predicate);
+      const Relation& rel = *src.rel;
       MatchFrame::DepthSource& ds = frame->sources[d];
       ds.rel = &rel;
-      ds.limit = rel.size();
-      ds.dead = rel.empty() || rel.arity() != step.arity;
-      if (step.source == AtomSource::kOld && !ds.dead) {
-        ds.limit = OldLimitFor(old_limits, step.predicate);
-        ds.dead = ds.limit == 0;
-      }
+      ds.rows = src.rows;
+      ds.dead = ds.rows.empty() || rel.arity() != step.arity;
       // Prepare index views for exactly the probes Step will issue (the
       // same condition EnsureIndexes pre-builds for): partially bound
       // indexed probes. Fully bound atoms -- zero-arity ones included --
@@ -295,15 +296,14 @@ class CompiledRule {
   friend struct MatchFrame;
   friend bytecode::Program bytecode::Lower(const CompiledRule& plan);
 
-  void BuildSchedules(const Database& full, const Database* delta);
+  void BuildSchedules(const Database& full, const DeltaRanges* ranges);
 
   /// Runs the first id-space executor that accepts the databases -- the
   /// bytecode VM, then ApplyMultiway, then ApplyBatch -- deriving the
   /// head rows into `derived`. False when none can (Apply then falls back
   /// to the depth-first Execute path).
-  bool DeriveIds(const Database& full, const Database* delta,
-                 const OldLimits* old_limits, MatchStats* stats,
-                 IdRowBuffer* derived) const;
+  bool DeriveIds(const Database& full, const DeltaRanges* ranges,
+                 MatchStats* stats, IdRowBuffer* derived) const;
 
   /// Vectorized executor behind Apply: per join depth, expand the whole
   /// frontier of candidate frames at once against the raw id columns,
@@ -311,9 +311,8 @@ class CompiledRule {
   /// any counter -- when some live relation is not columnar (a knob
   /// flipped mid-stream), in which case Apply falls back to the
   /// depth-first Execute path.
-  bool ApplyBatch(const Database& full, const Database* delta,
-                  const OldLimits* old_limits, MatchStats* stats,
-                  IdRowBuffer* derived) const;
+  bool ApplyBatch(const Database& full, const DeltaRanges* ranges,
+                  MatchStats* stats, IdRowBuffer* derived) const;
 
   /// Builds the multiway variable order and per-step probe schedules
   /// (called by BuildSchedules after it selects PlanShape::kMultiway).
@@ -331,16 +330,8 @@ class CompiledRule {
   /// containing the variable, deriving head rows into `derived`. Returns
   /// false -- before bumping any counter -- when some live relation is
   /// not columnar, in which case Apply falls back to the left-deep path.
-  bool ApplyMultiway(const Database& full, const Database* delta,
-                     const OldLimits* old_limits, MatchStats* stats,
-                     IdRowBuffer* derived) const;
-
-  static std::size_t OldLimitFor(const OldLimits* old_limits,
-                                 PredicateId pred) {
-    if (old_limits == nullptr) return 0;
-    auto it = old_limits->find(pred);
-    return it == old_limits->end() ? 0 : it->second;
-  }
+  bool ApplyMultiway(const Database& full, const DeltaRanges* ranges,
+                     MatchStats* stats, IdRowBuffer* derived) const;
 
   static void FillTerms(const std::vector<CompiledTerm>& terms,
                         const MatchFrame& frame, Tuple* out) {
@@ -371,8 +362,6 @@ class CompiledRule {
     }
     const CompiledAtomStep& step = steps_[depth];
     const Relation& rel = *ds.rel;
-    const bool old_only = step.source == AtomSource::kOld;
-    const std::size_t limit = ds.limit;
     if (stats != nullptr) ++stats->index_lookups;
 
     Tuple& key = frame.keys[depth];
@@ -384,10 +373,9 @@ class CompiledRule {
     if (use_index_ &&
         static_cast<int>(step.key_cols.size()) == step.arity) {
       // Fully bound: membership test, one dedup-table lookup of the
-      // unique matching row. The old snapshot additionally needs that
-      // row to predate the limit (kNoRow never does).
+      // unique matching row, which must lie in the atom's rows.
       if (stats != nullptr) ++stats->tuples_scanned;
-      if (rel.FindRow(key) < limit) {
+      if (rel.FindRowIn(key, ds.rows) != Relation::kNoRow) {
         return Step(depth + 1, frame, stats, sink);
       }
       return true;
@@ -408,7 +396,7 @@ class CompiledRule {
     };
 
     if (step.key_cols.empty()) {
-      for (std::size_t i = 0; i < limit; ++i) {
+      for (std::size_t i = ds.rows.begin; i < ds.rows.end; ++i) {
         if (stats != nullptr) ++stats->tuples_scanned;
         if (!try_row(rel.row(i))) return false;
       }
@@ -416,7 +404,7 @@ class CompiledRule {
     }
 
     if (!use_index_) {
-      for (std::size_t i = 0; i < limit; ++i) {
+      for (std::size_t i = ds.rows.begin; i < ds.rows.end; ++i) {
         const RowRef row = rel.row(i);
         if (stats != nullptr) ++stats->tuples_scanned;
         bool matches = true;
@@ -434,8 +422,7 @@ class CompiledRule {
     const std::vector<std::uint32_t>& row_ids =
         step.key_cols.size() == 1 ? ds.single_index.Find(key[0])
                                   : ds.multi_index.Find(key);
-    for (std::uint32_t row_id : row_ids) {
-      if (old_only && row_id >= limit) continue;
+    for (std::uint32_t row_id : rel.PostingsIn(row_ids, ds.rows)) {
       if (stats != nullptr) ++stats->tuples_scanned;
       if (!try_row(rel.row(row_id))) return false;
     }
@@ -484,7 +471,7 @@ class CompiledRuleCache {
  public:
   const CompiledRule& Get(std::size_t rule_index, const Rule& rule,
                           std::size_t delta_pos, bool use_old,
-                          const Database& full, const Database* delta);
+                          const Database& full, const DeltaRanges* ranges);
 
   std::size_t size() const { return plans_.size(); }
 

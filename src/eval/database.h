@@ -36,10 +36,10 @@ class Database {
 
   /// Appends rows [begin, end) of `rel` as facts of `pred`, preserving
   /// their order; returns how many were new (Relation::AddRowRange).
-  /// When both relations are columnar the copy stays in id space, and
-  /// into a still-empty relation it is a bulk column copy -- this is how
-  /// the semi-naive drivers cut deltas and shards out of the full
-  /// database, and how UnionWith copies an EDB into a fresh database.
+  /// When both relations are columnar the copy stays in id space, and a
+  /// whole relation copied into a still-empty one is a bulk column copy
+  /// -- this is how UnionWith copies an EDB into a fresh database and how
+  /// the parallel engine merges a task's derivations.
   std::size_t AddRowRange(PredicateId pred, const Relation& rel,
                           std::size_t begin, std::size_t end);
 

@@ -40,13 +40,21 @@ struct EvalStats {
   std::uint64_t parallel_match_ns = 0;  // workers matching into buffers
   std::uint64_t merge_ns = 0;           // single-threaded round-barrier merge
 
-  // Write-path phase split of the semi-naive engines, read from the clock
-  // only while the MetricsRegistry is enabled (zero otherwise), once per
-  // rule application / round -- never per row. Nanoseconds, like the
-  // parallel timers above; never part of MatchStats, which the
-  // differential suites compare bit for bit.
-  std::uint64_t insert_ns = 0;     // batch-inserting derived head rows
-  std::uint64_t delta_cut_ns = 0;  // cutting the next delta (CollectNewFacts)
+  // Phase split of each rule application, read from the clock only while
+  // the MetricsRegistry is enabled (zero otherwise), once per rule
+  // application -- never per row. Nanoseconds, like the parallel timers
+  // above; never part of MatchStats, which the differential suites
+  // compare bit for bit. What a fixpoint spends outside the three is
+  // round bookkeeping.
+  std::uint64_t plan_ns = 0;    // fetching the plan: planning, >= 4x replan
+  std::uint64_t derive_ns = 0;  // probe, enumerate, head emit
+  std::uint64_t insert_ns = 0;  // batch-inserting derived head rows
+
+  /// Sinks into this struct's phase timers when `timed`, null otherwise.
+  PhaseSinks Sinks(bool timed) {
+    if (!timed) return {};
+    return {&plan_ns, &derive_ns, &insert_ns};
+  }
 
   void Add(const EvalStats& other) {
     iterations += other.iterations;
@@ -57,8 +65,9 @@ struct EvalStats {
     index_build_ns += other.index_build_ns;
     parallel_match_ns += other.parallel_match_ns;
     merge_ns += other.merge_ns;
+    plan_ns += other.plan_ns;
+    derive_ns += other.derive_ns;
     insert_ns += other.insert_ns;
-    delta_cut_ns += other.delta_cut_ns;
     match.Add(other.match);
     if (per_rule.size() < other.per_rule.size()) {
       per_rule.resize(other.per_rule.size());
@@ -70,8 +79,8 @@ struct EvalStats {
 };
 
 /// Adds the wall time from construction to destruction to `*sink`; does
-/// not read the clock at all when `sink` is null. The engines pass a null
-/// sink unless the MetricsRegistry is enabled, so an uninstrumented run
+/// not read the clock at all when `sink` is null. The engines pass null
+/// sinks unless the MetricsRegistry is enabled, so an uninstrumented run
 /// pays one branch per timed phase.
 class PhaseTimer {
  public:

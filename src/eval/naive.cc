@@ -15,8 +15,7 @@ Result<EvalStats> EvaluateNaive(const Program& program, Database* db) {
   stats.per_rule.resize(program.NumRules());
   // Plans persist across naive rounds; only cardinality drift replans.
   CompiledRuleCache cache;
-  std::uint64_t* insert_ns =
-      MetricsRegistry::Get().enabled() ? &stats.insert_ns : nullptr;
+  const PhaseSinks sinks = stats.Sinks(MetricsRegistry::Get().enabled());
   bool changed = true;
   while (changed) {
     changed = false;
@@ -31,7 +30,7 @@ Result<EvalStats> EvaluateNaive(const Program& program, Database* db) {
       TraceSpan apply_span("naive/apply");
       MatchStats local;
       std::size_t added =
-          ApplyRule(rule, *db, db, &local, &cache, ri, insert_ns);
+          ApplyRule(rule, *db, db, &local, &cache, ri, sinks);
       stats.match.Add(local);
       stats.facts_derived += added;
       stats.per_rule[ri].facts += added;

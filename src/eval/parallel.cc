@@ -30,11 +30,11 @@ std::uint64_t ElapsedNs(Clock::time_point start) {
           .count());
 }
 
-/// Delta relations are split into contiguous row shards so one hot
-/// (rule, delta-position) pass -- the whole round, for linear rules like
-/// transitive closure -- still decomposes into enough independent tasks
-/// to keep every worker busy. The shard count depends only on the delta
-/// contents, never on the thread count, so the task list (and therefore
+/// Delta ranges are split into contiguous row sub-ranges (shards) so one
+/// hot (rule, delta-position) pass -- the whole round, for linear rules
+/// like transitive closure -- still decomposes into enough independent
+/// tasks to keep every worker busy. The shard count depends only on the
+/// delta size, never on the thread count, so the task list (and therefore
 /// the merge order and all derived stats) is identical at any parallelism.
 constexpr std::size_t kMinShardRows = 64;
 constexpr std::size_t kMaxShards = 16;
@@ -45,14 +45,20 @@ std::size_t ShardCount(std::size_t rows) {
 }
 
 /// One unit of worker work: apply `rule` with the delta position matched
-/// against one shard of the delta, deriving into a task-local buffer.
+/// against one shard of its predicate's delta range, deriving into a
+/// task-local buffer.
 struct PassTask {
+  PassTask(std::size_t rule, std::size_t pos, const DeltaRanges* shard,
+           int head_arity)
+      : rule_index(rule), delta_pos(pos), ranges(shard), out(head_arity) {}
+
   std::size_t rule_index;
   std::size_t delta_pos;
-  const Database* delta_shard;
-  Database out;       // task-local derivation buffer
-  MatchStats match;   // task-local join counters
-  std::uint64_t insert_ns = 0;  // task-local insert timer (metrics only)
+  const DeltaRanges* ranges;  // the round's ranges, cut to this shard
+  Relation out;               // task-local derivation buffer
+  MatchStats match;           // task-local join counters
+  std::uint64_t derive_ns = 0;  // task-local phase timers (metrics only)
+  std::uint64_t insert_ns = 0;
   // Compiled plan resolved during prep (null on the legacy-matcher
   // ablation path); shared read-only across all shards of the pass.
   const CompiledRule* plan = nullptr;
@@ -66,19 +72,19 @@ struct PassTask {
 /// This is a superset of the probes actually issued: the matcher may
 /// abandon a prefix with no matches, but never probes a column set this
 /// walk does not cover.
-void EnsureIndexesForPass(const Database& full, const Database& delta_shard,
+void EnsureIndexesForPass(const Database& full, const DeltaRanges& shard,
                           const Rule& rule, std::size_t delta_pos) {
   if (!IndexLookupsEnabled()) return;
   std::vector<PlannedAtom> atoms =
       BuildDeltaPassAtoms(rule, delta_pos, /*use_old=*/true);
-  std::vector<PlannedAtom> order = PlanJoinOrder(full, &delta_shard, atoms);
+  std::vector<PlannedAtom> order = PlanJoinOrder(full, &shard, atoms);
   std::unordered_set<VariableId> bound;
   for (const PlannedAtom& planned : order) {
     const Atom& atom = planned.atom;
-    const Database& src =
-        planned.source == AtomSource::kDelta ? delta_shard : full;
-    const Relation& rel = src.relation(atom.predicate());
-    if (rel.empty() || rel.arity() != atom.arity()) {
+    const AtomRows src =
+        ResolveAtomRows(full, &shard, planned.source, atom.predicate());
+    const Relation& rel = *src.rel;
+    if (src.rows.empty() || rel.arity() != atom.arity()) {
       // Nothing to index; also keeps the shared empty-relation sentinel
       // untouched (the matcher skips empty relations too).
       for (const Term& t : atom.args()) {
@@ -126,61 +132,55 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
 
   // Round 0: everything already in the database counts as newly
   // discovered, restricted to the predicates some rule body reads (as in
-  // the sequential engine).
+  // the sequential engine). Later rounds read the rows the previous round
+  // appended, in place.
   std::set<PredicateId> read_preds;
   for (const Rule& rule : rules) {
     for (const Literal& lit : rule.body()) {
       if (!lit.negated) read_preds.insert(lit.atom.predicate());
     }
   }
-  Database delta(db->symbols());
+  DeltaRanges ranges(/*use_old=*/true);
   for (PredicateId pred : db->NonEmptyPredicates()) {
-    if (!read_preds.contains(pred)) continue;
-    const Relation& rel = db->relation(pred);
-    delta.AddRowRange(pred, rel, 0, rel.size());
+    if (read_preds.contains(pred)) {
+      ranges.SetDelta(pred, db->relation(pred).AllRows());
+    }
   }
 
-  OldLimits old_limits;
-
   // Plans are resolved once per (rule, delta position) per round against
-  // the WHOLE round delta -- never against an individual shard -- so the
-  // plan (and therefore every counter) is a function of the round state
-  // alone, identical at any thread count. All shards of a pass share the
-  // resolved plan read-only. The cache outlives the rounds, so join
-  // orders persist until cardinalities drift >= 4x.
+  // the WHOLE round delta range -- never against an individual shard --
+  // so the plan (and therefore every counter) is a function of the round
+  // state alone, identical at any thread count. All shards of a pass
+  // share the resolved plan read-only. The cache outlives the rounds, so
+  // join orders persist until cardinalities drift >= 4x.
   CompiledRuleCache cache;
 
-  // Write-path phase timers: read the clock only while metrics are on.
+  // Phase timers: read the clock only while metrics are on.
   const bool timed = MetricsRegistry::Get().enabled();
 
-  while (!delta.empty()) {
+  while (!ranges.empty()) {
     ++stats.iterations;
     TraceSpan round_span("parallel/round");
     round_span.Note("round", static_cast<std::uint64_t>(stats.iterations));
-    Watermarks marks = TakeWatermarks(*db);
+    const Watermarks marks = TakeWatermarks(*db);
 
-    // --- Snapshot preparation (single-threaded). Shard the delta and
-    // pre-build every index the round's plans will probe, so the fan-out
-    // phase only reads the database, the shards, and the indexes.
+    // --- Snapshot preparation (single-threaded). Shard each delta range
+    // and pre-build every index the round's plans will probe, so the
+    // fan-out phase only reads the database and the indexes.
     TraceSpan prep_span("parallel/prepare");
     Clock::time_point prep_start = Clock::now();
-    std::unordered_map<PredicateId, std::vector<Database>> shards;
-    for (PredicateId pred : delta.NonEmptyPredicates()) {
-      const Relation& rel = delta.relation(pred);
-      const std::size_t num_shards = ShardCount(rel.size());
-      std::vector<Database> shard_dbs;
-      shard_dbs.reserve(num_shards);
+    std::unordered_map<PredicateId, std::vector<DeltaRanges>> shards;
+    for (PredicateId pred : db->NonEmptyPredicates()) {
+      const RowSpan delta = ranges.delta(pred);
+      if (delta.empty()) continue;
+      const std::size_t num_shards = ShardCount(delta.size());
+      std::vector<DeltaRanges> shard_ranges(num_shards, ranges);
       for (std::size_t s = 0; s < num_shards; ++s) {
-        const std::size_t begin = s * rel.size() / num_shards;
-        const std::size_t end = (s + 1) * rel.size() / num_shards;
-        Database shard(db->symbols());
-        // Shards are cut in id space on the columnar backend: the shard
-        // relation shares the global dictionary, so the copy never
-        // hashes a Value.
-        shard.AddRowRange(pred, rel, begin, end);
-        shard_dbs.push_back(std::move(shard));
+        shard_ranges[s].SetDelta(
+            pred, RowSpan{delta.begin + s * delta.size() / num_shards,
+                          delta.begin + (s + 1) * delta.size() / num_shards});
       }
-      shards.emplace(pred, std::move(shard_dbs));
+      shards.emplace(pred, std::move(shard_ranges));
     }
 
     // Task list in deterministic (rule, delta position, shard) order; the
@@ -196,25 +196,28 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
         if (it == shards.end()) continue;  // no delta facts for this atom
         ++stats.rule_applications;
         ++stats.per_rule[ri].applications;
-        for (const Database& shard : it->second) {
-          tasks.push_back(
-              PassTask{ri, p, &shard, Database(db->symbols()), MatchStats{}});
+        const int head_arity =
+            db->symbols()->PredicateArity(rule.head().predicate());
+        for (const DeltaRanges& shard : it->second) {
+          tasks.emplace_back(ri, p, &shard, head_arity);
         }
       }
     }
     if (CompiledRulePlansEnabled()) {
       for (PassTask& task : tasks) {
-        const CompiledRule& plan =
-            cache.Get(task.rule_index, rules[task.rule_index], task.delta_pos,
-                      /*use_old=*/true, *db, &delta);
-        task.plan = &plan;
+        {
+          PhaseTimer timer(timed ? &stats.plan_ns : nullptr);
+          task.plan = &cache.Get(task.rule_index, rules[task.rule_index],
+                                 task.delta_pos, /*use_old=*/true, *db,
+                                 &ranges);
+        }
         // Per-shard index builds still happen here, single-threaded:
         // after this, Execute is read-only on every relation it probes.
-        plan.EnsureIndexes(*db, task.delta_shard);
+        task.plan->EnsureIndexes(*db, task.ranges);
       }
     } else {
       for (const PassTask& task : tasks) {
-        EnsureIndexesForPass(*db, *task.delta_shard, rules[task.rule_index],
+        EnsureIndexesForPass(*db, *task.ranges, rules[task.rule_index],
                              task.delta_pos);
       }
     }
@@ -233,17 +236,20 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     stats.parallel_tasks += tasks.size();
     const Database& frozen = *db;
     for (PassTask& task : tasks) {
-      pool->Submit([&rules, &frozen, &old_limits, &task, timed] {
+      pool->Submit([&rules, &frozen, &task, timed] {
         TraceSpan task_span("parallel/task");
-        std::uint64_t* insert_ns = timed ? &task.insert_ns : nullptr;
+        PhaseSinks sinks;
+        if (timed) {
+          sinks.derive_ns = &task.derive_ns;
+          sinks.insert_ns = &task.insert_ns;
+        }
         if (task.plan != nullptr) {
-          task.plan->Apply(frozen, task.delta_shard, &old_limits, &task.out,
-                           &task.match, insert_ns);
+          task.plan->Apply(frozen, task.ranges, &task.out, &task.match,
+                           sinks);
         } else {
-          ApplyRuleWithDelta(rules[task.rule_index], frozen, *task.delta_shard,
+          ApplyRuleWithDelta(rules[task.rule_index], frozen, *task.ranges,
                              task.delta_pos, &task.out, &task.match,
-                             &old_limits, /*cache=*/nullptr, /*rule_index=*/0,
-                             insert_ns);
+                             /*cache=*/nullptr, /*rule_index=*/0, sinks);
         }
         if (task_span.active()) {
           task_span.Note("rule", task.rule_index);
@@ -264,14 +270,14 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     const std::uint64_t facts_before_merge = stats.facts_derived;
     for (const PassTask& task : tasks) {
       stats.match.Add(task.match);
+      stats.derive_ns += task.derive_ns;
       stats.insert_ns += task.insert_ns;
       stats.per_rule[task.rule_index].substitutions +=
           task.match.substitutions;
       // Id-space row copy of the task's buffer, in its derivation order.
       const PredicateId head = rules[task.rule_index].head().predicate();
-      const Relation& derived = task.out.relation(head);
       const std::size_t added =
-          db->AddRowRange(head, derived, 0, derived.size());
+          db->AddRowRange(head, task.out, 0, task.out.size());
       stats.facts_derived += added;
       stats.per_rule[task.rule_index].facts += added;
     }
@@ -280,9 +286,7 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     merge_span.End();
     round_span.Note("facts", stats.facts_derived - facts_before_merge);
 
-    old_limits = marks;
-    PhaseTimer cut_timer(timed ? &stats.delta_cut_ns : nullptr);
-    delta = CollectNewFacts(*db, marks);
+    ranges = RangesSince(*db, marks, /*use_old=*/true);
   }
   return stats;
 }

@@ -14,10 +14,12 @@ namespace datalog {
 
 /// Parallel semi-naive evaluation: computes exactly the same database as
 /// EvaluateSemiNaive, but fans the (rule, delta-position, delta-shard)
-/// passes of each round out across a worker pool. Within a round every
-/// worker matches against a frozen read snapshot (the database as of the
-/// round start plus the immutable delta, with all needed indexes pre-built
-/// single-threaded), derives into a task-local buffer, and the buffers are
+/// passes of each round out across a worker pool; a shard is a contiguous
+/// sub-range of a predicate's delta range. Within a round every worker
+/// matches against a frozen read snapshot (the database as of the round
+/// start, whose appended rows since the last round are the delta, with
+/// all needed indexes pre-built single-threaded), derives into a
+/// task-local buffer, and the buffers are
 /// merged into the database single-threaded at the round barrier in task
 /// order -- so the result and every non-timing counter of EvalStats are
 /// deterministic, independent of scheduling and of `num_threads`.

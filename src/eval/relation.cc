@@ -210,9 +210,9 @@ std::size_t Relation::AddRowRange(const Relation& src, std::size_t begin,
   if (begin >= end) return 0;
   CheckWidth(static_cast<std::size_t>(src.arity_));
   if (columnar_ && src.columnar_) {
-    if (num_rows_ == 0) {
-      CopyIntoEmpty(src, begin, end);
-      return end - begin;
+    if (num_rows_ == 0 && begin == 0 && end == src.num_rows_) {
+      CopyIntoEmpty(src);
+      return end;
     }
     ReserveRows(end - begin);
     std::vector<std::uint32_t>& ids = IdScratch();
@@ -233,21 +233,16 @@ std::size_t Relation::AddRowRange(const Relation& src, std::size_t begin,
   return added;
 }
 
-void Relation::CopyIntoEmpty(const Relation& src, std::size_t begin,
-                             std::size_t end) {
+void Relation::CopyIntoEmpty(const Relation& src) {
   for (std::size_t c = 0; c < columns_.size(); ++c) {
-    const std::vector<std::uint32_t>& from = src.columns_[c];
-    columns_[c].assign(from.begin() + static_cast<std::ptrdiff_t>(begin),
-                       from.begin() + static_cast<std::ptrdiff_t>(end));
+    columns_[c].assign(src.columns_[c].begin(),
+                       src.columns_[c].begin() +
+                           static_cast<std::ptrdiff_t>(src.num_rows_));
   }
-  num_rows_ = end - begin;
-  if (begin == 0 && end == src.num_rows_) {
-    // A whole-relation copy keeps every row id, so src's dedup table is
-    // already this one, verbatim.
-    id_table_ = src.id_table_;
-    return;
-  }
-  id_table_.Rebuild(columns_, num_rows_);
+  num_rows_ = src.num_rows_;
+  // Every row keeps its id, so src's dedup table is already this one,
+  // verbatim.
+  id_table_ = src.id_table_;
 }
 
 std::uint32_t Relation::FindRow(RowRef row) const {
@@ -345,28 +340,76 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
   for (auto& [col, cache] : sorted_keys_) {
     cache.keys.clear();
     cache.built_up_to = 0;
+    cache.spans.clear();
   }
   return erased;
 }
 
-const std::vector<std::uint32_t>& Relation::SortedColumnKeys(
-    int column) const {
+const std::vector<std::uint32_t>& Relation::SortedKeys(int column,
+                                                     RowSpan rows) const {
   if (!columnar_) return EmptyRowIds();  // row store: no id columns
+  rows = Bounds(rows);
   SortedKeyCache& cache = sorted_keys_[column];
-  if (cache.built_up_to != num_rows_) {
-    // Appended (or erased-and-compacted) rows since the last build: a
-    // merge of the new ids is no cheaper than re-sorting the column, so
-    // rebuild from scratch. The fixpoint engines call this once per
-    // round per root probe, on relations that grow by whole deltas.
-    const std::vector<std::uint32_t>& col =
-        columns_[static_cast<std::size_t>(column)];
-    cache.keys.assign(col.begin(), col.end());
-    std::sort(cache.keys.begin(), cache.keys.end());
-    cache.keys.erase(std::unique(cache.keys.begin(), cache.keys.end()),
-                     cache.keys.end());
-    cache.built_up_to = num_rows_;
+  if (rows.begin == 0 && rows.end == num_rows_) {
+    if (cache.built_up_to != num_rows_) {
+      // Appended (or erased-and-compacted) rows since the last build: a
+      // merge of the new ids is no cheaper than re-sorting the column, so
+      // rebuild from scratch. The fixpoint engines ask once per round per
+      // root probe, on relations that grow by whole deltas.
+      CollectSortedKeys({column}, rows, &cache.keys);
+      cache.built_up_to = num_rows_;
+    }
+    return cache.keys;
   }
-  return cache.keys;
+  const auto key = std::make_pair(rows.begin, rows.end);
+  auto it = cache.spans.find(key);
+  if (it != cache.spans.end()) return it->second;
+  if (cache.spans_at != num_rows_) {
+    // Spans cut at an earlier size belong to a finished round.
+    cache.spans.clear();
+    cache.spans_at = num_rows_;
+  }
+  std::vector<std::uint32_t>& keys = cache.spans[key];
+  CollectSortedKeys({column}, rows, &keys);
+  return keys;
+}
+
+void Relation::CollectSortedKeys(const std::vector<int>& columns,
+                                 RowSpan rows,
+                                 std::vector<std::uint32_t>* out) const {
+  out->clear();
+  if (!columnar_) return;
+  rows = Bounds(rows);
+  const std::vector<std::uint32_t>& c0 =
+      columns_[static_cast<std::size_t>(columns[0])];
+  for (std::size_t i = rows.begin; i < rows.end; ++i) {
+    const std::uint32_t id = c0[i];
+    bool ok = true;
+    for (std::size_t k = 1; k < columns.size(); ++k) {
+      if (columns_[static_cast<std::size_t>(columns[k])][i] != id) {
+        ok = false;
+        break;
+      }
+    }
+    if (ok) out->push_back(id);
+  }
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+std::span<const std::uint32_t> Relation::CutPostings(
+    const std::vector<std::uint32_t>& postings, RowSpan rows) {
+  const std::uint32_t* first = postings.data();
+  const std::uint32_t* last = first + postings.size();
+  if (first == last) return {};
+  auto below = [](std::uint32_t id, std::size_t bound) { return id < bound; };
+  if (*first < rows.begin) {
+    first = std::lower_bound(first, last, rows.begin, below);
+  }
+  if (first != last && last[-1] >= rows.end) {
+    last = std::lower_bound(first, last, rows.end, below);
+  }
+  return {first, static_cast<std::size_t>(last - first)};
 }
 
 const std::vector<std::uint32_t>& Relation::EmptyRowIds() {

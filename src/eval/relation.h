@@ -1,11 +1,14 @@
 #ifndef DATALOG_EVAL_RELATION_H_
 #define DATALOG_EVAL_RELATION_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "eval/tuple.h"
@@ -36,6 +39,19 @@ struct IdRowBuffer {
 };
 
 class Relation;
+
+/// Rows [begin, end) of one relation. Every atom source of semi-naive
+/// evaluation is one of these over the full relation -- kFull reads
+/// [0, size), kOld [0, old) and kDelta [old, mark) -- so a round reads
+/// its delta in place (see DeltaRanges in eval/rule_matcher.h).
+struct RowSpan {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+
+  bool empty() const { return end <= begin; }
+  std::size_t size() const { return empty() ? 0 : end - begin; }
+  bool contains(std::size_t row) const { return begin <= row && row < end; }
+};
 
 /// A non-owning view of one row: a row of a Relation (either backend) or
 /// a Tuple. `operator[]` yields the column's Value -- on a columnar
@@ -173,10 +189,10 @@ class Relation {
 
   /// Appends rows [begin, end) of `src` (same arity) in order; returns
   /// how many were new. Between columnar relations the copy stays in id
-  /// space, and into an EMPTY relation -- every semi-naive delta cut,
-  /// parallel shard and EDB copy -- it is a bulk column copy that fills
-  /// the dedup table without a single equality probe: the rows of one
-  /// relation are already distinct.
+  /// space, and a whole relation copied into an EMPTY one -- an EDB copy,
+  /// a parallel task's derivations merged into a relation that had none
+  /// -- takes the columns and the dedup table verbatim, without a single
+  /// equality probe.
   std::size_t AddRowRange(const Relation& src, std::size_t begin,
                           std::size_t end);
 
@@ -194,8 +210,9 @@ class Relation {
   /// The id of the stored row equal to `row`, or kNoRow. On the columnar
   /// backend this is one dedup-table probe (ids read straight from `row`
   /// when it is itself a columnar row view); on the row store one hash
-  /// lookup. Rows are append-only, so on an old snapshot a fully bound
-  /// atom matches iff the id is below the snapshot's limit.
+  /// lookup. Rows are append-only, so a fully bound atom over a row
+  /// range (an old snapshot, a delta) matches iff the id lies inside it
+  /// (FindRowIn).
   std::uint32_t FindRow(RowRef row) const;
   bool Contains(RowRef row) const { return FindRow(row) != kNoRow; }
   bool Contains(const Tuple& tuple) const { return Contains(RowRef(tuple)); }
@@ -203,6 +220,36 @@ class Relation {
   /// Columnar-only hot path of FindRow: `ids` points at arity() ids.
   std::uint32_t FindRowIds(const std::uint32_t* ids) const {
     return id_table_.Find(columns_, ids);
+  }
+
+  /// FindRow / FindRowIds restricted to `rows`: the matching row's id
+  /// when it lies inside the span, kNoRow otherwise. Rows are
+  /// append-only, so this is how a fully bound atom reads an old
+  /// snapshot or a delta range.
+  std::uint32_t FindRowIn(RowRef row, RowSpan rows) const {
+    const std::uint32_t id = FindRow(row);
+    return rows.contains(id) ? id : kNoRow;
+  }
+  std::uint32_t FindRowIdsIn(const std::uint32_t* ids, RowSpan rows) const {
+    const std::uint32_t id = FindRowIds(ids);
+    return rows.contains(id) ? id : kNoRow;
+  }
+
+  /// Scan bounds: `rows` clipped to the rows that exist.
+  RowSpan Bounds(RowSpan rows) const {
+    return {std::min(rows.begin, num_rows_), std::min(rows.end, num_rows_)};
+  }
+  RowSpan AllRows() const { return {0, num_rows_}; }
+
+  /// The segment of `postings` -- an ascending row-id list from one of
+  /// this relation's indexes -- that lies inside `rows`, found by binary
+  /// search at each end that cuts anything off. A span covering the whole
+  /// relation costs two inline compares and reads no posting. Its size()
+  /// is the number of matching rows in the span, in ascending row order.
+  std::span<const std::uint32_t> PostingsIn(
+      const std::vector<std::uint32_t>& postings, RowSpan rows) const {
+    if (rows.begin == 0 && rows.end >= num_rows_) return postings;
+    return CutPostings(postings, rows);
   }
 
   /// Membership by dictionary ids; agrees with Contains on the resolved
@@ -358,15 +405,30 @@ class Relation {
   SingleIndexView PrepareSingleIndex(int column) const;
   MultiIndexView PrepareIndex(const std::vector<int>& columns) const;
 
-  /// The sorted distinct dictionary ids stored in `column` (columnar
-  /// backend only): the root candidate list the multiway-intersection
-  /// plan shape intersects against (see docs/multiway_joins.md). Built
-  /// lazily and rebuilt when rows were appended since the last call;
-  /// same thread-safety contract as Lookup (write-free when current, so
-  /// EnsureSortedKeys before a parallel fan-out makes it a pure read).
-  /// EraseAll invalidates the cache in place, like the indexes above.
-  const std::vector<std::uint32_t>& SortedColumnKeys(int column) const;
-  void EnsureSortedKeys(int column) const { SortedColumnKeys(column); }
+  /// The sorted distinct dictionary ids stored in `column` over `rows`
+  /// (columnar backend only; empty on the row store): the root candidate
+  /// list the multiway-intersection plan shape intersects against (see
+  /// docs/multiway_joins.md). Cached: the whole relation's list is
+  /// rebuilt when rows were appended since the last call, and a partial
+  /// span's list -- a round's delta range, or a parallel shard of it --
+  /// is computed once and kept until a span is asked for at a larger
+  /// relation size, i.e. in a later round. An enumeration reads one span
+  /// per column, so dropping those never pulls a list from under a
+  /// reader. Same thread-safety contract as Lookup: write-free when
+  /// cached, so EnsureSortedKeys before a parallel fan-out makes it a
+  /// pure read. EraseAll drops every cached list.
+  const std::vector<std::uint32_t>& SortedKeys(int column,
+                                               RowSpan rows) const;
+  void EnsureSortedKeys(int column, RowSpan rows) const {
+    SortedKeys(column, rows);
+  }
+
+  /// Uncached form of SortedKeys that also handles repeated variables:
+  /// sets `*out` to the sorted distinct ids v such that some row of
+  /// `rows` holds v in every column of `columns` (non-empty; columnar
+  /// backend only).
+  void CollectSortedKeys(const std::vector<int>& columns, RowSpan rows,
+                         std::vector<std::uint32_t>* out) const;
 
   static const std::vector<std::uint32_t>& EmptyRowIds();
 
@@ -502,13 +564,16 @@ class Relation {
   /// `additional` more rows about to be appended. The dedup table is left
   /// to grow with the rows actually inserted, which may be far fewer.
   void ReserveRows(std::size_t additional);
+  /// PostingsIn for a span that does not cover the whole relation.
+  static std::span<const std::uint32_t> CutPostings(
+      const std::vector<std::uint32_t>& postings, RowSpan rows);
   /// Width check shared by the insert entries.
   void CheckWidth(std::size_t width) const;
   /// Columnar insert of arity() ids at `ids` (width already checked).
   bool InsertIdsUnchecked(const std::uint32_t* ids);
-  /// Bulk id-space copy of src rows [begin, end) into this empty columnar
+  /// Bulk id-space copy of every row of `src` into this empty columnar
   /// relation (see AddRowRange).
-  void CopyIntoEmpty(const Relation& src, std::size_t begin, std::size_t end);
+  void CopyIntoEmpty(const Relation& src);
 
   /// Transparent hashing/equality over RowRef, so the row store's map
   /// answers probes by any row view without building a key Tuple.
@@ -542,6 +607,11 @@ class Relation {
   struct SortedKeyCache {
     std::vector<std::uint32_t> keys;  // sorted distinct ids
     std::size_t built_up_to = 0;      // rows [0, built_up_to) contributed
+    // Partial spans, keyed by (begin, end), all computed while the
+    // relation held `spans_at` rows.
+    std::map<std::pair<std::size_t, std::size_t>, std::vector<std::uint32_t>>
+        spans;
+    std::size_t spans_at = 0;
   };
 
   void ExtendIndex(const std::vector<int>& columns, ColumnIndex* index) const;

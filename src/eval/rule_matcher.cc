@@ -42,6 +42,45 @@ void SetJoinOrderHints(const JoinOrderHints* hints) {
 const JoinOrderHints* InstalledJoinOrderHints() { return join_order_hints; }
 std::uint64_t JoinOrderHintsVersion() { return join_order_hints_version; }
 
+DeltaRanges DeltaRanges::Whole(const Database& delta, bool use_old) {
+  DeltaRanges ranges(use_old);
+  ranges.delta_db_ = &delta;
+  for (PredicateId pred : delta.NonEmptyPredicates()) {
+    ranges.SetDelta(pred, delta.relation(pred).AllRows());
+  }
+  return ranges;
+}
+
+bool DeltaRanges::empty() const {
+  for (const Entry& entry : entries_) {
+    if (!entry.delta.empty()) return false;
+  }
+  return true;
+}
+
+AtomRows ResolveAtomRows(const Database& full, const DeltaRanges* ranges,
+                         AtomSource source, PredicateId pred) {
+  if (source == AtomSource::kDelta) {
+    if (ranges == nullptr) return {&full.relation(pred), RowSpan{}};
+    const Relation& rel = ranges->DeltaRelation(full, pred);
+    return {&rel, rel.Bounds(ranges->delta(pred))};
+  }
+  const Relation& rel = full.relation(pred);
+  if (source == AtomSource::kOld) {
+    const std::size_t old = ranges == nullptr ? 0 : ranges->old(pred);
+    return {&rel, rel.Bounds(RowSpan{0, old})};
+  }
+  return {&rel, rel.AllRows()};
+}
+
+std::size_t PlanningSize(const Database& full, const DeltaRanges* ranges,
+                         AtomSource source, PredicateId pred) {
+  if (source == AtomSource::kDelta) {
+    return ResolveAtomRows(full, ranges, source, pred).rows.size();
+  }
+  return full.relation(pred).size();
+}
+
 std::uint64_t BodyFingerprint(const std::vector<PlannedAtom>& atoms) {
   std::size_t seed = 0xda7a106u;
   for (const PlannedAtom& planned : atoms) {
@@ -55,16 +94,12 @@ namespace {
 /// Recursive backtracking join over the planned atoms.
 class Matcher {
  public:
-  Matcher(const Database& full, const Database* delta,
+  Matcher(const Database& full, const DeltaRanges* ranges,
           const std::vector<PlannedAtom>& atoms,
           const std::function<bool(const Binding&)>& callback,
-          MatchStats* stats, const OldLimits* old_limits = nullptr)
-      : full_(full),
-        delta_(delta),
-        callback_(callback),
-        stats_(stats),
-        old_limits_(old_limits) {
-    order_ = PlanJoinOrder(full, delta, atoms);
+          MatchStats* stats)
+      : full_(full), ranges_(ranges), callback_(callback), stats_(stats) {
+    order_ = PlanJoinOrder(full, ranges, atoms);
   }
 
   void Run() {
@@ -78,17 +113,6 @@ class Matcher {
   }
 
  private:
-  const Database& SourceDb(AtomSource source) const {
-    return source == AtomSource::kDelta ? *delta_ : full_;
-  }
-
-  /// Rows [0, OldLimit(pred)) of the full relation form the old snapshot.
-  std::size_t OldLimit(PredicateId pred) const {
-    if (old_limits_ == nullptr) return 0;
-    auto it = old_limits_->find(pred);
-    return it == old_limits_->end() ? 0 : it->second;
-  }
-
   bool Enumerate(std::size_t depth) {
     if (depth == order_.size()) {
       if (stats_ != nullptr) ++stats_->substitutions;
@@ -96,8 +120,11 @@ class Matcher {
     }
     const PlannedAtom& planned = order_[depth];
     const Atom& atom = planned.atom;
-    const Relation& rel = SourceDb(planned.source).relation(atom.predicate());
-    if (rel.empty()) {
+    const AtomRows src =
+        ResolveAtomRows(full_, ranges_, planned.source, atom.predicate());
+    const Relation& rel = *src.rel;
+    const RowSpan rows = src.rows;
+    if (rows.empty()) {
       // No rows, no matches. Returning before any Lookup also keeps the
       // shared empty-relation sentinel write-free, which the parallel
       // evaluator's frozen-snapshot contract relies on.
@@ -106,10 +133,6 @@ class Matcher {
     if (rel.arity() != atom.arity()) {
       return true;  // arity mismatch cannot match (defensive; validated earlier)
     }
-    const bool old_only = planned.source == AtomSource::kOld;
-    const std::size_t old_limit =
-        old_only ? OldLimit(atom.predicate()) : rel.size();
-    if (old_only && old_limit == 0) return true;  // no old rows at all
 
     // Split argument positions into bound (constant / bound variable) and
     // free.
@@ -138,10 +161,9 @@ class Matcher {
     if (IndexLookupsEnabled() &&
         static_cast<int>(bound_cols.size()) == atom.arity()) {
       // Fully bound: membership test, one lookup of the unique matching
-      // row. The old snapshot additionally needs that row to predate the
-      // limit (old_limit is the relation size otherwise).
+      // row, which must lie in the atom's rows.
       if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (rel.FindRow(key) < old_limit) {
+      if (rel.FindRowIn(key, rows) != Relation::kNoRow) {
         return Enumerate(depth + 1);
       }
       return true;
@@ -168,7 +190,7 @@ class Matcher {
     };
 
     if (bound_cols.empty()) {
-      for (std::size_t i = 0; i < old_limit; ++i) {
+      for (std::size_t i = rows.begin; i < rows.end; ++i) {
         if (stats_ != nullptr) ++stats_->tuples_scanned;
         if (!try_row(rel.row(i))) return false;
       }
@@ -176,7 +198,7 @@ class Matcher {
     }
 
     if (!IndexLookupsEnabled()) {
-      for (std::size_t i = 0; i < old_limit; ++i) {
+      for (std::size_t i = rows.begin; i < rows.end; ++i) {
         const RowRef row = rel.row(i);
         if (stats_ != nullptr) ++stats_->tuples_scanned;
         bool matches = true;
@@ -191,8 +213,8 @@ class Matcher {
       return true;
     }
 
-    for (std::uint32_t row_id : rel.Lookup(bound_cols, key)) {
-      if (old_only && row_id >= old_limit) continue;
+    for (std::uint32_t row_id :
+         rel.PostingsIn(rel.Lookup(bound_cols, key), rows)) {
       if (stats_ != nullptr) ++stats_->tuples_scanned;
       if (!try_row(rel.row(row_id))) return false;
     }
@@ -200,12 +222,11 @@ class Matcher {
   }
 
   const Database& full_;
-  const Database* delta_;
+  const DeltaRanges* ranges_;
   // Stored by value: callers commonly pass a temporary std::function
   // constructed from a lambda at the call site.
   std::function<bool(const Binding&)> callback_;
   MatchStats* stats_;
-  const OldLimits* old_limits_;
   std::vector<PlannedAtom> order_;
   Binding binding_;
 };
@@ -223,52 +244,59 @@ bool NegationHolds(const Rule& rule, const Database& full,
 }
 
 std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
-                          const Database* delta,
+                          const DeltaRanges* ranges,
                           std::size_t delta_pos,  // or npos
-                          Database* out, MatchStats* stats,
-                          const OldLimits* old_limits,
+                          Relation* out, MatchStats* stats,
                           CompiledRuleCache* cache, std::size_t rule_index,
-                          std::uint64_t* insert_ns) {
-  const bool use_old = old_limits != nullptr;
+                          const PhaseSinks& sinks) {
+  const bool use_old = ranges != nullptr && ranges->use_old();
   if (CompiledRulePlansEnabled()) {
     if (cache != nullptr) {
-      const CompiledRule& plan =
-          cache->Get(rule_index, rule, delta_pos, use_old, full, delta);
-      return plan.Apply(full, delta, old_limits, out, stats, insert_ns);
+      const CompiledRule* plan;
+      {
+        PhaseTimer timer(sinks.plan_ns);
+        plan = &cache->Get(rule_index, rule, delta_pos, use_old, full, ranges);
+      }
+      return plan->Apply(full, ranges, out, stats, sinks);
     }
-    CompiledRule plan =
-        CompiledRule::Compile(rule, delta_pos, use_old, full, delta);
-    return plan.Apply(full, delta, old_limits, out, stats, insert_ns);
+    CompiledRule plan;
+    {
+      PhaseTimer timer(sinks.plan_ns);
+      plan = CompiledRule::Compile(rule, delta_pos, use_old, full, ranges);
+    }
+    return plan.Apply(full, ranges, out, stats, sinks);
   }
 
   std::vector<PlannedAtom> atoms =
       BuildDeltaPassAtoms(rule, delta_pos, use_old);
 
   // Derived tuples are buffered and inserted only after the enumeration
-  // finishes: `out` may alias `full`, and inserting while the matcher is
-  // iterating rows/indexes of the same relation would invalidate them.
+  // finishes: `out` may be a relation of `full`, and inserting while the
+  // matcher is iterating rows/indexes of the same relation would
+  // invalidate them.
   std::vector<Tuple> derived;
-  auto on_match = [&](const Binding& binding) {
-    if (!NegationHolds(rule, full, binding)) return true;
-    derived.push_back(InstantiateHead(rule.head(), binding));
-    return true;
-  };
-  Matcher matcher(full, delta, atoms, on_match, stats, old_limits);
-  matcher.Run();
+  {
+    PhaseTimer timer(sinks.derive_ns);
+    auto on_match = [&](const Binding& binding) {
+      if (!NegationHolds(rule, full, binding)) return true;
+      derived.push_back(InstantiateHead(rule.head(), binding));
+      return true;
+    };
+    Matcher matcher(full, ranges, atoms, on_match, stats);
+    matcher.Run();
+  }
 
-  PhaseTimer timer(insert_ns);
+  PhaseTimer timer(sinks.insert_ns);
   std::size_t new_facts = 0;
   for (Tuple& tuple : derived) {
-    if (out->AddFact(rule.head().predicate(), std::move(tuple))) {
-      ++new_facts;
-    }
+    if (out->Insert(std::move(tuple))) ++new_facts;
   }
   return new_facts;
 }
 
 }  // namespace
 
-void MatchAtoms(const Database& full, const Database* delta,
+void MatchAtoms(const Database& full, const DeltaRanges* ranges,
                 const std::vector<PlannedAtom>& atoms,
                 const std::function<bool(const Binding&)>& callback,
                 MatchStats* stats) {
@@ -276,17 +304,16 @@ void MatchAtoms(const Database& full, const Database* delta,
     // Thin adapter over the compiled path: the enumeration runs on the
     // flat frame and a Binding is materialized only per complete match
     // (overwritten in place, so buckets are allocated once).
-    const CompiledRule plan = CompiledRule::CompileAtoms(atoms, full, delta);
+    const CompiledRule plan = CompiledRule::CompileAtoms(atoms, full, ranges);
     MatchFrame frame(plan);
     Binding binding;
-    plan.Execute(full, delta, /*old_limits=*/nullptr, &frame, stats,
-                 [&](const MatchFrame& f) {
-                   plan.FillBinding(f, &binding);
-                   return callback(binding);
-                 });
+    plan.Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
+      plan.FillBinding(f, &binding);
+      return callback(binding);
+    });
     return;
   }
-  Matcher matcher(full, delta, atoms, callback, stats);
+  Matcher matcher(full, ranges, atoms, callback, stats);
   matcher.Run();
 }
 
@@ -314,7 +341,7 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
 /// estimated probe given the variables bound so far (more bound columns
 /// and smaller relations first).
 std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
-                                       const Database* delta,
+                                       const DeltaRanges* ranges,
                                        const std::vector<PlannedAtom>& atoms) {
   // An installed hint overrides the greedy planner when it is a valid
   // permutation of the body; anything malformed falls through, so hints
@@ -341,9 +368,6 @@ std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
     }
   }
   if (!GreedyJoinOrderingEnabled()) return atoms;
-  auto source_db = [&](AtomSource source) -> const Database& {
-    return source == AtomSource::kDelta ? *delta : full;
-  };
   std::vector<PlannedAtom> order;
   std::vector<bool> used(atoms.size(), false);
   std::vector<bool> bound_vars;  // indexed by variable id, grown on demand
@@ -371,7 +395,7 @@ std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
         }
       }
       double rel_size = static_cast<double>(
-          source_db(atoms[i].source).relation(atom.predicate()).size());
+          PlanningSize(full, ranges, atoms[i].source, atom.predicate()));
       double cost = rel_size;
       for (int b = 0; b < bound; ++b) cost /= 4.0;  // crude selectivity
       if (cost < best_cost) {
@@ -403,22 +427,21 @@ Tuple InstantiateHead(const Atom& atom, const Binding& binding) {
 
 std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
                       MatchStats* stats, CompiledRuleCache* cache,
-                      std::size_t rule_index, std::uint64_t* insert_ns) {
-  return ApplyRuleImpl(rule, full, /*delta=*/nullptr,
+                      std::size_t rule_index, const PhaseSinks& sinks) {
+  return ApplyRuleImpl(rule, full, /*ranges=*/nullptr,
                        /*delta_pos=*/std::numeric_limits<std::size_t>::max(),
-                       out, stats, /*old_limits=*/nullptr, cache, rule_index,
-                       insert_ns);
+                       &out->MutableRelation(rule.head().predicate()), stats,
+                       cache, rule_index, sinks);
 }
 
 std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
-                               const Database& delta, std::size_t delta_pos,
-                               Database* out, MatchStats* stats,
-                               const OldLimits* old_limits,
-                               CompiledRuleCache* cache,
+                               const DeltaRanges& ranges,
+                               std::size_t delta_pos, Relation* out,
+                               MatchStats* stats, CompiledRuleCache* cache,
                                std::size_t rule_index,
-                               std::uint64_t* insert_ns) {
-  return ApplyRuleImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
-                       cache, rule_index, insert_ns);
+                               const PhaseSinks& sinks) {
+  return ApplyRuleImpl(rule, full, &ranges, delta_pos, out, stats, cache,
+                       rule_index, sinks);
 }
 
 }  // namespace datalog

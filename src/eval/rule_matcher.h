@@ -8,6 +8,7 @@
 
 #include "ast/rule.h"
 #include "eval/database.h"
+#include "eval/relation.h"
 
 namespace datalog {
 
@@ -26,16 +27,95 @@ struct MatchStats {
   }
 };
 
-/// Which database a body atom is matched against during semi-naive
-/// evaluation: the full database, the last round's delta, or the "old"
-/// prefix of the full database (rows that existed before the delta was
-/// born -- expressible as a per-predicate row-count bound because
-/// relations are append-only).
+/// Which rows of which relation a body atom is matched against during
+/// semi-naive evaluation: the full relation, the last round's delta, or
+/// the "old" prefix of the full relation (rows that existed before the
+/// delta was born). Relations are append-only, so all three are row
+/// ranges of the full relation; DeltaRanges says where they lie.
 enum class AtomSource { kFull, kDelta, kOld };
 
-/// Per-predicate row-count bounds defining the "old" snapshot; predicates
-/// absent from the map have no old rows.
-using OldLimits = std::unordered_map<PredicateId, std::size_t>;
+/// The old and delta row ranges of one semi-naive rule application, per
+/// predicate: kOld reads rows [0, old) of the full relation and kDelta
+/// reads rows [begin, end) of the delta relation -- the full relation
+/// itself, so a round reads the facts it found last round in place,
+/// unless the ranges were made by Whole over a separate delta database
+/// (the incremental view's first insertion round, whose Δ⁺ need not be
+/// a row suffix of the view). Predicates never set have no old and no
+/// delta rows. Cheap to copy: the parallel engine hands each shard of a
+/// delta range its own copy.
+class DeltaRanges {
+ public:
+  /// `use_old` selects the classic old/delta/full split: body atoms
+  /// before the delta position read the old snapshot. Without it they
+  /// read the full relation, and no old limit is consulted.
+  explicit DeltaRanges(bool use_old) : use_old_(use_old) {}
+
+  /// Reads every predicate's delta as all rows of its relation in
+  /// `delta`, which must outlive the ranges.
+  static DeltaRanges Whole(const Database& delta, bool use_old);
+
+  void SetOld(PredicateId pred, std::size_t old) { At(pred).old = old; }
+  void SetDelta(PredicateId pred, RowSpan rows) { At(pred).delta = rows; }
+
+  bool use_old() const { return use_old_; }
+  std::size_t old(PredicateId pred) const { return Get(pred).old; }
+  RowSpan delta(PredicateId pred) const { return Get(pred).delta; }
+  /// True when no predicate has delta rows.
+  bool empty() const;
+
+  /// The relation `pred`'s delta range reads.
+  const Relation& DeltaRelation(const Database& full,
+                                PredicateId pred) const {
+    return (delta_db_ != nullptr ? *delta_db_ : full).relation(pred);
+  }
+
+ private:
+  struct Entry {
+    std::size_t old = 0;
+    RowSpan delta;
+  };
+  Entry& At(PredicateId pred) {
+    const auto i = static_cast<std::size_t>(pred);
+    if (i >= entries_.size()) entries_.resize(i + 1);
+    return entries_[i];
+  }
+  Entry Get(PredicateId pred) const {
+    const auto i = static_cast<std::size_t>(pred);
+    return i < entries_.size() ? entries_[i] : Entry{};
+  }
+
+  bool use_old_;
+  const Database* delta_db_ = nullptr;  // null: the full database
+  std::vector<Entry> entries_;          // indexed by PredicateId
+};
+
+/// The relation an atom of `pred` read from `source` sees, and the rows
+/// of it the atom matches. `ranges` may be null when no atom reads kDelta
+/// or kOld (kDelta then reads nothing, and kOld has no old rows).
+struct AtomRows {
+  const Relation* rel;
+  RowSpan rows;
+};
+AtomRows ResolveAtomRows(const Database& full, const DeltaRanges* ranges,
+                         AtomSource source, PredicateId pred);
+
+/// The relation size the join planner and the >= 4x replan check weigh
+/// an atom by: its delta range for kDelta, the full relation otherwise
+/// (an old snapshot is sized like the relation it is a prefix of).
+std::size_t PlanningSize(const Database& full, const DeltaRanges* ranges,
+                         AtomSource source, PredicateId pred);
+
+/// Where a rule application adds the wall time of its phases: planning
+/// (CompiledRuleCache::Get, including the >= 4x replan), deriving head
+/// rows (probe, enumerate, head emit, and the index and sorted-key
+/// preparation inside), and inserting them. A null sink skips its clock
+/// reads; the engines fill the sinks only while the MetricsRegistry is
+/// enabled (see EvalStats).
+struct PhaseSinks {
+  std::uint64_t* plan_ns = nullptr;
+  std::uint64_t* derive_ns = nullptr;
+  std::uint64_t* insert_ns = nullptr;
+};
 
 /// A body atom together with its source.
 struct PlannedAtom {
@@ -126,8 +206,8 @@ class CompiledRuleCache;  // eval/compiled_rule.h
 /// (most-bound / smallest-relation first). The callback returns false to
 /// stop the enumeration early.
 ///
-/// `delta` may be null when no atom uses AtomSource::kDelta.
-void MatchAtoms(const Database& full, const Database* delta,
+/// `ranges` may be null when every atom uses AtomSource::kFull.
+void MatchAtoms(const Database& full, const DeltaRanges* ranges,
                 const std::vector<PlannedAtom>& atoms,
                 const std::function<bool(const Binding&)>& callback,
                 MatchStats* stats);
@@ -142,12 +222,13 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
                                              bool use_old);
 
 /// The join order the matcher will use for `atoms`: greedy most-bound /
-/// smallest-relation first, or the given order when greedy planning is
-/// disabled. Deterministic given the relation sizes, which is what lets
-/// the parallel evaluator pre-build exactly the indexes a pass will probe
-/// before fanning out (see docs/parallel_eval.md).
+/// smallest-relation first (sized by PlanningSize), or the given order
+/// when greedy planning is disabled. Deterministic given the relation
+/// sizes, which is what lets the parallel evaluator pre-build exactly the
+/// indexes a pass will probe before fanning out (see
+/// docs/parallel_eval.md).
 std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
-                                       const Database* delta,
+                                       const DeltaRanges* ranges,
                                        const std::vector<PlannedAtom>& atoms);
 
 /// Instantiates `atom` under `binding`; every variable must be bound.
@@ -165,28 +246,29 @@ Tuple InstantiateHead(const Atom& atom, const Binding& binding);
 /// replanned only when a participating relation's cardinality drifts --
 /// instead of being rebuilt per call. `rule_index` must identify `rule`
 /// stably for the cache's lifetime. A null cache compiles transiently.
-/// A non-null `insert_ns` accumulates the wall time of inserting the
-/// derived facts into `out` (see EvalStats::insert_ns).
+/// `sinks` receive the wall time of the application's phases.
 std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
                       MatchStats* stats, CompiledRuleCache* cache = nullptr,
                       std::size_t rule_index = 0,
-                      std::uint64_t* insert_ns = nullptr);
+                      const PhaseSinks& sinks = {});
 
 /// Semi-naive variant: like ApplyRule but the body atom at position
 /// `delta_pos` (an index into rule.body(), which must be positive there)
-/// is matched against `delta` instead of `full`. When `old_limits` is
-/// non-null, positive positions BEFORE delta_pos are matched against the
-/// old snapshot only (the classic old/delta/full scheme, which covers
-/// every derivation that uses a delta fact exactly once instead of once
-/// per delta position); with a null `old_limits` those positions fall
-/// back to the full database.
+/// is matched against its predicate's delta range in `ranges`. When
+/// ranges.use_old(), positive positions BEFORE delta_pos are matched
+/// against the old snapshot only (the classic old/delta/full scheme,
+/// which covers every derivation that uses a delta fact exactly once
+/// instead of once per delta position); otherwise those positions read
+/// the full relation. Head facts go to `out`, the relation of the rule's
+/// head predicate (which may belong to `full`: derived rows are inserted
+/// only after the enumeration finishes).
 std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
-                               const Database& delta, std::size_t delta_pos,
-                               Database* out, MatchStats* stats,
-                               const OldLimits* old_limits = nullptr,
+                               const DeltaRanges& ranges,
+                               std::size_t delta_pos, Relation* out,
+                               MatchStats* stats,
                                CompiledRuleCache* cache = nullptr,
                                std::size_t rule_index = 0,
-                               std::uint64_t* insert_ns = nullptr);
+                               const PhaseSinks& sinks = {});
 
 }  // namespace datalog
 

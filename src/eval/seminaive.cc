@@ -22,16 +22,16 @@ Watermarks TakeWatermarks(const Database& db) {
   return marks;
 }
 
-Database CollectNewFacts(const Database& db, const Watermarks& marks) {
-  Database delta(db.symbols());
+DeltaRanges RangesSince(const Database& db, const Watermarks& marks,
+                        bool use_old) {
+  DeltaRanges ranges(use_old);
   for (PredicateId pred : db.NonEmptyPredicates()) {
-    const Relation& rel = db.relation(pred);
     auto it = marks.find(pred);
-    std::size_t from = it == marks.end() ? 0 : it->second;
-    // Id-space copy when both relations are columnar: no Value hashing.
-    delta.AddRowRange(pred, rel, from, rel.size());
+    const std::size_t from = it == marks.end() ? 0 : it->second;
+    ranges.SetOld(pred, from);
+    ranges.SetDelta(pred, RowSpan{from, db.relation(pred).size()});
   }
-  return delta;
+  return ranges;
 }
 
 EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
@@ -51,62 +51,63 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
   }
 
   // Round 0: everything already in the database counts as newly
-  // discovered. This uniformly covers EDB facts, program facts, and
-  // IDB-as-input facts (the uniform semantics of Section IV). Facts of
-  // predicates no rule body reads can never gate a match, so the delta
-  // is restricted to the read set -- this is what keeps SCC-ordered
-  // evaluation from re-paying a full round 0 per component.
+  // discovered and nothing is old. This uniformly covers EDB facts,
+  // program facts, and IDB-as-input facts (the uniform semantics of
+  // Section IV). Facts of predicates no rule body reads can never gate a
+  // match, so the delta is restricted to the read set -- this is what
+  // keeps SCC-ordered evaluation from re-paying a full round 0 per
+  // component. Every later round's delta is the rows the previous round
+  // appended, read in place: no delta is ever copied out.
   std::set<PredicateId> read_preds;
   for (const Rule& rule : rules) {
     for (const Literal& lit : rule.body()) {
       if (!lit.negated) read_preds.insert(lit.atom.predicate());
     }
   }
-  Database delta(db->symbols());
+  DeltaRanges ranges(/*use_old=*/true);
   for (PredicateId pred : db->NonEmptyPredicates()) {
-    if (!read_preds.contains(pred)) continue;
-    const Relation& rel = db->relation(pred);
-    delta.AddRowRange(pred, rel, 0, rel.size());
+    if (read_preds.contains(pred)) {
+      ranges.SetDelta(pred, db->relation(pred).AllRows());
+    }
   }
-
-  // The snapshot from which the current delta was cut: rows below these
-  // limits are "old". Round 0 has no old rows (everything is new).
-  OldLimits old_limits;
 
   // One compiled plan per (rule, delta position), reused across rounds;
   // join orders are replanned only on >= 4x cardinality drift.
   CompiledRuleCache cache;
 
-  // Write-path phase timers: read the clock only while metrics are on.
-  const bool timed = MetricsRegistry::Get().enabled();
-  std::uint64_t* insert_ns = timed ? &stats.insert_ns : nullptr;
+  // Phase timers: read the clock only while metrics are on.
+  const PhaseSinks sinks =
+      stats.Sinks(MetricsRegistry::Get().enabled());
 
-  while (!delta.empty()) {
+  while (!ranges.empty()) {
     ++stats.iterations;
     TraceSpan round_span("seminaive/round");
     round_span.Note("round", static_cast<std::uint64_t>(stats.iterations));
     const std::uint64_t facts_before_round = stats.facts_derived;
-    Watermarks marks = TakeWatermarks(*db);
+    const Watermarks marks = TakeWatermarks(*db);
     for (std::size_t ri = 0; ri < rules.size(); ++ri) {
       const Rule& rule = rules[ri];
       if (rule.IsFact()) continue;
       // One pass per positive body position whose predicate gained facts
       // last round (the old/delta/full scheme): position p is matched
       // against the delta, earlier positions against the old snapshot,
-      // later positions against the full database. Every derivation that
+      // later positions against the full relation. Every derivation that
       // uses at least one delta fact is found in exactly one pass -- the
       // one where p is its first delta position.
+      Relation* out = nullptr;
       for (std::size_t p = 0; p < rule.body().size(); ++p) {
         const Literal& lit = rule.body()[p];
         if (lit.negated) continue;
-        if (delta.relation(lit.atom.predicate()).empty()) continue;
+        if (ranges.delta(lit.atom.predicate()).empty()) continue;
         ++stats.rule_applications;
         ++stats.per_rule[ri].applications;
         TraceSpan apply_span("seminaive/apply");
+        if (out == nullptr) {
+          out = &db->MutableRelation(rule.head().predicate());
+        }
         MatchStats local;
-        std::size_t added =
-            ApplyRuleWithDelta(rule, *db, delta, p, db, &local, &old_limits,
-                               &cache, ri, insert_ns);
+        std::size_t added = ApplyRuleWithDelta(rule, *db, ranges, p, out,
+                                               &local, &cache, ri, sinks);
         stats.match.Add(local);
         stats.facts_derived += added;
         stats.per_rule[ri].facts += added;
@@ -120,9 +121,7 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
       }
     }
     round_span.Note("facts", stats.facts_derived - facts_before_round);
-    old_limits = marks;
-    PhaseTimer cut_timer(timed ? &stats.delta_cut_ns : nullptr);
-    delta = CollectNewFacts(*db, marks);
+    ranges = RangesSince(*db, marks, /*use_old=*/true);
   }
   return stats;
 }

@@ -7,19 +7,25 @@
 #include "ast/program.h"
 #include "eval/database.h"
 #include "eval/eval_stats.h"
+#include "eval/rule_matcher.h"
 #include "util/result.h"
 
 namespace datalog {
 
 /// Snapshot of per-predicate row counts. Relations are append-only, so the
 /// facts discovered during a round are exactly the rows past the snapshot.
-/// Shared by the sequential and parallel semi-naive engines.
+/// Shared by the sequential and parallel semi-naive engines and the
+/// incremental view's insertion loop.
 using Watermarks = std::unordered_map<PredicateId, std::size_t>;
 
 Watermarks TakeWatermarks(const Database& db);
 
-/// Collects the facts added to `db` since `marks` into a fresh database.
-Database CollectNewFacts(const Database& db, const Watermarks& marks);
+/// The next round's ranges after a round that started at `marks`: each
+/// predicate's delta is the rows `db` gained since (rows [mark, size) of
+/// the full relation, read in place) and its old snapshot the rows
+/// before them.
+DeltaRanges RangesSince(const Database& db, const Watermarks& marks,
+                        bool use_old);
 
 /// Computes P(db) by semi-naive bottom-up iteration: each round only
 /// considers rule instantiations that use at least one fact discovered in

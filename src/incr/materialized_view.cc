@@ -493,44 +493,52 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
   // --- Insertions: continue the semi-naive fixpoint from the new state,
   // seeded with the lower predicates' Δ+ and this SCC's new base facts.
   // This is the existing delta machinery (ApplyRuleWithDelta +
-  // watermarks) driven by an external delta.
-  Database cur(symbols_);
-  cur.UnionWith(delta_plus_);
+  // watermarks) driven by an external delta: the first round reads that
+  // seed whole, as its own database (Δ+ need not be a row suffix of the
+  // view); every later round reads the rows the previous one appended to
+  // the view, in place.
+  Database seed(symbols_);
+  seed.UnionWith(delta_plus_);
   for (PredicateId pred : plan.preds) {
     for (RowRef row : base_plus.relation(pred).rows()) {
       Tuple t(row);
       if (db_.AddFact(pred, t)) {
         RecordAdd(pred, t);
-        cur.AddFact(pred, std::move(t));
+        seed.AddFact(pred, std::move(t));
       }
     }
   }
   CompiledRuleCache insert_cache;  // plans persist across delta rounds
-  while (!cur.empty()) {
+  DeltaRanges ranges = DeltaRanges::Whole(seed, /*use_old=*/false);
+  while (!ranges.empty()) {
     bool delta_used = false;
-    Watermarks marks = TakeWatermarks(db_);
+    const Watermarks marks = TakeWatermarks(db_);
     for (std::size_t ri = 0; ri < plan.rules.size(); ++ri) {
       const Rule& rule = plan.rules[ri];
       if (rule.IsFact()) continue;
       for (std::size_t q = 0; q < rule.body().size(); ++q) {
-        if (cur.relation(rule.body()[q].atom.predicate()).empty()) continue;
+        if (ranges.delta(rule.body()[q].atom.predicate()).empty()) continue;
         ++stats->recompute.rule_applications;
         delta_used = true;
         MatchStats local;
-        std::size_t added = ApplyRuleWithDelta(rule, db_, cur, q, &db_,
-                                               &local, nullptr, &insert_cache,
-                                               ri);
+        std::size_t added = ApplyRuleWithDelta(
+            rule, db_, ranges, q,
+            &db_.MutableRelation(rule.head().predicate()), &local,
+            &insert_cache, ri);
         stats->recompute.match.Add(local);
         stats->recompute.facts_derived += added;
       }
     }
     if (!delta_used) break;  // delta only touches predicates no rule reads
     ++stats->recompute.iterations;
-    Database fresh = CollectNewFacts(db_, marks);
-    for (PredicateId pred : fresh.NonEmptyPredicates()) {
-      for (RowRef t : fresh.relation(pred).rows()) RecordAdd(pred, Tuple(t));
+    ranges = RangesSince(db_, marks, /*use_old=*/false);
+    for (PredicateId pred : db_.NonEmptyPredicates()) {
+      const RowSpan fresh = ranges.delta(pred);
+      const Relation& rel = db_.relation(pred);
+      for (std::size_t i = fresh.begin; i < fresh.end; ++i) {
+        RecordAdd(pred, Tuple(rel.row(i)));
+      }
     }
-    cur = std::move(fresh);
   }
 }
 

@@ -18,8 +18,9 @@ void RecordEvalStats(std::string_view engine, const EvalStats& stats) {
   registry.Add("eval.substitutions", labels, stats.match.substitutions);
   registry.Add("eval.index_lookups", labels, stats.match.index_lookups);
   registry.Add("eval.tuples_scanned", labels, stats.match.tuples_scanned);
+  registry.Add("eval.plan_ns", labels, stats.plan_ns);
+  registry.Add("eval.derive_ns", labels, stats.derive_ns);
   registry.Add("eval.insert_ns", labels, stats.insert_ns);
-  registry.Add("eval.delta_cut_ns", labels, stats.delta_cut_ns);
   if (stats.parallel_rounds != 0 || stats.parallel_tasks != 0) {
     registry.Add("eval.parallel_rounds", labels, stats.parallel_rounds);
     registry.Add("eval.parallel_tasks", labels, stats.parallel_tasks);

@@ -525,9 +525,13 @@ std::string DatalogServer::HandleCommit(const std::shared_ptr<Connection>& conn,
 
   // The maintenance passes read predicate names/arities, hence the reader
   // lock; a concurrent QUERY parse (writer side) waits, queries already
-  // past parsing share the lock and proceed.
+  // past parsing share the lock and proceed. The lock covers Apply only:
+  // the epoch copies and the publish below read no symbol-table state,
+  // and commit_mu_ still serializes them against other commits, so a
+  // parse never waits behind another client's whole-database copy.
   std::shared_lock<std::shared_mutex> sym_lock(symbols_mu_);
   Result<CommitStats> applied = view_->Apply(inserts, retracts);
+  sym_lock.unlock();
   if (!applied.ok()) {
     *status = RespStatus::kError;
     *epoch = epochs_->head_id();

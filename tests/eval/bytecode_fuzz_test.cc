@@ -61,8 +61,8 @@ struct Harness {
     MatchStats stats;
     std::size_t new_facts = 0;
     Database out(symbols);
-    bytecode::Run(program, db, /*delta=*/nullptr, /*old_limits=*/nullptr,
-                  &out, &stats, &new_facts);
+    bytecode::Run(program, db, /*ranges=*/nullptr, &out, &stats,
+                  &new_facts);
   }
 };
 

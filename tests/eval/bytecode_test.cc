@@ -40,7 +40,7 @@ struct KnobGuard {
 
 TEST(BytecodeTest, KnobDefaultsOn) { EXPECT_TRUE(BytecodeExecutionEnabled()); }
 
-/// Runs `program` against (full, delta, old_limits) into a fresh copy of
+/// Runs `program` against (full, ranges) into a fresh copy of
 /// `out_base`, returning the stats, the new-fact count, and the result.
 struct RunOutcome {
   bool ok = false;
@@ -50,18 +50,16 @@ struct RunOutcome {
 };
 
 RunOutcome RunProgram(const bytecode::Program& program, const Database& full,
-                      const Database* delta, const OldLimits* old_limits,
-                      const Database& out_base) {
+                      const DeltaRanges* ranges, const Database& out_base) {
   RunOutcome r{false, MatchStats{}, 0, Database(out_base.symbols())};
   r.out.UnionWith(out_base);
-  r.ok = bytecode::Run(program, full, delta, old_limits, &r.out, &r.stats,
+  r.ok = bytecode::Run(program, full, ranges, &r.out, &r.stats,
                        &r.new_facts);
   return r;
 }
 
 void ExpectRoundTripExecutes(const CompiledRule& plan, const Database& full,
-                             const Database* delta,
-                             const OldLimits* old_limits,
+                             const DeltaRanges* ranges,
                              const std::string& label) {
   const bytecode::Program& original = plan.bytecode_program();
   ASSERT_FALSE(original.empty()) << label;
@@ -81,8 +79,8 @@ void ExpectRoundTripExecutes(const CompiledRule& plan, const Database& full,
   // (the format has a canonical encoding).
   EXPECT_EQ(bytecode::Encode(decoded), bytes) << label;
 
-  RunOutcome a = RunProgram(original, full, delta, old_limits, full);
-  RunOutcome b = RunProgram(decoded, full, delta, old_limits, full);
+  RunOutcome a = RunProgram(original, full, ranges, full);
+  RunOutcome b = RunProgram(decoded, full, ranges, full);
   ASSERT_TRUE(a.ok) << label;
   ASSERT_TRUE(b.ok) << label;
   EXPECT_EQ(a.new_facts, b.new_facts) << label;
@@ -128,17 +126,17 @@ TEST(BytecodeTest, RoundTripOnCorpusPlanShapes) {
       {"same-gen", "h6(x, y) :- up(x, u), g(u, v), down(v, y).",
        std::size_t(-1), false},
   };
-  OldLimits old_limits;
-  old_limits[symbols->LookupPredicate("g").value()] = 1;
   for (const Case& c : cases) {
     Rule rule = ParseRuleOrDie(symbols, c.rule);
-    const Database* d = c.delta_pos == std::size_t(-1) ? nullptr : &delta;
+    DeltaRanges ranges = DeltaRanges::Whole(delta, c.use_old);
+    ranges.SetOld(symbols->LookupPredicate("g").value(), 1);
+    const DeltaRanges* d =
+        c.delta_pos == std::size_t(-1) ? nullptr : &ranges;
     CompiledRule plan =
         CompiledRule::Compile(rule, c.delta_pos, c.use_old, db, d);
     ASSERT_TRUE(plan.compiled()) << c.label;
     plan.EnsureIndexes(db, d);
-    ExpectRoundTripExecutes(plan, db, d,
-                            c.use_old ? &old_limits : nullptr, c.label);
+    ExpectRoundTripExecutes(plan, db, d, c.label);
   }
 }
 
@@ -155,7 +153,7 @@ TEST(BytecodeTest, RoundTripOnMultiwayTriangle) {
   ASSERT_EQ(plan.bytecode_program().shape, 1)
       << "triangle should lower to the multiway shape";
   plan.EnsureIndexes(db, nullptr);
-  ExpectRoundTripExecutes(plan, db, nullptr, nullptr, "triangle");
+  ExpectRoundTripExecutes(plan, db, nullptr, "triangle");
 }
 
 TEST(BytecodeTest, RoundTripOnTwentyRandomSeeds) {
@@ -199,7 +197,7 @@ TEST(BytecodeTest, RoundTripOnTwentyRandomSeeds) {
       if (!plan.compiled() || plan.bytecode_program().empty()) continue;
       plan.EnsureIndexes(db, nullptr);
       ++lowered;
-      ExpectRoundTripExecutes(plan, db, nullptr, nullptr,
+      ExpectRoundTripExecutes(plan, db, nullptr,
                               "seed " + std::to_string(seed));
     }
   }
@@ -314,16 +312,17 @@ TEST(BytecodeTest, RunDeclinesGracefullyOnBadDatabases) {
   Database delta(symbols);
   delta.AddFact(symbols->LookupPredicate("g").value(),
                 {Value::Int(2), Value::Int(3)});
+  const DeltaRanges delta_ranges =
+      DeltaRanges::Whole(delta, /*use_old=*/false);
   CompiledRule delta_plan =
       CompiledRule::Compile(delta_rule, /*delta_pos=*/1, /*use_old=*/false,
-                            db, &delta);
+                            db, &delta_ranges);
   ASSERT_FALSE(delta_plan.bytecode_program().empty());
   MatchStats stats;
   std::size_t new_facts = 0;
   Database out(symbols);
   EXPECT_FALSE(bytecode::Run(delta_plan.bytecode_program(), db,
-                             /*delta=*/nullptr, nullptr, &out, &stats,
-                             &new_facts));
+                             /*ranges=*/nullptr, &out, &stats, &new_facts));
   EXPECT_EQ(stats.substitutions + stats.index_lookups + stats.tuples_scanned,
             0u);
 
@@ -332,8 +331,8 @@ TEST(BytecodeTest, RunDeclinesGracefullyOnBadDatabases) {
   SetColumnarStorage(false);
   Database row_db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
   SetColumnarStorage(true);
-  EXPECT_FALSE(bytecode::Run(program, row_db, nullptr, nullptr, &out, &stats,
-                             &new_facts));
+  EXPECT_FALSE(
+      bytecode::Run(program, row_db, nullptr, &out, &stats, &new_facts));
 }
 
 }  // namespace

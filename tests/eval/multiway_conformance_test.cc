@@ -217,8 +217,8 @@ TEST(MultiwayConformanceTest, DriftReplanFlipsShapeWithoutChangingFixpoint) {
   plan.EnsureIndexes(db, nullptr);
   Database out_mw(symbols);
   MatchStats stats_mw;
-  const std::size_t added_mw = plan.Apply(db, nullptr, nullptr, &out_mw,
-                                          &stats_mw);
+  const std::size_t added_mw = plan.Apply(
+      db, nullptr, &out_mw.MutableRelation(plan.head_predicate()), &stats_mw);
 
   SetMultiwayJoins(false);
   CompiledRule left = CompiledRule::Compile(
@@ -227,8 +227,8 @@ TEST(MultiwayConformanceTest, DriftReplanFlipsShapeWithoutChangingFixpoint) {
   left.EnsureIndexes(db, nullptr);
   Database out_ld(symbols);
   MatchStats stats_ld;
-  const std::size_t added_ld = left.Apply(db, nullptr, nullptr, &out_ld,
-                                          &stats_ld);
+  const std::size_t added_ld = left.Apply(
+      db, nullptr, &out_ld.MutableRelation(left.head_predicate()), &stats_ld);
 
   EXPECT_EQ(added_mw, added_ld);
   EXPECT_EQ(out_mw, out_ld);

@@ -7,13 +7,17 @@
 // would surface as a cross-engine mismatch in the differential fuzzer,
 // so keep this suite the first, cheapest line of defense.
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "eval/database.h"
 #include "eval/relation.h"
 #include "gtest/gtest.h"
+#include "util/interning.h"
 
 namespace datalog {
 namespace {
@@ -334,8 +338,8 @@ TEST_P(RelationConformanceTest, RowViewsReadInsertionOrderAcrossLaterInserts) {
 
 TEST_P(RelationConformanceTest, BulkCopyIntoEmptyMatchesPerRowCopy) {
   const Relation src = PairRelation(200);
-  // The whole relation, and a middle range (a delta cut between two
-  // watermarks): both land in an empty relation through the bulk path.
+  // The whole relation lands in an empty relation through the bulk
+  // path; a middle range goes row by row, in id space.
   for (const auto& [begin, end] :
        std::vector<std::pair<std::size_t, std::size_t>>{{0, 200}, {37, 150}}) {
     Relation bulk(2);
@@ -425,6 +429,185 @@ TEST_P(RelationConformanceTest, RowLookupAgreesWithLimitFilteredIndexScan) {
     ValueDictionary::Global().InternRow(probes[i], &ids);
     EXPECT_EQ(rel.FindRowIds(ids.data()), i);
     EXPECT_EQ(rel.FindRow(rel.row(i)), i);
+  }
+}
+
+/// The span shapes every semi-naive source takes -- empty, the whole
+/// relation (kFull), a prefix (kOld), a suffix (a round's delta) and an
+/// interior cut (a parallel shard of it) -- drawn at random over a
+/// relation of `n` rows, plus spans reaching past its end.
+std::vector<RowSpan> RandomSpans(std::size_t n, std::mt19937* rng) {
+  std::uniform_int_distribution<std::size_t> pick(0, n);
+  std::vector<RowSpan> spans = {{0, 0}, {n, n}, {0, n}, {0, n + 5}};
+  for (int i = 0; i < 6; ++i) {
+    const std::size_t a = pick(*rng);
+    const std::size_t b = pick(*rng);
+    spans.push_back({0, a});                               // prefix
+    spans.push_back({a, n});                               // suffix
+    spans.push_back({std::min(a, b), std::max(a, b)});     // interior
+    spans.push_back({std::max(a, b), std::min(a, b)});     // reversed: empty
+  }
+  return spans;
+}
+
+/// A relation of up to `n` random rows of arity 3 over small domains, so
+/// single- and multi-column postings hold several rows each.
+Relation RandomRelation(std::size_t n, std::mt19937* rng) {
+  std::uniform_int_distribution<std::int64_t> small(0, 5);
+  std::uniform_int_distribution<std::int64_t> wide(0, 40);
+  Relation rel(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    rel.Insert({Value::Int(small(*rng)), Value::Int(wide(*rng)),
+                Value::Int(small(*rng))});
+  }
+  return rel;
+}
+
+/// Checks every span read of `rel` against a brute-force filter of
+/// rows(): the in-range postings segments of single- and multi-column
+/// index views (ascending, and their length), FindRow followed by the
+/// range check, and the sorted distinct keys of the span.
+void ExpectSpanReadsMatchRows(const Relation& rel,
+                              const std::vector<RowSpan>& spans,
+                              const std::string& label) {
+  const std::size_t n = rel.size();
+  std::vector<Tuple> rows;
+  for (RowRef row : rel.rows()) rows.emplace_back(row);
+  for (const RowSpan& span : spans) {
+    const std::string where = label + " span [" + std::to_string(span.begin) +
+                              ", " + std::to_string(span.end) + ")";
+    auto inside = [&](std::size_t i) {
+      return i >= span.begin && i < span.end && i < n;
+    };
+    const RowSpan bounds = rel.Bounds(span);
+    EXPECT_LE(bounds.end, n) << where;
+    std::size_t scanned = 0;
+    for (std::size_t i = bounds.begin; i < bounds.end; ++i) {
+      EXPECT_TRUE(inside(i)) << where;
+      ++scanned;
+    }
+    std::size_t expected_scan = 0;
+    for (std::size_t i = 0; i < n; ++i) expected_scan += inside(i) ? 1 : 0;
+    EXPECT_EQ(scanned, expected_scan) << where;
+
+    for (int c = 0; c < 3; ++c) {
+      const Relation::SingleIndexView view = rel.PrepareSingleIndex(c);
+      for (std::int64_t v = -1; v <= 40; ++v) {
+        std::vector<std::uint32_t> expected;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (inside(i) && rows[i][static_cast<std::size_t>(c)] ==
+                               Value::Int(v)) {
+            expected.push_back(static_cast<std::uint32_t>(i));
+          }
+        }
+        const auto segment =
+            rel.PostingsIn(view.Find(Value::Int(v)), span);
+        EXPECT_EQ(std::vector<std::uint32_t>(segment.begin(), segment.end()),
+                  expected)
+            << where << " column " << c << " key " << v;
+        EXPECT_EQ(segment.size(), expected.size()) << where;
+      }
+    }
+    const Relation::MultiIndexView pair_view = rel.PrepareIndex({0, 2});
+    for (std::int64_t a = 0; a <= 5; ++a) {
+      for (std::int64_t b = 0; b <= 5; ++b) {
+        const Tuple key = {Value::Int(a), Value::Int(b)};
+        std::vector<std::uint32_t> expected;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (inside(i) && rows[i][0] == key[0] && rows[i][2] == key[1]) {
+            expected.push_back(static_cast<std::uint32_t>(i));
+          }
+        }
+        const auto segment = rel.PostingsIn(pair_view.Find(key), span);
+        EXPECT_EQ(std::vector<std::uint32_t>(segment.begin(), segment.end()),
+                  expected)
+            << where << " key (" << a << ", " << b << ")";
+      }
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t want =
+          inside(i) ? static_cast<std::uint32_t>(i) : Relation::kNoRow;
+      EXPECT_EQ(rel.FindRowIn(rows[i], span), want) << where << " row " << i;
+      EXPECT_EQ(rel.FindRowIn(rel.row(i), span), want)
+          << where << " row " << i;
+    }
+    EXPECT_EQ(rel.FindRowIn(Tuple{Value::Int(-1), Value::Int(0),
+                                  Value::Int(0)},
+                            span),
+              Relation::kNoRow)
+        << where;
+
+    if (!rel.columnar()) {
+      EXPECT_TRUE(rel.SortedKeys(0, span).empty()) << where;
+      continue;
+    }
+    std::vector<std::uint32_t> ids;
+    for (int c = 0; c < 3; ++c) {
+      std::vector<std::uint32_t> expected;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!inside(i)) continue;
+        expected.push_back(ValueDictionary::Global().LookupId(
+            rows[i][static_cast<std::size_t>(c)]));
+      }
+      std::sort(expected.begin(), expected.end());
+      expected.erase(std::unique(expected.begin(), expected.end()),
+                     expected.end());
+      EXPECT_EQ(rel.SortedKeys(c, span), expected) << where << " column " << c;
+      // Cached: asking again returns the same list.
+      EXPECT_EQ(rel.SortedKeys(c, span), expected) << where << " column " << c;
+      rel.CollectSortedKeys({c}, span, &ids);
+      EXPECT_EQ(ids, expected) << where << " column " << c;
+    }
+    // Repeated variable: rows whose columns 0 and 2 agree.
+    std::vector<std::uint32_t> expected;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (inside(i) && rows[i][0] == rows[i][2]) {
+        expected.push_back(ValueDictionary::Global().LookupId(rows[i][0]));
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    rel.CollectSortedKeys({0, 2}, span, &ids);
+    EXPECT_EQ(ids, expected) << where;
+  }
+}
+
+TEST_P(RelationConformanceTest, SpanReadsAgreeWithFilteredRows) {
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    std::mt19937 rng(seed);
+    const Relation rel = RandomRelation(10 + 15 * seed, &rng);
+    ExpectSpanReadsMatchRows(rel, RandomSpans(rel.size(), &rng),
+                             "seed " + std::to_string(seed));
+  }
+  // An empty relation: every span is empty.
+  std::mt19937 rng(0);
+  ExpectSpanReadsMatchRows(Relation(3), RandomSpans(0, &rng), "empty");
+}
+
+TEST_P(RelationConformanceTest, SpanReadsAfterAppendsExtendTheIndexes) {
+  // The semi-naive drivers build an index, read a round's delta range
+  // through it, append the round's derivations, and read the next range
+  // through the same index extended in place -- with the sorted keys of
+  // the earlier range still cached.
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    std::mt19937 rng(100 + seed);
+    Relation rel = RandomRelation(40, &rng);
+    const std::size_t first_mark = rel.size();
+    const std::vector<RowSpan> before = RandomSpans(first_mark, &rng);
+    ExpectSpanReadsMatchRows(rel, before, "before appends");
+    std::uniform_int_distribution<std::int64_t> small(0, 5);
+    std::uniform_int_distribution<std::int64_t> wide(0, 40);
+    for (int i = 0; i < 60; ++i) {
+      rel.Insert({Value::Int(small(rng)), Value::Int(wide(rng)),
+                  Value::Int(small(rng))});
+    }
+    ASSERT_GT(rel.size(), first_mark);
+    std::vector<RowSpan> after = RandomSpans(rel.size(), &rng);
+    after.push_back({first_mark, rel.size()});  // the next round's delta
+    after.insert(after.end(), before.begin(), before.end());
+    ExpectSpanReadsMatchRows(rel, after, "after appends");
   }
 }
 

@@ -1,5 +1,8 @@
 #include "eval/rule_matcher.h"
 
+#include <string>
+
+#include "eval/relation.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -134,6 +137,93 @@ TEST(RuleMatcherTest, NegatedLiteralFiltersMatches) {
   EXPECT_FALSE(db.Contains(p, {Value::Int(2)}));
 }
 
+/// A delta read in place -- rows [old, mark) of the full relation --
+/// derives the same rows in the same order, and visits and counts
+/// exactly the rows a copy of that range would, on every executor: the
+/// bytecode VM and the struct interpreters (left-deep and multiway), the
+/// row store's depth-first path, and the legacy matcher. Rows past the
+/// mark are in the full relation but never in the delta.
+TEST(RuleMatcherTest, InPlaceDeltaRangeMatchesACopiedDelta) {
+  const char* const kRules[] = {
+      "h(x, z) :- g(x, y), g(y, z).",
+      "h(x, y) :- g(x, y), g(y, x).",
+      "h(x, y) :- g(x, y), g(y, z), g(z, x).",  // multiway when enabled
+      "h(x, y) :- g(x, x), g(x, y).",
+      "h(x, y) :- g(x, y), g(1, x).",
+  };
+  struct Knobs {
+    bool compiled, columnar, bytecode, multiway;
+  };
+  const Knobs kKnobs[] = {{true, true, true, true},
+                          {true, true, false, true},
+                          {true, true, false, false},
+                          {true, false, false, false},
+                          {false, true, false, false}};
+  for (const Knobs& knobs : kKnobs) {
+    SetCompiledRulePlans(knobs.compiled);
+    SetColumnarStorage(knobs.columnar);
+    SetBytecodeExecution(knobs.bytecode);
+    SetMultiwayJoins(knobs.multiway);
+    auto symbols = MakeSymbols();
+    Database full = ParseDatabaseOrDie(
+        symbols,
+        "g(1, 2). g(2, 3). g(3, 1). g(2, 2). g(3, 4). g(1, 3). g(4, 2). "
+        "g(2, 1). g(1, 1).");
+    const PredicateId g = symbols->LookupPredicate("g").value();
+    const std::size_t old = 3;
+    const std::size_t mark = 7;
+    Database copy(symbols);
+    copy.AddRowRange(g, full.relation(g), old, mark);
+    DeltaRanges in_place(/*use_old=*/true);
+    in_place.SetOld(g, old);
+    in_place.SetDelta(g, RowSpan{old, mark});
+    DeltaRanges copied = DeltaRanges::Whole(copy, /*use_old=*/true);
+    copied.SetOld(g, old);
+    for (const char* text : kRules) {
+      const Rule rule = ParseRuleOrDie(symbols, text);
+      const PredicateId h = rule.head().predicate();
+      for (std::size_t p = 0; p < rule.body().size(); ++p) {
+        Database out_in_place(symbols);
+        Database out_copied(symbols);
+        MatchStats in_place_stats;
+        MatchStats copied_stats;
+        const std::size_t added_in_place = ApplyRuleWithDelta(
+            rule, full, in_place, p, &out_in_place.MutableRelation(h),
+            &in_place_stats);
+        const std::size_t added_copied = ApplyRuleWithDelta(
+            rule, full, copied, p, &out_copied.MutableRelation(h),
+            &copied_stats);
+        const std::string label = std::string(text) + " delta at " +
+                                  std::to_string(p) + " compiled " +
+                                  std::to_string(knobs.compiled) +
+                                  " columnar " +
+                                  std::to_string(knobs.columnar) +
+                                  " bytecode " +
+                                  std::to_string(knobs.bytecode) +
+                                  " multiway " +
+                                  std::to_string(knobs.multiway);
+        EXPECT_EQ(added_in_place, added_copied) << label;
+        const Relation& a = out_in_place.relation(h);
+        const Relation& b = out_copied.relation(h);
+        ASSERT_EQ(a.size(), b.size()) << label;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a.row(i), b.row(i)) << label << " row " << i;
+        }
+        EXPECT_EQ(in_place_stats.substitutions, copied_stats.substitutions)
+            << label;
+        EXPECT_EQ(in_place_stats.index_lookups, copied_stats.index_lookups)
+            << label;
+        EXPECT_EQ(in_place_stats.tuples_scanned, copied_stats.tuples_scanned)
+            << label;
+      }
+    }
+  }
+  SetCompiledRulePlans(true);
+  SetColumnarStorage(true);
+  SetBytecodeExecution(true);
+  SetMultiwayJoins(true);
+}
+
 TEST(RuleMatcherTest, DeltaRestrictsOnePosition) {
   auto symbols = MakeSymbols();
   Database full = ParseDatabaseOrDie(symbols, "g(1, 2). g(2, 3).");
@@ -142,11 +232,16 @@ TEST(RuleMatcherTest, DeltaRestrictsOnePosition) {
   delta.AddFact(g, {Value::Int(2), Value::Int(3)});
   Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- g(x, y), g(y, z).");
   Database out(symbols);
-  // Position 0 in delta: g(2,3) as first atom needs g(3,z) - none.
-  EXPECT_EQ(ApplyRuleWithDelta(rule, full, delta, 0, &out, nullptr), 0u);
-  // Position 1 in delta: g(x,2) joined with delta g(2,3): h(1,3).
-  EXPECT_EQ(ApplyRuleWithDelta(rule, full, delta, 1, &out, nullptr), 1u);
   PredicateId h = symbols->LookupPredicate("h").value();
+  const DeltaRanges ranges = DeltaRanges::Whole(delta, /*use_old=*/false);
+  // Position 0 in delta: g(2,3) as first atom needs g(3,z) - none.
+  EXPECT_EQ(ApplyRuleWithDelta(rule, full, ranges, 0, &out.MutableRelation(h),
+                               nullptr),
+            0u);
+  // Position 1 in delta: g(x,2) joined with delta g(2,3): h(1,3).
+  EXPECT_EQ(ApplyRuleWithDelta(rule, full, ranges, 1, &out.MutableRelation(h),
+                               nullptr),
+            1u);
   EXPECT_TRUE(out.Contains(h, {Value::Int(1), Value::Int(3)}));
 }
 

@@ -7,8 +7,8 @@
 //  2. A disabled tracer emits nothing, whatever runs underneath it.
 //  3. The MetricsRegistry counters published by RecordEvalStats equal the
 //     EvalStats an engine returned, bit for bit -- including the parallel
-//     engine at 4 threads, the per-rule breakdown, and the write-path
-//     phase timers (insert_ns, delta_cut_ns).
+//     engine at 4 threads, the per-rule breakdown, and the per-rule-
+//     application phase timers (plan_ns, derive_ns, insert_ns).
 
 #include <cstring>
 #include <map>
@@ -174,9 +174,10 @@ TEST_F(TraceInvariantTest, DisabledTracerEmitsNothing) {
     Database db = w.edb;
     Result<EvalStats> stats = engine.run(w.program, &db);
     ASSERT_TRUE(stats.ok()) << engine.name;
-    // With metrics off the write-path timers never read the clock.
+    // With metrics off the phase timers never read the clock.
+    EXPECT_EQ(stats->plan_ns, 0u) << engine.name;
+    EXPECT_EQ(stats->derive_ns, 0u) << engine.name;
     EXPECT_EQ(stats->insert_ns, 0u) << engine.name;
-    EXPECT_EQ(stats->delta_cut_ns, 0u) << engine.name;
   }
   Atom query = ParseQueryOrDie(w.symbols, "?- t(x, y).");
   ASSERT_TRUE(SolveTopDown(w.program, w.edb, query).ok());
@@ -219,17 +220,18 @@ TEST_F(TraceInvariantTest, MetricsEqualEvalStatsBitForBit) {
         << engine.name;
     EXPECT_EQ(m.Value("eval.parallel_tasks", labels), stats->parallel_tasks)
         << engine.name;
-    // The write-path timers are wall clock, so only their export is
-    // exact; but with metrics on every engine inserts derived heads, and
-    // every engine but naive cuts at least one delta.
+    // The phase timers are wall clock, so only their export is exact;
+    // but with metrics on every engine fetches plans, derives and
+    // inserts derived heads.
+    EXPECT_EQ(m.Value("eval.plan_ns", labels), stats->plan_ns)
+        << engine.name;
+    EXPECT_EQ(m.Value("eval.derive_ns", labels), stats->derive_ns)
+        << engine.name;
     EXPECT_EQ(m.Value("eval.insert_ns", labels), stats->insert_ns)
         << engine.name;
-    EXPECT_EQ(m.Value("eval.delta_cut_ns", labels), stats->delta_cut_ns)
-        << engine.name;
+    EXPECT_GT(stats->plan_ns, 0u) << engine.name;
+    EXPECT_GT(stats->derive_ns, 0u) << engine.name;
     EXPECT_GT(stats->insert_ns, 0u) << engine.name;
-    if (std::strcmp(engine.name, "naive") != 0) {
-      EXPECT_GT(stats->delta_cut_ns, 0u) << engine.name;
-    }
     for (std::size_t i = 0; i < stats->per_rule.size(); ++i) {
       const MetricLabels rule_labels = {{"engine", engine.name},
                                         {"rule", std::to_string(i)}};
