@@ -1,6 +1,7 @@
 #include "eval/relation.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -21,70 +22,111 @@ std::vector<std::uint32_t>& IdScratch() {
 void SetColumnarStorage(bool enabled) { columnar_storage_enabled = enabled; }
 bool ColumnarStorageEnabled() { return columnar_storage_enabled; }
 
-bool Relation::RowIdTable::InsertOrFind(const Columns& columns,
-                                        const std::uint32_t* ids,
-                                        std::uint64_t key,
-                                        std::uint32_t row_id) {
-  if ((size_ + 1) * 4 > keys_.size() * 3) Grow();
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t h = Home(key) & mask;
-  while (keys_[h] != kEmpty) {
-    if (keys_[h] == key && (packed_ || RowEquals(columns, rows_[h], ids))) {
-      return false;
+// Locate and InsertOrFind are inlined into their callers in this file:
+// two out-of-line calls per row measurably slowed the batch insert.
+[[gnu::always_inline]] inline std::size_t Relation::RowIdTable::Locate(
+    const Columns& columns, const std::uint32_t* ids, KeyHash kh,
+    std::size_t* free_slot) const {
+  using group_match::kGroupWidth;
+  const std::uint8_t tag = Tag(kh.hash);
+  const std::size_t mask = GroupMask();
+  std::size_t group = HomeGroup(kh.hash);
+  for (std::size_t step = 1;; ++step) {
+    const std::size_t first = group * kGroupWidth;
+    const std::uint8_t* ctrl = ctrl_.data() + first;
+    for (group_match::Mask hits = group_match::MatchTag(ctrl, tag);
+         hits != 0; hits &= hits - 1) {
+      const std::size_t slot =
+          first + static_cast<std::size_t>(std::countr_zero(hits));
+      if (keys_[slot] == kh.key &&
+          (packed_ || RowEquals(columns, rows_[slot], ids))) {
+        return slot;
+      }
     }
-    h = (h + 1) & mask;
+    const group_match::Mask free = group_match::MatchFree(ctrl);
+    if (free != 0) {
+      *free_slot = first + static_cast<std::size_t>(std::countr_zero(free));
+      return kNoSlot;
+    }
+    group = (group + step) & mask;
   }
-  keys_[h] = key;
-  rows_[h] = row_id;
+}
+
+std::size_t Relation::RowIdTable::FreeSlot(std::uint64_t hash) const {
+  using group_match::kGroupWidth;
+  const std::size_t mask = GroupMask();
+  std::size_t group = HomeGroup(hash);
+  for (std::size_t step = 1;; ++step) {
+    const group_match::Mask free =
+        group_match::MatchFree(ctrl_.data() + group * kGroupWidth);
+    if (free != 0) {
+      return group * kGroupWidth +
+             static_cast<std::size_t>(std::countr_zero(free));
+    }
+    group = (group + step) & mask;
+  }
+}
+
+[[gnu::always_inline]] inline bool Relation::RowIdTable::InsertOrFind(
+    const Columns& columns, const std::uint32_t* ids, KeyHash kh,
+    std::uint32_t row_id) {
+  if (ctrl_.empty()) Grow();
+  std::size_t slot = 0;
+  if (Locate(columns, ids, kh, &slot) != kNoSlot) return false;
+  if (Full()) {
+    Grow();
+    slot = FreeSlot(kh.hash);
+  }
+  Place(slot, kh, row_id);
   ++size_;
   return true;
 }
 
 void Relation::RowIdTable::InsertDistinct(const Columns& columns,
                                           std::uint32_t row_id) {
-  if ((size_ + 1) * 4 > keys_.size() * 3) Grow();
-  Place(StoredKey(columns, row_id), row_id);
+  if (Full()) Grow();
+  const KeyHash kh = StoredKeyHash(columns, row_id);
+  Place(FreeSlot(kh.hash), kh, row_id);
   ++size_;
 }
 
 std::uint32_t Relation::RowIdTable::Find(const Columns& columns,
                                          const std::uint32_t* ids) const {
   if (size_ == 0) return kNoRow;
-  const std::uint64_t key = KeyOf(ids);
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t h = Home(key) & mask;
-  while (keys_[h] != kEmpty) {
-    if (keys_[h] == key && (packed_ || RowEquals(columns, rows_[h], ids))) {
-      return rows_[h];
-    }
-    h = (h + 1) & mask;
-  }
-  return kNoRow;
+  std::size_t free_slot = 0;
+  const std::size_t slot = Locate(columns, ids, KeyHashOf(ids), &free_slot);
+  return slot == kNoSlot ? kNoRow : rows_[slot];
 }
 
 void Relation::RowIdTable::Grow() {
-  ResizeTo(keys_.empty() ? 16 : keys_.size() * 2);
+  ResizeTo(ctrl_.empty() ? group_match::kGroupWidth : ctrl_.size() * 2);
 }
 
 void Relation::RowIdTable::Reserve(std::size_t additional) {
-  const std::size_t needed = (size_ + additional) * 4 / 3 + 1;
-  std::size_t new_size = keys_.empty() ? 16 : keys_.size();
-  while (new_size < needed) new_size *= 2;
-  if (new_size > keys_.size()) ResizeTo(new_size);
+  const std::size_t want = size_ + additional;
+  std::size_t new_size = ctrl_.empty() ? group_match::kGroupWidth
+                                       : ctrl_.size();
+  while (want * 8 > new_size * 7) new_size *= 2;
+  if (new_size > ctrl_.size()) ResizeTo(new_size);
 }
 
 void Relation::RowIdTable::ResizeTo(std::size_t new_size) {
+  std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
   std::vector<std::uint64_t> old_keys = std::move(keys_);
   std::vector<std::uint32_t> old_rows = std::move(rows_);
-  keys_.assign(new_size, kEmpty);
+  ctrl_.assign(new_size, group_match::kFree);
+  keys_.assign(new_size, 0);
   rows_.assign(new_size, 0);
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] != kEmpty) Place(old_keys[i], old_rows[i]);
+  for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
+    if (old_ctrl[i] == group_match::kFree) continue;
+    const KeyHash kh{old_keys[i], HashOfKey(old_keys[i])};
+    Place(FreeSlot(kh.hash), kh, old_rows[i]);
   }
 }
 
 void Relation::RowIdTable::Rebuild(const Columns& columns,
                                    std::size_t num_rows) {
+  ctrl_.clear();
   keys_.clear();
   rows_.clear();
   size_ = 0;
@@ -104,7 +146,7 @@ void Relation::CheckWidth(std::size_t width) const {
 }
 
 bool Relation::InsertIdsUnchecked(const std::uint32_t* ids) {
-  if (!id_table_.InsertOrFind(columns_, ids, id_table_.KeyOf(ids),
+  if (!id_table_.InsertOrFind(columns_, ids, id_table_.KeyHashOf(ids),
                               static_cast<std::uint32_t>(num_rows_))) {
     return false;
   }
@@ -153,23 +195,24 @@ std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
   if (columnar_) {
     // Nothing is reserved up front: a batch of derived rows may be
     // mostly duplicates, so storage grows with the rows actually new.
-    // Each row's first slot is prefetched kAhead rows before its probe
-    // (a table growth in between only wastes those few prefetches).
+    // Each row is hashed once, kAhead rows before its probe, when its
+    // home group is prefetched (a table growth in between only wastes
+    // those few prefetches).
     constexpr std::size_t kAhead = 8;
-    std::uint64_t keys[kAhead];
+    RowIdTable::KeyHash ahead[kAhead] = {};
     const std::uint32_t* ids = rows.ids.data();
     for (std::size_t r = 0; r < rows.count && r < kAhead; ++r) {
-      keys[r] = id_table_.KeyOf(ids + r * width);
-      id_table_.Prefetch(keys[r]);
+      ahead[r] = id_table_.KeyHashOf(ids + r * width);
+      id_table_.Prefetch(ahead[r].hash);
     }
     for (std::size_t r = 0; r < rows.count; ++r) {
-      const std::uint64_t key = keys[r % kAhead];
+      const RowIdTable::KeyHash kh = ahead[r % kAhead];
       if (r + kAhead < rows.count) {
-        keys[r % kAhead] = id_table_.KeyOf(ids + (r + kAhead) * width);
-        id_table_.Prefetch(keys[r % kAhead]);
+        ahead[r % kAhead] = id_table_.KeyHashOf(ids + (r + kAhead) * width);
+        id_table_.Prefetch(ahead[r % kAhead].hash);
       }
       const std::uint32_t* row = ids + r * width;
-      if (!id_table_.InsertOrFind(columns_, row, key,
+      if (!id_table_.InsertOrFind(columns_, row, kh,
                                   static_cast<std::uint32_t>(num_rows_))) {
         continue;
       }

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "eval/group_match.h"
 #include "eval/tuple.h"
 #include "util/interning.h"
 
@@ -184,7 +185,7 @@ class Relation {
 
   /// Inserts every row of `rows` in order (each of arity() ids); returns
   /// how many were new. The single write-path entry of the id-space
-  /// executors: storage is reserved once for the whole batch.
+  /// executors; storage grows with the rows actually new.
   std::size_t InsertIdRows(const IdRowBuffer& rows);
 
   /// Appends rows [begin, end) of `src` (same arity) in order; returns
@@ -433,20 +434,29 @@ class Relation {
   static const std::vector<std::uint32_t>& EmptyRowIds();
 
  private:
-  /// Open-addressing dedup/membership table for the columnar backend:
-  /// power-of-two size, linear probing, load <= 3/4. Each slot holds a
-  /// 64-bit key word plus, in a parallel array, its row id; the rows
-  /// themselves stay in columns_, so neither insert nor probe allocates.
+  /// Dedup/membership table for the columnar backend, laid out like a
+  /// SwissTable-style hash set. Slots come in groups of 16, and each slot
+  /// has one control byte: group_match::kFree, or a 7-bit tag cut from
+  /// the slot's hash. The other hash bits pick the home group; groups are
+  /// visited in triangular order over a power-of-two group count, and
+  /// the table doubles at 7/8 load. A probe matches its tag against a
+  /// group's 16 control bytes in one compare (eval/group_match.h: SSE2
+  /// when the compiler has it, SWAR otherwise) and reads a key word only
+  /// for a tag hit; a probe for an absent row stops at the first group
+  /// with a free byte, having read nothing but control bytes. Nothing is
+  /// ever deleted (EraseAll rebuilds), so the first free byte on a
+  /// row's probe path is also where an insert lands.
   ///
-  /// The key word is the row itself when it fits in 64 bits -- arity 2 or
-  /// less, by far the common case -- and the row's 64-bit hash
-  /// otherwise. Narrow rows are therefore deduplicated by one word
-  /// compare, without ever reading the columns; wider rows read a stored
-  /// row's columns only when the hash words agree. Either way a rehash
-  /// re-scatters key words without touching the columns. Every key is
-  /// exactly `width` dictionary ids (the Relation checks widths at its
-  /// entry points); a dictionary id is never kInvalidId, so the all-ones
-  /// word can mark an empty slot.
+  /// Each slot's 64-bit key word and row id sit in arrays parallel to
+  /// the control bytes; the rows themselves stay in columns_, so neither
+  /// insert nor probe allocates. The key word is the row itself when it
+  /// fits in 64 bits -- arity 2 or less, by far the common case -- and
+  /// the row's 64-bit hash otherwise. Narrow rows are therefore
+  /// deduplicated by one word compare, without ever reading the columns;
+  /// wider rows read a stored row's columns only when the hash words
+  /// agree. Either way a rehash re-scatters key words without touching
+  /// the columns. Every key is exactly `width` dictionary ids (the
+  /// Relation checks widths at its entry points).
   class RowIdTable {
    public:
     using Columns = std::vector<std::vector<std::uint32_t>>;
@@ -454,27 +464,44 @@ class Relation {
     explicit RowIdTable(std::size_t width = 0)
         : width_(width), packed_(width <= 2) {}
 
-    /// The key word of the row `ids` (width_ ids).
-    std::uint64_t KeyOf(const std::uint32_t* ids) const {
-      if (packed_) return Pack(ids);
-      return WideKey(HashRow([ids](std::size_t c) { return ids[c]; }));
+    /// A row's key word and the hash its probe is cut from.
+    struct KeyHash {
+      std::uint64_t key;
+      std::uint64_t hash;
+    };
+
+    /// The key word and hash of the row `ids` (width_ ids).
+    KeyHash KeyHashOf(const std::uint32_t* ids) const {
+      if (packed_) {
+        const std::uint64_t key = Pack(ids);
+        return {key, Mix(key)};
+      }
+      const std::uint64_t hash =
+          HashRow([ids](std::size_t c) { return ids[c]; });
+      return {hash, hash};
     }
 
     /// Records `ids` (about to become row `row_id` of `columns`) unless
-    /// an equal row is already present; returns true if inserted. `key`
-    /// is KeyOf(ids). The caller appends to `columns` after a true
+    /// an equal row is already present; returns true if inserted. `kh`
+    /// is KeyHashOf(ids). The caller appends to `columns` after a true
     /// return; probing only ever dereferences rows below `row_id`.
-    bool InsertOrFind(const Columns& columns, const std::uint32_t* ids,
-                      std::uint64_t key, std::uint32_t row_id);
-    /// Pulls the first slot a row of this key probes into cache (no-op
-    /// before the first insert allocates the table).
-    void Prefetch(std::uint64_t key) const {
-      if (keys_.empty()) return;
-      __builtin_prefetch(keys_.data() + (Home(key) & (keys_.size() - 1)));
+    /// Inline, and defined in relation.cc: only that file calls it.
+    inline bool InsertOrFind(const Columns& columns,
+                             const std::uint32_t* ids, KeyHash kh,
+                             std::uint32_t row_id);
+    /// Pulls the home group's control bytes and key words of a row with
+    /// this hash into cache (no-op before the first insert allocates the
+    /// table).
+    void Prefetch(std::uint64_t hash) const {
+      if (ctrl_.empty()) return;
+      const std::size_t first = HomeGroup(hash) * group_match::kGroupWidth;
+      __builtin_prefetch(ctrl_.data() + first);
+      __builtin_prefetch(keys_.data() + first);
+      __builtin_prefetch(keys_.data() + first + 8);
     }
     /// Records row `row_id`, already in `columns`, which the caller
     /// guarantees is distinct from every recorded row: lands in the first
-    /// free slot of its probe run without comparing any row.
+    /// free slot of its probe path without comparing any row.
     void InsertDistinct(const Columns& columns, std::uint32_t row_id);
     /// The row id equal to `ids`, or kNoRow.
     std::uint32_t Find(const Columns& columns,
@@ -484,14 +511,15 @@ class Relation {
     void Rebuild(const Columns& columns, std::size_t num_rows);
 
     /// Resizes the slot arrays once so `additional` more rows fit under
-    /// the 3/4 load factor (no-op when they already do).
+    /// the 7/8 load factor (no-op when they already do).
     void Reserve(std::size_t additional);
 
    private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    /// Locate's "the row is absent".
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     /// murmur3's fmix64: a bijection that spreads dense dictionary ids
-    /// over the low bits the power-of-two mask keeps.
+    /// over every bit, the tag's and the home group's alike.
     static std::uint64_t Mix(std::uint64_t x) {
       x ^= x >> 33;
       x *= 0xff51afd7ed558ccdULL;
@@ -512,28 +540,35 @@ class Relation {
         HashCombine(seed, std::hash<std::uint32_t>{}(id_at(c)));
       }
       // HashCombine alone leaves dense, sequential dictionary ids poorly
-      // mixed in the low bits, and the table masks with a power of two,
-      // so without the finalizer the linear probes cluster into long
-      // runs on chain-shaped workloads.
+      // mixed in the low bits, which the tag and the power-of-two group
+      // mask both keep.
       return Mix(seed);
     }
-    /// A hash word never collides with the empty marker.
-    static std::uint64_t WideKey(std::uint64_t hash) {
-      return hash == kEmpty ? 0 : hash;
+    /// The hash of a stored key word: packed rows are mixed, hash words
+    /// already are.
+    std::uint64_t HashOfKey(std::uint64_t key) const {
+      return packed_ ? Mix(key) : key;
     }
-    std::uint64_t StoredKey(const Columns& columns, std::uint32_t row) const {
+    KeyHash StoredKeyHash(const Columns& columns, std::uint32_t row) const {
       if (packed_) {
         std::uint32_t ids[2] = {0, 0};
         for (std::size_t c = 0; c < width_; ++c) ids[c] = columns[c][row];
-        return Pack(ids);
+        return KeyHashOf(ids);
       }
-      return WideKey(
-          HashRow([&columns, row](std::size_t c) { return columns[c][row]; }));
+      const std::uint64_t hash = HashRow(
+          [&columns, row](std::size_t c) { return columns[c][row]; });
+      return {hash, hash};
     }
-    /// The probe start of a key: packed rows are mixed, hash words
-    /// already are.
-    std::uint64_t Home(std::uint64_t key) const {
-      return packed_ ? Mix(key) : key;
+    static std::uint8_t Tag(std::uint64_t hash) {
+      return static_cast<std::uint8_t>(hash & 0x7F);
+    }
+    /// Group count - 1 (the table must be allocated).
+    std::size_t GroupMask() const {
+      return ctrl_.size() / group_match::kGroupWidth - 1;
+    }
+    /// The first group on the probe path of `hash`.
+    std::size_t HomeGroup(std::uint64_t hash) const {
+      return static_cast<std::size_t>(hash >> 7) & GroupMask();
     }
     bool RowEquals(const Columns& columns, std::uint32_t row,
                    const std::uint32_t* ids) const {
@@ -542,21 +577,31 @@ class Relation {
       }
       return true;
     }
-    /// Places an entry in the first free slot of its probe run.
-    void Place(std::uint64_t key, std::uint32_t row_id) {
-      const std::size_t mask = keys_.size() - 1;
-      std::size_t h = Home(key) & mask;
-      while (keys_[h] != kEmpty) h = (h + 1) & mask;
-      keys_[h] = key;
-      rows_[h] = row_id;
+    /// Walks the probe path of `kh`: returns the slot holding the row
+    /// equal to `ids`, or kNoSlot with `*free_slot` set to the first free
+    /// slot of the first group that has one (where `ids` would go).
+    /// Inline, and defined in relation.cc: only that file calls it.
+    inline std::size_t Locate(const Columns& columns,
+                              const std::uint32_t* ids, KeyHash kh,
+                              std::size_t* free_slot) const;
+    /// The first free slot on the probe path of `hash`.
+    std::size_t FreeSlot(std::uint64_t hash) const;
+    void Place(std::size_t slot, KeyHash kh, std::uint32_t row_id) {
+      ctrl_[slot] = Tag(kh.hash);
+      keys_[slot] = kh.key;
+      rows_[slot] = row_id;
     }
+    /// True when one more entry would pass 7/8 of the slots.
+    bool Full() const { return (size_ + 1) * 8 > ctrl_.size() * 7; }
     void Grow();
     void ResizeTo(std::size_t new_size);
 
     std::size_t width_;
     bool packed_;                      // width_ <= 2: keys are the rows
-    std::vector<std::uint64_t> keys_;  // power-of-two size; kEmpty = free
-    std::vector<std::uint32_t> rows_;  // row id of each occupied slot
+    std::vector<std::uint8_t> ctrl_;   // one control byte per slot;
+                                       // size a power of two, >= 16
+    std::vector<std::uint64_t> keys_;  // key word of each full slot
+    std::vector<std::uint32_t> rows_;  // row id of each full slot
     std::size_t size_ = 0;
   };
 

@@ -12,6 +12,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "eval/database.h"
@@ -608,6 +609,222 @@ TEST_P(RelationConformanceTest, SpanReadsAfterAppendsExtendTheIndexes) {
     after.push_back({first_mark, rel.size()});  // the next round's delta
     after.insert(after.end(), before.begin(), before.end());
     ExpectSpanReadsMatchRows(rel, after, "after appends");
+  }
+}
+
+/// The dedup contract in reference form: the distinct rows in
+/// first-occurrence order, each mapped to its row id.
+struct ReferenceSet {
+  std::vector<std::vector<std::uint32_t>> rows;
+  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t,
+                     Relation::IdRowHash>
+      ids;
+
+  /// Adds the rows of `batch` (of `arity` ids each) in order; returns
+  /// how many were new.
+  std::size_t Insert(const IdRowBuffer& batch, std::size_t arity) {
+    std::size_t added = 0;
+    for (std::size_t r = 0; r < batch.count; ++r) {
+      const auto first = batch.ids.begin() +
+                         static_cast<std::ptrdiff_t>(r * arity);
+      std::vector<std::uint32_t> row(first,
+                                     first + static_cast<std::ptrdiff_t>(arity));
+      if (ids.emplace(row, static_cast<std::uint32_t>(rows.size())).second) {
+        rows.push_back(std::move(row));
+        ++added;
+      }
+    }
+    return added;
+  }
+};
+
+Tuple ResolveRow(const std::vector<std::uint32_t>& ids) {
+  Tuple tuple;
+  for (std::uint32_t id : ids) {
+    tuple.push_back(ValueDictionary::Global().Resolve(id));
+  }
+  return tuple;
+}
+
+/// The first `domain` ids of `pool` are the values a column may take.
+struct IdDomain {
+  const std::vector<std::uint32_t>* pool;
+  std::size_t domain;
+
+  std::vector<std::uint32_t> RandomRow(std::size_t arity,
+                                       std::mt19937* rng) const {
+    std::uniform_int_distribution<std::size_t> pick(0, domain - 1);
+    std::vector<std::uint32_t> row(arity);
+    for (std::uint32_t& id : row) id = (*pool)[pick(*rng)];
+    return row;
+  }
+};
+
+/// `count` rows of which about two thirds repeat a stored row or an
+/// earlier row of the batch; the rest are drawn at random from `ids`.
+IdRowBuffer DuplicateHeavyBatch(std::size_t arity, std::size_t count,
+                                const ReferenceSet& ref, const IdDomain& ids,
+                                std::mt19937* rng) {
+  IdRowBuffer batch;
+  std::uniform_int_distribution<int> kind(0, 2);
+  for (std::size_t r = 0; r < count; ++r) {
+    std::vector<std::uint32_t> row;
+    const int k = kind(*rng);
+    if (k == 1 && !ref.rows.empty()) {
+      row = ref.rows[std::uniform_int_distribution<std::size_t>(
+          0, ref.rows.size() - 1)(*rng)];
+    } else if (k == 2 && batch.count > 0) {
+      const std::size_t j = std::uniform_int_distribution<std::size_t>(
+          0, batch.count - 1)(*rng);
+      const auto first =
+          batch.ids.begin() + static_cast<std::ptrdiff_t>(j * arity);
+      row.assign(first, first + static_cast<std::ptrdiff_t>(arity));
+    } else {
+      row = ids.RandomRow(arity, rng);
+    }
+    batch.ids.insert(batch.ids.end(), row.begin(), row.end());
+    ++batch.count;
+  }
+  return batch;
+}
+
+/// `rel` holds exactly `ref`'s rows in `ref`'s order; FindRow, FindRowIn
+/// over random spans and (columnar) FindRowIds find random present rows
+/// at their ids, and random absent rows not at all.
+void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
+                            const IdDomain& ids, std::mt19937* rng) {
+  const std::size_t arity = static_cast<std::size_t>(rel.arity());
+  ASSERT_EQ(rel.size(), ref.rows.size());
+  std::size_t i = 0;
+  for (const RowRef row : rel.rows()) {
+    for (std::size_t c = 0; c < arity; ++c) {
+      if (rel.columnar()) {
+        ASSERT_EQ(row.id(c), ref.rows[i][c]) << "row " << i;
+      } else {
+        ASSERT_EQ(row[c], ValueDictionary::Global().Resolve(ref.rows[i][c]))
+            << "row " << i;
+      }
+    }
+    ++i;
+  }
+  const std::size_t n = rel.size();
+  std::uniform_int_distribution<std::size_t> edge(0, n + 2);
+  auto random_span = [&] { return RowSpan{edge(*rng), edge(*rng)}; };
+  for (int probe = 0; n > 0 && probe < 64; ++probe) {
+    const std::uint32_t i = static_cast<std::uint32_t>(
+        std::uniform_int_distribution<std::size_t>(0, n - 1)(*rng));
+    const Tuple tuple = ResolveRow(ref.rows[i]);
+    ASSERT_EQ(rel.FindRow(tuple), i);
+    ASSERT_EQ(rel.FindRow(rel.row(i)), i);
+    const RowSpan span = random_span();
+    ASSERT_EQ(rel.FindRowIn(tuple, span),
+              span.contains(i) ? i : Relation::kNoRow);
+    if (rel.columnar()) {
+      ASSERT_EQ(rel.FindRowIds(ref.rows[i].data()), i);
+      ASSERT_EQ(rel.FindRowIdsIn(ref.rows[i].data(), span),
+                span.contains(i) ? i : Relation::kNoRow);
+    }
+  }
+  for (int probe = 0; probe < 64; ++probe) {
+    const std::vector<std::uint32_t> absent = ids.RandomRow(arity, rng);
+    if (ref.ids.contains(absent)) continue;
+    const Tuple tuple = ResolveRow(absent);
+    ASSERT_EQ(rel.FindRow(tuple), Relation::kNoRow);
+    ASSERT_EQ(rel.FindRowIn(tuple, random_span()), Relation::kNoRow);
+    if (rel.columnar()) {
+      ASSERT_EQ(rel.FindRowIds(absent.data()), Relation::kNoRow);
+    }
+  }
+}
+
+TEST_P(RelationConformanceTest, RandomBatchesAgreeWithAReferenceSet) {
+  // Duplicate-heavy id batches drive the dedup table through every
+  // doubling, with packed key words (arity <= 2) and hashed ones (3, 5);
+  // then through Rebuild (erase a random subset, re-insert it), and
+  // through growth after the verbatim table copy of AddRowRange into an
+  // empty relation.
+  constexpr std::size_t kBatch = 1536;
+  constexpr std::size_t kGrowTo = 16384;
+  std::vector<std::uint32_t> pool(std::size_t{1} << 17);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    pool[i] = ValueDictionary::Global().Intern(
+        Value::Int(1000000 + static_cast<std::int64_t>(i)));
+  }
+  struct Shape {
+    std::size_t arity;
+    std::size_t domain;  // values per column
+  };
+  for (const Shape shape : {Shape{0, 1}, Shape{1, pool.size()}, Shape{2, 512},
+                            Shape{3, 64}, Shape{5, 16}}) {
+    SCOPED_TRACE("arity " + std::to_string(shape.arity));
+    const std::size_t arity = shape.arity;
+    const IdDomain ids{&pool, shape.domain};
+    // Arity 0 holds at most the empty row.
+    const std::size_t grow_to = arity == 0 ? 1 : kGrowTo;
+    std::mt19937 rng(static_cast<unsigned>(41 + arity));
+    Relation rel(static_cast<int>(arity));
+    ReferenceSet ref;
+    for (int batches = 0; ref.rows.size() < grow_to || batches < 3;
+         ++batches) {
+      ASSERT_LT(batches, 200) << "the relation stopped growing";
+      const IdRowBuffer batch =
+          DuplicateHeavyBatch(arity, kBatch, ref, ids, &rng);
+      ASSERT_EQ(rel.InsertIdRows(batch), ref.Insert(batch, arity));
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(rel, ref, ids, &rng));
+    }
+
+    // Erase a random quarter (listing some rows twice, plus an absent
+    // row) and re-insert it, duplicated, as one batch.
+    std::vector<Tuple> doomed;
+    IdRowBuffer back;
+    ReferenceSet kept;
+    std::bernoulli_distribution quarter(0.25);
+    for (const std::vector<std::uint32_t>& row : ref.rows) {
+      if (!quarter(rng)) {
+        kept.ids.emplace(row, static_cast<std::uint32_t>(kept.rows.size()));
+        kept.rows.push_back(row);
+        continue;
+      }
+      doomed.push_back(ResolveRow(row));
+      if (doomed.size() % 5 == 0) doomed.push_back(doomed.back());
+      for (int copy = 0; copy < 2; ++copy) {
+        back.ids.insert(back.ids.end(), row.begin(), row.end());
+        ++back.count;
+      }
+    }
+    const std::size_t erased = ref.rows.size() - kept.rows.size();
+    for (int tries = 0; arity > 0 && tries < 100; ++tries) {
+      const std::vector<std::uint32_t> absent = ids.RandomRow(arity, &rng);
+      if (ref.ids.contains(absent)) continue;
+      doomed.push_back(ResolveRow(absent));
+      break;
+    }
+    ref = kept;
+    ASSERT_EQ(rel.EraseAll(doomed), erased);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(rel, ref, ids, &rng));
+    ASSERT_EQ(rel.InsertIdRows(back), ref.Insert(back, arity));
+    ASSERT_EQ(ref.rows.size(), kept.rows.size() + erased);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(rel, ref, ids, &rng));
+
+    // Copy into an empty relation, then grow the copy to twice the
+    // source: past at least one more doubling of the copied table.
+    Relation copy(static_cast<int>(arity));
+    ASSERT_EQ(copy.AddRowRange(rel, 0, rel.size()), rel.size());
+    ReferenceSet copy_ref = ref;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectMatchesReference(copy, copy_ref, ids, &rng));
+    const std::size_t copy_to = arity == 0 ? 1 : 2 * rel.size();
+    for (int batches = 0; copy_ref.rows.size() < copy_to || batches < 3;
+         ++batches) {
+      ASSERT_LT(batches, 200) << "the copy stopped growing";
+      const IdRowBuffer batch =
+          DuplicateHeavyBatch(arity, kBatch, copy_ref, ids, &rng);
+      ASSERT_EQ(copy.InsertIdRows(batch), copy_ref.Insert(batch, arity));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectMatchesReference(copy, copy_ref, ids, &rng));
+    }
+    // The source saw none of the copy's inserts.
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(rel, ref, ids, &rng));
   }
 }
 

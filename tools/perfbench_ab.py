@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Interleaved A/B comparison of two source trees on one perfbench workload.
+
+Usage:
+
+    python3 tools/perfbench_ab.py --base TREE --change TREE \\
+        --workload tc-random --pairs 10 --seconds 55 --first-seed 101
+
+Each pair runs `python3 perfbench/run.py --trace 0` once inside each tree
+(each tree builds into its own `.bench_build/`), with the same seed for
+both sides: pair i uses seed first-seed + i, and the side that runs first
+alternates from pair to pair. For every end-to-end metric in the base
+tree's BENCHMARK.json the script prints each side's median and quartiles,
+the number of pairs the change won, and a verdict:
+
+  gain      the change won at least nine tenths of the pairs, and the
+            medians differ by more than the base's interquartile range
+  no worse  otherwise, when the change's median is not worse than the
+            base's by more than the metric's bound (a fraction)
+  worse     otherwise
+
+The verdicts are informational. The exit status is 1 when any run fails,
+reports "correct": false, or reports a failed operation; 0 otherwise.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+
+def run_side(tree, workload, seed, seconds):
+    """Runs perfbench in `tree`; returns its result dict."""
+    env = dict(os.environ)
+    env.pop("CARGO_TARGET_DIR", None)  # each tree builds in its own dir
+    command = [sys.executable, os.path.join("perfbench", "run.py"),
+               "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError("perfbench/run.py in %s exited with code %d"
+                           % (tree, proc.returncode))
+    return json.loads(lines[-1])
+
+
+def quantile(values, q):
+    """Linear interpolation between order statistics (q in [0, 1])."""
+    ordered = sorted(values)
+    pos = (len(ordered) - 1) * q
+    low = int(pos)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (pos - low)
+
+
+def summarize(metric, base, change):
+    """Prints one metric's comparison; `base` and `change` are per-pair."""
+    lower = metric.get("better", "lower") == "lower"
+    bound = float(metric.get("bound", 0.0))
+    b_med, c_med = quantile(base, 0.5), quantile(change, 0.5)
+    b_iqr = quantile(base, 0.75) - quantile(base, 0.25)
+    won = sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
+    gap = (b_med - c_med) if lower else (c_med - b_med)  # > 0: change better
+    worse_by = -gap / b_med if b_med else 0.0
+    if won * 10 >= 9 * len(base) and gap > b_iqr:
+        verdict = "gain"
+    elif worse_by > bound:
+        verdict = "worse"
+    else:
+        verdict = "no worse"
+    unit = metric.get("unit", "")
+    print("%s (%s, %s is better, bound %g)"
+          % (metric["name"], unit, "lower" if lower else "higher", bound))
+    for name, values in (("base", base), ("change", change)):
+        print("  %-6s median %.4g  quartiles %.4g-%.4g"
+              % (name, quantile(values, 0.5), quantile(values, 0.25),
+                 quantile(values, 0.75)))
+    ratio = (b_med / c_med if lower else c_med / b_med) if c_med and b_med \
+        else float("nan")
+    print("  change won %d/%d pairs; median gap %.4g (base IQR %.4g); "
+          "speed-up %.3fx" % (won, len(base), gap, b_iqr, ratio))
+    print("  verdict: " + verdict)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="parent source tree")
+    parser.add_argument("--change", required=True, help="changed source tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    args = parser.parse_args()
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs and --seconds must be positive")
+
+    with open(os.path.join(args.base, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    sides = {"base": args.base, "change": args.change}
+    values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    bad = []
+    for pair in range(args.pairs):
+        seed = args.first_seed + pair
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        row = {}
+        for side in order:
+            try:
+                result = run_side(sides[side], args.workload, seed,
+                                  args.seconds)
+            except RuntimeError as err:
+                print("perfbench_ab: " + str(err), file=sys.stderr)
+                return 1
+            if not result["correct"] or result["failed"] != 0:
+                bad.append("pair %d (seed %d) %s: correct=%s failed=%s"
+                           % (pair, seed, side, result["correct"],
+                              result["failed"]))
+            row[side] = result["metrics"]
+        for side in sides:
+            for m in metrics:
+                values[side][m["name"]].append(row[side][m["name"]]["value"])
+        print("pair %d seed %d (%s first): %s" % (
+            pair, seed, order[0], "  ".join(
+                "%s %.4g -> %.4g" % (m["name"], values["base"][m["name"]][-1],
+                                     values["change"][m["name"]][-1])
+                for m in metrics)), flush=True)
+
+    print("\n%s: %d pairs of %g s, seeds %d-%d\n" % (
+        args.workload, args.pairs, args.seconds, args.first_seed,
+        args.first_seed + args.pairs - 1))
+    for m in metrics:
+        summarize(m, values["base"][m["name"]], values["change"][m["name"]])
+    for line in bad:
+        print("FAILED: " + line)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
