@@ -83,6 +83,11 @@ enum class Op : std::uint8_t {
   kLoopEmitAll,   // innermost (filtered) scan
   kProbeEmitAll,  // innermost indexed probe
   kSeekEmitAll,   // innermost multiway intersection
+  // SEEK_EMIT_FIRST: kSeekEmitAll that emits only the first accepted
+  // candidate, then jumps to t (the first-witness exit: the kSeekNext of
+  // the last depth binding a head or negated-literal variable, or HALT
+  // when there is none). Exhausted candidates fall through.
+  kSeekEmitFirst,
   kNumOps,        // sentinel, not a real opcode
 };
 

@@ -222,10 +222,18 @@ Program Lower(const CompiledRule& plan) {
     }
   } else {
     const std::size_t n = p.mw_steps.size();
+    const std::size_t exit_depth = plan.mw_exit_depth_;
     for (std::size_t s = 0; s < n; ++s) {
       const auto sa = static_cast<std::uint32_t>(s);
       if (s + 1 == n) {
-        emit(Op::kSeekEmitAll, sa);
+        // Past the exit depth, the first witness returns straight to the
+        // last kept depth's advance, abandoning the existential loops.
+        if (exit_depth < n) {
+          emit(Op::kSeekEmitFirst, sa, 0, 0,
+               exit_depth == 0 ? kHaltSentinel : loop_next[exit_depth - 1]);
+        } else {
+          emit(Op::kSeekEmitAll, sa);
+        }
         emit(Op::kJump, 0, 0, 0, cont());
         continue;
       }

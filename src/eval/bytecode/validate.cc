@@ -69,6 +69,7 @@ bool UsesTarget(Op op) {
     case Op::kEmit:
     case Op::kJump:
     case Op::kSeekNext:
+    case Op::kSeekEmitFirst:
       return true;
     default:
       return false;
@@ -239,6 +240,7 @@ bool Validate(const Program& p, std::string* error) {
       case Op::kSeek:
       case Op::kSeekNext:
       case Op::kSeekEmitAll:
+      case Op::kSeekEmitFirst:
         if (p.shape != 1 || insn.a >= p.mw_steps.size()) {
           return Fail(error, "seek op outside a multiway program");
         }

@@ -66,6 +66,8 @@ const char* OpName(Op op) {
       return "probe_emit_all";
     case Op::kSeekEmitAll:
       return "seek_emit_all";
+    case Op::kSeekEmitFirst:
+      return "seek_emit_first";
     case Op::kNumOps:
       break;
   }
@@ -445,7 +447,7 @@ bool DeriveImpl(const Program& p, const Database& full,
       &&lbl_kLoad,        &&lbl_kMember,      &&lbl_kMemberOld,
       &&lbl_kEmit,        &&lbl_kJump,        &&lbl_kSeek,
       &&lbl_kSeekNext,    &&lbl_kLoopEmitAll, &&lbl_kProbeEmitAll,
-      &&lbl_kSeekEmitAll};
+      &&lbl_kSeekEmitAll, &&lbl_kSeekEmitFirst};
 #define VM_DISPATCH()                                          \
   do {                                                         \
     if constexpr (kCount) {                                    \
@@ -659,7 +661,8 @@ vm_dispatch:
     VM_NEXT();
   }
 
-  VM_CASE(kSeekEmitAll) {
+  VM_CASE(kSeekEmitAll)
+  VM_CASE(kSeekEmitFirst) {
     seek_open(ip->a);
     MwStepRt& mr = mrt[ip->a];
     const MwStepDesc& ms = p.mw_steps[ip->a];
@@ -668,6 +671,7 @@ vm_dispatch:
       if (!seek_accept(mr, ms, id)) continue;
       slots[ms.slot] = id;
       emit_match();
+      if (ip->op == Op::kSeekEmitFirst) VM_JUMP(ip->t);
     }
     VM_NEXT();
   }

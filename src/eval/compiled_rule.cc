@@ -61,6 +61,7 @@ void CompiledRule::BuildSchedules(const Database& full,
   shape_ = PlanShape::kLeftDeep;
   mw_candidate_ = false;
   mw_steps_.clear();
+  mw_exit_depth_ = 0;
 
   const std::vector<PlannedAtom> order = PlanJoinOrder(full, ranges, atoms_);
 
@@ -238,6 +239,43 @@ void CompiledRule::BuildMultiwaySchedules(
     if (va.min_size != vb.min_size) return va.min_size < vb.min_size;
     return a < b;
   });
+
+  // First-witness order. Kept variables are those the head or a negated
+  // literal reads; once they are bound, one witness of the existential
+  // rest decides the head row, so kept ones go first, each group in key
+  // order. A kept variable sharing no atom with an earlier one would get
+  // a cross product of root lists; then the key order stays as it is.
+  std::vector<bool> kept(static_cast<std::size_t>(num_slots_), false);
+  auto mark_kept = [&](const std::vector<CompiledTerm>& terms) {
+    for (const CompiledTerm& t : terms) {
+      if (!t.is_constant) kept[static_cast<std::size_t>(t.slot)] = true;
+    }
+  };
+  mark_kept(head_terms_);
+  for (const std::vector<CompiledTerm>& terms : negated_terms_) {
+    mark_kept(terms);
+  }
+  std::vector<int> first_witness = var_order;
+  const auto kept_end = std::stable_partition(
+      first_witness.begin(), first_witness.end(),
+      [&](int s) { return kept[static_cast<std::size_t>(s)]; });
+  std::vector<bool> reached(order.size(), false);  // atoms of earlier vars
+  bool connected = true;
+  for (auto it = first_witness.begin(); connected && it != kept_end; ++it) {
+    const std::vector<std::size_t>& atoms =
+        info[static_cast<std::size_t>(*it)].atoms;
+    connected = it == first_witness.begin() ||
+                std::any_of(atoms.begin(), atoms.end(),
+                            [&](std::size_t d) { return reached[d]; });
+    for (std::size_t d : atoms) reached[d] = true;
+  }
+  if (connected) var_order = std::move(first_witness);
+  // The exit: one past the last kept variable. Equal to the step count
+  // (no exit) when no existential variable follows it.
+  mw_exit_depth_ = 0;
+  for (std::size_t i = 0; i < var_order.size(); ++i) {
+    if (kept[static_cast<std::size_t>(var_order[i])]) mw_exit_depth_ = i + 1;
+  }
 
   std::unordered_set<int> bound_slots;
   for (int s : var_order) {
@@ -697,11 +735,13 @@ bool CompiledRule::ApplyMultiway(const Database& full,
   // the tightest atom, not the widest -- the property that makes the
   // intersection worst-case optimal. Candidates are projections of real
   // rows, so a surviving full assignment matches every atom with no
-  // final membership check needed.
-  auto enumerate = [&](auto&& self, std::size_t depth) -> void {
+  // final membership check needed. Returns whether a complete match was
+  // found below `depth`; from the exit depth on, the first one ends the
+  // depth's loop.
+  auto enumerate = [&](auto&& self, std::size_t depth) -> bool {
     if (depth == mw_steps_.size()) {
       emit();
-      return;
+      return true;
     }
     const MultiwayStep& step = mw_steps_[depth];
     const std::size_t num_probes = step.probes.size();
@@ -784,6 +824,7 @@ bool CompiledRule::ApplyMultiway(const Database& full,
       }
     }
 
+    bool matched = false;
     for (const std::uint32_t id : iter) {
       if (stats != nullptr) ++stats->tuples_scanned;
       bool in_all = true;
@@ -812,8 +853,11 @@ bool CompiledRule::ApplyMultiway(const Database& full,
       }
       if (!in_all) continue;
       slots[static_cast<std::size_t>(step.slot)] = id;
-      self(self, depth + 1);
+      if (!self(self, depth + 1)) continue;
+      if (depth >= mw_exit_depth_) return true;
+      matched = true;
     }
+    return matched;
   };
   enumerate(enumerate, 0);
   return true;
@@ -839,9 +883,10 @@ bool CompiledRule::DeriveIds(const Database& full, const DeltaRanges* ranges,
     }
   }
   // Multiway plan shape: the worst-case-optimal intersection executor.
-  // Derives the same fact set and the same substitution count as the
-  // left-deep executors (assignments, not row visits, are what both
-  // count), but probe/scan counters measure the shape's own work.
+  // Derives the same fact set as the left-deep executors. Without a
+  // first-witness exit it also counts the same substitutions (assignments,
+  // not row visits); with one it counts one witness per kept binding.
+  // Probe/scan counters measure the shape's own work.
   if (shape_ == PlanShape::kMultiway && ColumnarStorageEnabled() &&
       ApplyMultiway(full, ranges, stats, derived)) {
     return true;

@@ -277,6 +277,12 @@ class CompiledRule {
   const std::vector<MultiwayStep>& multiway_steps() const {
     return mw_steps_;
   }
+  /// The multiway plan's first-witness exit: one past the step that binds
+  /// the last variable the head or a negated literal reads. Steps at or
+  /// past it stop at their first complete match, since any one witness of
+  /// the remaining (existential) variables derives the same head row.
+  /// Equals multiway_steps().size() when no existential step follows.
+  std::size_t multiway_exit_depth() const { return mw_exit_depth_; }
 
   /// The plan lowered to register-based bytecode (empty when the plan
   /// does not qualify for id-space execution). Rebuilt by every
@@ -314,8 +320,9 @@ class CompiledRule {
   bool ApplyBatch(const Database& full, const DeltaRanges* ranges,
                   MatchStats* stats, IdRowBuffer* derived) const;
 
-  /// Builds the multiway variable order and per-step probe schedules
-  /// (called by BuildSchedules after it selects PlanShape::kMultiway).
+  /// Builds the multiway variable order, its first-witness exit depth and
+  /// the per-step probe schedules (called by BuildSchedules, after the
+  /// head and negation terms, once it selects PlanShape::kMultiway).
   /// `order` is the planned atom list steps_ was built from -- probe
   /// atom indexes refer to it -- and `slot_of` the left-deep slot
   /// assignment, reused so head and negation terms address the same
@@ -327,9 +334,11 @@ class CompiledRule {
   /// Generic worst-case-optimal executor behind Apply when the plan
   /// shape is kMultiway: iterates variables in the plan's fixed order,
   /// intersecting sorted candidate-id lists contributed by every atom
-  /// containing the variable, deriving head rows into `derived`. Returns
-  /// false -- before bumping any counter -- when some live relation is
-  /// not columnar, in which case Apply falls back to the left-deep path.
+  /// containing the variable, deriving head rows into `derived`. Depths
+  /// from multiway_exit_depth() on stop at their first complete match.
+  /// Returns false -- before bumping any counter -- when some live
+  /// relation is not columnar, in which case Apply falls back to the
+  /// left-deep path.
   bool ApplyMultiway(const Database& full, const DeltaRanges* ranges,
                      MatchStats* stats, IdRowBuffer* derived) const;
 
@@ -441,6 +450,7 @@ class CompiledRule {
   // the shape and hence whether NeedsReplan watches sizes at all.
   bool mw_candidate_ = false;
   std::vector<MultiwayStep> mw_steps_;
+  std::size_t mw_exit_depth_ = 0;  // see multiway_exit_depth()
   // True when every head/negated term is a constant or a bound slot, so
   // the batch executor can run without the unbound-variable throw path.
   bool batch_ok_ = false;

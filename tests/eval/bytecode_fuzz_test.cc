@@ -14,6 +14,7 @@
 // offset can make a structurally valid program spin. Field-level
 // mutations leave the code section untouched, so those do run.
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -168,6 +169,8 @@ TEST(BytecodeFuzzTest, RandomInstructionStreamsRejectedOrSafe) {
     bool forward_only = true;
     for (std::size_t pc = 0; pc < p.code.size(); ++pc) {
       const bytecode::Op op = p.code[pc].op;
+      // Every opcode not listed here can jump to t -- SEEK_EMIT_FIRST
+      // included, on its first witness -- so its target must lie ahead.
       const bool uses_target =
           op != bytecode::Op::kHalt && op != bytecode::Op::kLoadKey &&
           op != bytecode::Op::kLoad && op != bytecode::Op::kSeek &&
@@ -187,6 +190,29 @@ TEST(BytecodeFuzzTest, RandomInstructionStreamsRejectedOrSafe) {
   // validates (or nothing runs), the test is no longer testing the VM.
   EXPECT_GE(validated, 10u);
   EXPECT_GE(executed, 5u);
+}
+
+/// SEEK_EMIT_FIRST is a jump: a first-witness program validates and runs
+/// as lowered, and Validate rejects it once the target leaves the code.
+TEST(BytecodeFuzzTest, FirstWitnessJumpOutOfRangeRejected) {
+  KnobGuard guard;
+  Harness h;
+  const CompiledRule plan = h.Lowered("t4(x) :- e(x, y), e(y, z), e(z, x).");
+  bytecode::Program p = plan.bytecode_program();
+  ASSERT_TRUE(bytecode::Validate(p));
+  h.RunSafely(p);
+  const auto first = std::find_if(
+      p.code.begin(), p.code.end(), [](const bytecode::Insn& insn) {
+        return insn.op == bytecode::Op::kSeekEmitFirst;
+      });
+  ASSERT_NE(first, p.code.end());
+  const auto size = static_cast<std::uint32_t>(p.code.size());
+  for (std::uint32_t t : {size, size + 1, 0xFFFFFFFFu}) {
+    first->t = t;
+    std::string error;
+    EXPECT_FALSE(bytecode::Validate(p, &error)) << "t=" << t;
+    EXPECT_EQ(error, "jump target out of range") << "t=" << t;
+  }
 }
 
 TEST(BytecodeFuzzTest, MutatedDescriptorTablesRejectedOrSafe) {

@@ -1,11 +1,16 @@
 // Conformance of the multiway (worst-case-optimal intersection) plan
-// shape against the left-deep executors: identical derived sets and
-// substitution counts on every cyclic workload shape, deterministic
+// shape against the left-deep executors: identical derived sets on every
+// cyclic workload shape, identical substitution counts wherever no
+// first-witness exit applies (and one witness per head row where it
+// does), the first-witness variable order, deterministic
 // counters within a shape, drift-driven shape flips that never change
 // the fixpoint, and the knob interactions (multiway requires index
 // lookups; SetIndexLookups(false) must fall back to left-deep).
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <set>
 #include <vector>
 
 #include "eval/compiled_rule.h"
@@ -20,6 +25,7 @@
 namespace datalog {
 namespace {
 
+using testing::AddFullEnumerationTwins;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseProgramOrDie;
@@ -32,6 +38,7 @@ struct KnobGuard {
     SetCompiledRulePlans(true);
     SetMultiwayJoins(true);
     SetColumnarStorage(true);
+    SetBytecodeExecution(true);
   }
 };
 
@@ -128,8 +135,11 @@ TEST(MultiwayConformanceTest, MultiwayKnobOffKeepsLeftDeep) {
 }
 
 /// Every cyclic workload shape: the multiway and left-deep shapes derive
-/// the same fixpoint with the same substitution count (assignments are
-/// shape-independent; probe/scan counters are not compared).
+/// the same fixpoint. Each rule's full-enumeration twin (see
+/// AddFullEnumerationTwins) counts the same substitutions under both
+/// shapes (assignments are shape-independent; probe/scan counters are
+/// not compared); the original rules, which may stop at one witness per
+/// head row on the multiway plan, count no more than left-deep.
 TEST(MultiwayConformanceTest, IdenticalDerivedSetsAcrossShapes) {
   KnobGuard guard;
   const CyclicShape shapes[] = {CyclicShape::kTriangle, CyclicShape::kKCycle,
@@ -145,6 +155,8 @@ TEST(MultiwayConformanceTest, IdenticalDerivedSetsAcrossShapes) {
     auto symbols = MakeSymbols();
     Program program =
         ParseProgramOrDie(symbols, CyclicProgramText(options));
+    AddFullEnumerationTwins(&program);
+    const std::size_t num_rules = program.NumRules() / 2;
     Database edb = MakeCyclicDb(symbols, options);
 
     SetMultiwayJoins(true);
@@ -158,11 +170,141 @@ TEST(MultiwayConformanceTest, IdenticalDerivedSetsAcrossShapes) {
     EvalStats s2 = EvaluateSemiNaive(program, &d2).value();
 
     EXPECT_EQ(d1, d2) << "shape " << static_cast<int>(shape);
-    EXPECT_EQ(s1.match.substitutions, s2.match.substitutions)
-        << "shape " << static_cast<int>(shape);
+    for (std::size_t i = 0; i < num_rules; ++i) {
+      EXPECT_EQ(s1.per_rule[num_rules + i].substitutions,
+                s2.per_rule[num_rules + i].substitutions)
+          << "twin of rule " << i << ", shape " << static_cast<int>(shape);
+      EXPECT_LE(s1.per_rule[i].substitutions, s2.per_rule[i].substitutions)
+          << "rule " << i << ", shape " << static_cast<int>(shape);
+    }
     EXPECT_GT(d1.NumFacts(), edb.NumFacts())
         << "workload derived nothing; shape " << static_cast<int>(shape);
   }
+}
+
+/// The first-witness exit: nonrecursive KCycle and Clique rules,
+/// evaluated once from an empty head over hub-skewed graphs, find exactly
+/// one witness per head row on the multiway plan -- on the VM and on the
+/// struct executor -- and derive the left-deep fixpoint.
+TEST(MultiwayConformanceTest, FirstWitnessExitFindsOneWitnessPerHeadRow) {
+  KnobGuard guard;
+  std::uint64_t left_deep_substitutions = 0;
+  std::uint64_t multiway_substitutions = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    CyclicOptions options;
+    options.shape = CyclicShape::kClique;
+    options.num_nodes = 20 + seed % 8;
+    options.num_edges = 3 * options.num_nodes;
+    options.num_hubs = 1 + seed % 2;
+    options.seed = seed;
+    auto symbols = MakeSymbols();
+    Database edb = MakeCyclicDb(symbols, options);
+    CyclicOptions cycle = options;
+    cycle.shape = CyclicShape::kKCycle;
+    cycle.cycle_length = 4 + seed % 3;
+    Program program = ParseProgramOrDie(
+        symbols, CyclicProgramText(cycle) + CyclicProgramText(options));
+
+    auto run = [&](bool multiway, bool bytecode, EvalStats* stats) {
+      SetMultiwayJoins(multiway);
+      SetBytecodeExecution(bytecode);
+      Database d(symbols);
+      d.UnionWith(edb);
+      *stats = EvaluateSemiNaive(program, &d).value();
+      return d;
+    };
+    EvalStats left_deep;
+    const Database expected = run(false, true, &left_deep);
+    left_deep_substitutions += left_deep.match.substitutions;
+    for (bool bytecode : {true, false}) {
+      EvalStats stats;
+      EXPECT_EQ(run(true, bytecode, &stats), expected)
+          << "seed " << seed << " bytecode=" << bytecode;
+      EXPECT_EQ(stats.match.substitutions, stats.facts_derived)
+          << "seed " << seed << " bytecode=" << bytecode;
+      if (bytecode) multiway_substitutions += stats.match.substitutions;
+    }
+  }
+  // The graphs have heads with several witnesses, so the exit saved work.
+  EXPECT_LT(multiway_substitutions, left_deep_substitutions);
+}
+
+/// The first-witness variable order: variables the head or a negated
+/// literal reads go first and the exit sits one past the last of them;
+/// kept variables sharing no atom keep the plain key order; a body without
+/// existential variables is planned exactly as before.
+TEST(MultiwayConformanceTest, FirstWitnessOrderBindsKeptVariablesFirst) {
+  KnobGuard guard;
+  auto symbols = MakeSymbols();
+  CyclicOptions options;
+  options.shape = CyclicShape::kClique;
+  options.num_nodes = 16;
+  options.seed = 5;
+  Database db = MakeCyclicDb(symbols, options);
+  symbols->InternPredicate("b", 1).value();
+  auto compile = [&](const char* text) {
+    CompiledRule plan =
+        CompiledRule::Compile(ParseRuleOrDie(symbols, text), std::size_t(-1),
+                              /*use_old=*/false, db, nullptr);
+    EXPECT_EQ(plan.shape(), PlanShape::kMultiway) << text;
+    return plan;
+  };
+  auto order = [](const CompiledRule& plan) {
+    std::vector<std::uint32_t> slots;
+    for (const MultiwayStep& step : plan.multiway_steps()) {
+      slots.push_back(static_cast<std::uint32_t>(step.slot));
+    }
+    return slots;
+  };
+  auto first_witness = [](const CompiledRule& plan) {
+    const std::vector<bytecode::Insn>& code = plan.bytecode_program().code;
+    return std::find_if(code.begin(), code.end(),
+                        [](const bytecode::Insn& insn) {
+                          return insn.op == bytecode::Op::kSeekEmitFirst;
+                        });
+  };
+
+  // clq(x, w): x and w first, the exit at 2. The lowered first witness
+  // returns to the advance of depth 1, the depth binding the last of them.
+  const CompiledRule clq = compile(
+      "clq(x, w) :- e(x, y), e(x, z), e(x, w), e(y, z), e(y, w), e(z, w).");
+  const std::vector<std::uint32_t> clq_order = order(clq);
+  ASSERT_EQ(clq_order.size(), 4u);
+  const std::vector<bytecode::TermDesc>& head = clq.bytecode_program().head;
+  EXPECT_EQ(std::set<std::uint32_t>(clq_order.begin(), clq_order.begin() + 2),
+            (std::set<std::uint32_t>{head[0].index, head[1].index}));
+  EXPECT_EQ(clq.multiway_exit_depth(), 2u);
+  const auto clq_exit = first_witness(clq);
+  ASSERT_NE(clq_exit, clq.bytecode_program().code.end());
+  const bytecode::Insn& target = clq.bytecode_program().code[clq_exit->t];
+  EXPECT_EQ(target.op, bytecode::Op::kSeekNext);
+  EXPECT_EQ(target.a, 1u);
+
+  // A negated literal's variables are kept too: x and y first.
+  const CompiledRule neg =
+      compile("q(x) :- e(x, y), e(y, z), e(z, x), not b(y).");
+  const std::vector<std::uint32_t> neg_order = order(neg);
+  ASSERT_EQ(neg_order.size(), 3u);
+  const std::uint32_t x = neg.bytecode_program().head[0].index;
+  const std::uint32_t y = neg.bytecode_program().negated[0].terms[0].index;
+  EXPECT_EQ(std::set<std::uint32_t>(neg_order.begin(), neg_order.begin() + 2),
+            (std::set<std::uint32_t>{x, y}));
+  EXPECT_EQ(neg.multiway_exit_depth(), 2u);
+
+  // Opposite corners x and z of a 4-cycle share no atom: binding both
+  // first would be a cross product, so the order is the one the same body
+  // gets with every variable in the head.
+  const char* const corners =
+      "p(x, z) :- e(x, y), e(y, z), e(z, w), e(w, x).";
+  const char* const all_vars =
+      "p4(x, y, z, w) :- e(x, y), e(y, z), e(z, w), e(w, x).";
+  EXPECT_EQ(order(compile(corners)), order(compile(all_vars)));
+
+  // tri(x, y, z) keeps every variable: the plain key order, no exit.
+  const CompiledRule tri = compile("tri(x, y, z) :- e(x, y), e(y, z), e(z, x).");
+  EXPECT_EQ(order(tri), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(tri.multiway_exit_depth(), 3u);
+  EXPECT_EQ(first_witness(tri), tri.bytecode_program().code.end());
 }
 
 /// Within one shape the engine is deterministic: every counter and the

@@ -67,6 +67,28 @@ inline Atom ParseQueryOrDie(std::shared_ptr<SymbolTable> symbols,
   return result.ok() ? std::move(result).value() : Atom();
 }
 
+/// Appends one twin per rule of an n-rule program, at rule indexes n to
+/// 2n - 1: the same body under a fresh head predicate over every
+/// positive-body variable. A twin has no existential variable, so no plan
+/// gives it a first-witness exit, and its EvalStats::per_rule
+/// substitutions count every complete body match under any plan shape.
+inline void AddFullEnumerationTwins(Program* program) {
+  const std::size_t n = program->NumRules();
+  SymbolTable& symbols = *program->mutable_symbols();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Rule& rule = program->rules()[i];
+    std::vector<Term> args;
+    for (VariableId v : rule.PositiveBodyVariables()) {
+      args.push_back(Term::Variable(v));
+    }
+    const PredicateId twin = symbols.FreshPredicate(
+        symbols.PredicateName(rule.head().predicate()) + "_all",
+        static_cast<int>(args.size()));
+    std::vector<Literal> body = rule.body();
+    program->AddRule(Rule(Atom(twin, std::move(args)), std::move(body)));
+  }
+}
+
 }  // namespace testing
 }  // namespace datalog
 

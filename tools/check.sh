@@ -125,13 +125,27 @@ run_work_counter_gate() {
       >> "${tmp}/tri_facts.dl"
   done
 
+  # clq: the 4-clique rule over a 24-node ring with edges i -> i+1 and
+  # i -> i+2, plus two hubs (0 and 25) connected to every node in both
+  # directions. The head drops y and z, so the multiway plan binds x and
+  # w first and stops at one (y, z) witness each; this case pins the
+  # first-witness exit's saved work.
+  printf 'clq(x, w) :- e(x, y), e(x, z), e(x, w), e(y, z), e(y, w), e(z, w).\n' \
+    > "${tmp}/clq.dl"
+  printf 'e(0, 25).\ne(25, 0).\n' > "${tmp}/clq_facts.dl"
+  for i in $(seq 1 24); do
+    printf 'e(%d, %d).\ne(%d, %d).\ne(0, %d).\ne(%d, 0).\ne(25, %d).\ne(%d, 25).\n' \
+      "$i" $((i % 24 + 1)) "$i" $(((i + 1) % 24 + 1)) "$i" "$i" "$i" "$i" \
+      >> "${tmp}/clq_facts.dl"
+  done
+
   # Each case runs twice: once on the default bytecode VM and once with
   # --no-bytecode (the struct interpreter), as `<case>` and
   # `<case>_struct` rows. The two executors promise identical counters,
   # so the paired rows also pin that parity in CI.
   local case_name row_name flag
   : > "${tmp}/measured.txt"
-  for case_name in tc sg sel tri; do
+  for case_name in tc sg sel tri clq; do
     for flag in "" "--no-bytecode"; do
       row_name="${case_name}${flag:+_struct}"
       # shellcheck disable=SC2086
