@@ -294,7 +294,7 @@ bool DeriveImpl(const Program& p, const Database& full,
   MatchStats local;
   derived_rows->ids.clear();
   derived_rows->count = 0;
-  std::vector<std::uint32_t>& derived = derived_rows->ids;
+  IdVector& derived = derived_rows->ids;
   std::size_t& derived_count = derived_rows->count;
   std::vector<std::uint32_t> neg_key;
 
@@ -370,7 +370,7 @@ bool DeriveImpl(const Program& p, const Database& full,
     } else {
       const StepRt& at = srt[sp.atom];
       const Relation& rel = *at.rel;
-      const std::vector<std::uint32_t>& c0 = rel.column(sp.var_cols[0]);
+      const IdVector& c0 = rel.column(sp.var_cols[0]);
       std::vector<std::uint32_t>& proj = mr.proj[smallest];
       proj.clear();
       for (std::uint32_t row_id : mr.lists[smallest]) {

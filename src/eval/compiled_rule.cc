@@ -789,8 +789,7 @@ bool CompiledRule::ApplyMultiway(const Database& full,
     } else {
       const AtomRt& at = atoms_rt[src_probe.atom];
       const Relation& rel = *at.rel;
-      const std::vector<std::uint32_t>& c0 =
-          rel.column(src_probe.var_cols[0]);
+      const IdVector& c0 = rel.column(src_probe.var_cols[0]);
       std::vector<std::uint32_t>& out_list = proj[depth][smallest];
       out_list.clear();
       for (std::uint32_t row_id : lists[depth][smallest]) {

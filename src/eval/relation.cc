@@ -111,9 +111,9 @@ void Relation::RowIdTable::Reserve(std::size_t additional) {
 }
 
 void Relation::RowIdTable::ResizeTo(std::size_t new_size) {
-  std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<std::uint32_t> old_rows = std::move(rows_);
+  BlockVector<std::uint8_t> old_ctrl = std::move(ctrl_);
+  BlockVector<std::uint64_t> old_keys = std::move(keys_);
+  BlockVector<std::uint32_t> old_rows = std::move(rows_);
   ctrl_.assign(new_size, group_match::kFree);
   keys_.assign(new_size, 0);
   rows_.assign(new_size, 0);
@@ -193,11 +193,12 @@ std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
   }
   std::size_t added = 0;
   if (columnar_) {
-    // Nothing is reserved up front: a batch of derived rows may be
-    // mostly duplicates, so storage grows with the rows actually new.
-    // Each row is hashed once, kAhead rows before its probe, when its
-    // home group is prefetched (a table growth in between only wastes
-    // those few prefetches).
+    // A batch of derived rows may be mostly duplicates or mostly new, so
+    // the first kYieldPrefix rows go in unreserved and the rest is
+    // reserved for at their yield (see the header). Each row is hashed
+    // once, kAhead rows before its probe, when its home group is
+    // prefetched (a table growth in between only wastes those few
+    // prefetches).
     constexpr std::size_t kAhead = 8;
     RowIdTable::KeyHash ahead[kAhead] = {};
     const std::uint32_t* ids = rows.ids.data();
@@ -206,6 +207,13 @@ std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
       id_table_.Prefetch(ahead[r].hash);
     }
     for (std::size_t r = 0; r < rows.count; ++r) {
+      if (r == kYieldPrefix && added != 0) {
+        // added <= kYieldPrefix, so this is at most the rows left.
+        const std::size_t expected =
+            (rows.count - kYieldPrefix) * added / kYieldPrefix;
+        id_table_.Reserve(expected);
+        ReserveRows(expected);
+      }
       const RowIdTable::KeyHash kh = ahead[r % kAhead];
       if (r + kAhead < rows.count) {
         ahead[r % kAhead] = id_table_.KeyHashOf(ids + (r + kAhead) * width);
@@ -252,6 +260,12 @@ std::size_t Relation::AddRowRange(const Relation& src, std::size_t begin,
                                   std::size_t end) {
   if (begin >= end) return 0;
   CheckWidth(static_cast<std::size_t>(src.arity_));
+  if (end > src.num_rows_) {
+    throw std::invalid_argument(
+        "row range ending at " + std::to_string(end) +
+        " copied from a relation of " + std::to_string(src.num_rows_) +
+        " rows");
+  }
   if (columnar_ && src.columnar_) {
     if (num_rows_ == 0 && begin == 0 && end == src.num_rows_) {
       CopyIntoEmpty(src);
@@ -348,7 +362,7 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
       row_ids_.emplace(rows_[i], static_cast<std::uint32_t>(i));
     }
   } else {
-    for (std::vector<std::uint32_t>& col : columns_) {
+    for (IdVector& col : columns_) {
       std::size_t out = 0;
       for (std::size_t i = 0; i < num_rows_; ++i) {
         if (!doomed[i]) col[out++] = col[i];
@@ -423,8 +437,7 @@ void Relation::CollectSortedKeys(const std::vector<int>& columns,
   out->clear();
   if (!columnar_) return;
   rows = Bounds(rows);
-  const std::vector<std::uint32_t>& c0 =
-      columns_[static_cast<std::size_t>(columns[0])];
+  const IdVector& c0 = columns_[static_cast<std::size_t>(columns[0])];
   for (std::size_t i = rows.begin; i < rows.end; ++i) {
     const std::uint32_t id = c0[i];
     bool ok = true;
@@ -570,8 +583,7 @@ void Relation::ExtendIdIndex(const std::vector<int>& columns,
 void Relation::ExtendSingleIdIndex(int column,
                                    SingleIdColumnIndex* index) const {
   if (index->built_up_to == num_rows_) return;
-  const std::vector<std::uint32_t>& col =
-      columns_[static_cast<std::size_t>(column)];
+  const IdVector& col = columns_[static_cast<std::size_t>(column)];
   for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     index->map[col[i]].push_back(static_cast<std::uint32_t>(i));
   }

@@ -13,6 +13,7 @@
 
 #include "eval/group_match.h"
 #include "eval/tuple.h"
+#include "util/block_cache.h"
 #include "util/interning.h"
 
 namespace datalog {
@@ -29,13 +30,18 @@ namespace datalog {
 void SetColumnarStorage(bool enabled);
 bool ColumnarStorageEnabled();
 
+/// A run of dictionary ids whose buffer is recycled through the block
+/// cache (util/block_cache.h): the type of a columnar relation's id
+/// columns and of an IdRowBuffer's ids.
+using IdVector = BlockVector<std::uint32_t>;
+
 /// Rows of dictionary ids buffered for one batch insert: `count` rows of
 /// the target relation's arity, laid out row-major in `ids`. The count is
 /// explicit because zero-arity rows take no ids. The id-space executors
 /// (bytecode VM, ApplyBatch, ApplyMultiway) derive each rule
 /// application's head rows into one of these before inserting them.
 struct IdRowBuffer {
-  std::vector<std::uint32_t> ids;
+  IdVector ids;
   std::size_t count = 0;
 };
 
@@ -112,12 +118,12 @@ class RowRef {
 
  private:
   friend class Relation;
-  RowRef(const std::vector<std::vector<std::uint32_t>>* columns,
-         std::uint32_t row, std::uint32_t size)
+  RowRef(const std::vector<IdVector>* columns, std::uint32_t row,
+         std::uint32_t size)
       : columns_(columns), row_(row), size_(size) {}
 
   const Value* values_ = nullptr;  // Tuple-backed (and row-store) rows
-  const std::vector<std::vector<std::uint32_t>>* columns_ = nullptr;
+  const std::vector<IdVector>* columns_ = nullptr;
   std::uint32_t row_ = 0;
   std::uint32_t size_ = 0;
 };
@@ -134,11 +140,11 @@ class RowRef {
 ///    through a Tuple-keyed hash map (row -> row id), and indexes key on
 ///    `Value`/`Tuple`.
 ///  - Columnar: every inserted value is interned to a dense u32 id in the
-///    global ValueDictionary and each column is a contiguous
-///    `std::vector<std::uint32_t>`. The columns are the only row storage:
-///    dedup, membership and the postings indexes all key on ids, so
-///    probes compare 4-byte integers, and rows are read back through
-///    RowRef views that resolve ids on access.
+///    global ValueDictionary and each column is a contiguous IdVector.
+///    The columns are the only row storage: dedup, membership and the
+///    postings indexes all key on ids, so probes compare 4-byte
+///    integers, and rows are read back through RowRef views that
+///    resolve ids on access.
 ///
 /// Rows of a width other than arity() are rejected by every insert entry
 /// (std::invalid_argument); membership probes of another width simply
@@ -185,15 +191,24 @@ class Relation {
 
   /// Inserts every row of `rows` in order (each of arity() ids); returns
   /// how many were new. The single write-path entry of the id-space
-  /// executors; storage grows with the rows actually new.
+  /// executors. On the columnar backend, once the batch's first
+  /// kYieldPrefix rows are in, the dedup table and the columns are
+  /// reserved once for the rest of the batch at the share of new rows
+  /// those rows showed: a mostly-duplicate batch reserves next to
+  /// nothing, a mostly-new one stops doubling mid-batch. A prefix that
+  /// misleads over-reserves by at most the batch's remaining rows, and
+  /// nothing is kept past the batch. Batches of at most kYieldPrefix
+  /// rows reserve nothing.
   std::size_t InsertIdRows(const IdRowBuffer& rows);
 
   /// Appends rows [begin, end) of `src` (same arity) in order; returns
-  /// how many were new. Between columnar relations the copy stays in id
-  /// space, and a whole relation copied into an EMPTY one -- an EDB copy,
-  /// a parallel task's derivations merged into a relation that had none
-  /// -- takes the columns and the dedup table verbatim, without a single
-  /// equality probe.
+  /// how many were new. `begin >= end` appends nothing; `end` past
+  /// src.size() throws std::invalid_argument, like a width mismatch.
+  /// Between columnar relations the copy stays in id space, and a whole
+  /// relation copied into an EMPTY one -- an EDB copy, a parallel task's
+  /// derivations merged into a relation that had none -- takes the
+  /// columns and the dedup table verbatim, without a single equality
+  /// probe.
   std::size_t AddRowRange(const Relation& src, std::size_t begin,
                           std::size_t end);
 
@@ -313,7 +328,7 @@ class Relation {
   /// The id column for `c` (columnar backend only): column(c)[i] is the
   /// dictionary id of row(i)[c]. Contiguous, insertion-ordered, append-
   /// only between erasures -- the batch probe path's scan substrate.
-  const std::vector<std::uint32_t>& column(int c) const {
+  const IdVector& column(int c) const {
     return columns_[static_cast<std::size_t>(c)];
   }
 
@@ -449,17 +464,18 @@ class Relation {
   ///
   /// Each slot's 64-bit key word and row id sit in arrays parallel to
   /// the control bytes; the rows themselves stay in columns_, so neither
-  /// insert nor probe allocates. The key word is the row itself when it
-  /// fits in 64 bits -- arity 2 or less, by far the common case -- and
-  /// the row's 64-bit hash otherwise. Narrow rows are therefore
-  /// deduplicated by one word compare, without ever reading the columns;
-  /// wider rows read a stored row's columns only when the hash words
-  /// agree. Either way a rehash re-scatters key words without touching
-  /// the columns. Every key is exactly `width` dictionary ids (the
-  /// Relation checks widths at its entry points).
+  /// insert nor probe allocates. The three arrays, like the columns, are
+  /// BlockVectors: a table freed by one evaluation serves the next. The
+  /// key word is the row itself when it fits in 64 bits -- arity 2 or
+  /// less, by far the common case -- and the row's 64-bit hash otherwise.
+  /// Narrow rows are therefore deduplicated by one word compare, without
+  /// ever reading the columns; wider rows read a stored row's columns
+  /// only when the hash words agree. Either way a rehash re-scatters key
+  /// words without touching the columns. Every key is exactly `width`
+  /// dictionary ids (the Relation checks widths at its entry points).
   class RowIdTable {
    public:
-    using Columns = std::vector<std::vector<std::uint32_t>>;
+    using Columns = std::vector<IdVector>;
 
     explicit RowIdTable(std::size_t width = 0)
         : width_(width), packed_(width <= 2) {}
@@ -598,16 +614,20 @@ class Relation {
 
     std::size_t width_;
     bool packed_;                      // width_ <= 2: keys are the rows
-    std::vector<std::uint8_t> ctrl_;   // one control byte per slot;
+    BlockVector<std::uint8_t> ctrl_;   // one control byte per slot;
                                        // size a power of two, >= 16
-    std::vector<std::uint64_t> keys_;  // key word of each full slot
-    std::vector<std::uint32_t> rows_;  // row id of each full slot
+    BlockVector<std::uint64_t> keys_;  // key word of each full slot
+    BlockVector<std::uint32_t> rows_;  // row id of each full slot
     std::size_t size_ = 0;
   };
 
+  /// Rows InsertIdRows inserts before it reserves for the rest of the
+  /// batch: enough to read a yield from, and few enough that the rows
+  /// reserved for are most of any batch large enough to grow a table.
+  static constexpr std::size_t kYieldPrefix = 256;
   /// Pre-sizes the id columns (the row vector on the row store) for
-  /// `additional` more rows about to be appended. The dedup table is left
-  /// to grow with the rows actually inserted, which may be far fewer.
+  /// `additional` more rows about to be appended, growing at least
+  /// geometrically. The dedup table is sized separately.
   void ReserveRows(std::size_t additional);
   /// PostingsIn for a span that does not cover the whole relation.
   static std::span<const std::uint32_t> CutPostings(
@@ -675,7 +695,7 @@ class Relation {
   // Columnar backend: one contiguous id vector per column -- the only
   // row storage -- plus the allocation-free open-addressing dedup table
   // over those columns.
-  std::vector<std::vector<std::uint32_t>> columns_;
+  std::vector<IdVector> columns_;
   RowIdTable id_table_;
   // Ordered maps keyed by column list (or single column); indexes are
   // created lazily by Lookup and extended incrementally as rows are

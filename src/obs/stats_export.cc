@@ -4,6 +4,7 @@
 
 #include "incr/materialized_view.h"
 #include "obs/metrics.h"
+#include "util/block_cache.h"
 
 namespace datalog {
 
@@ -40,6 +41,12 @@ void RecordEvalStats(std::string_view engine, const EvalStats& stats) {
     registry.Add("eval.rule.facts", rule_labels, rule.facts);
     registry.Add("eval.rule.substitutions", rule_labels, rule.substitutions);
   }
+  // Gauges of the process's history, not of this evaluation.
+  const BlockCache::Stats cache = BlockCache::Global().stats();
+  registry.Set("storage.cache.retained_bytes", {}, cache.retained_bytes);
+  registry.Set("storage.cache.peak_bytes", {}, cache.peak_bytes);
+  registry.Set("storage.cache.hits", {}, cache.hits);
+  registry.Set("storage.cache.misses", {}, cache.misses);
 }
 
 void RecordTopDownStats(std::string_view engine, const TopDownStats& stats) {

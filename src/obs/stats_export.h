@@ -24,10 +24,16 @@ struct CommitStats;  // incr/materialized_view.h
 ///                                                    deterministic)
 ///   eval.rule.applications/facts/substitutions{engine=E, rule=i}
 ///
+/// and sets the block cache's gauges (util/block_cache.h), unlabeled:
+///
+///   storage.cache.retained_bytes / peak_bytes / hits / misses
+///
 /// Counters ADD across runs; Clear() the registry between runs when a
-/// single run's numbers are wanted. Every counter except the ns-suffixed
-/// ones is deterministic and equals the EvalStats field bit-for-bit --
-/// tests/obs/trace_invariant_test.cc holds every engine to that contract.
+/// single run's numbers are wanted. Every eval.* counter except the
+/// ns-suffixed ones is deterministic and equals the EvalStats field
+/// bit-for-bit -- tests/obs/trace_invariant_test.cc holds every engine to
+/// that contract. The storage.cache.* gauges describe the process's
+/// history (what earlier evaluations freed), so they are outside it.
 /// No-op when the registry is disabled.
 void RecordEvalStats(std::string_view engine, const EvalStats& stats);
 

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "eval/database.h"
@@ -290,7 +291,8 @@ TEST_P(RelationConformanceTest, RejectsRowsOfTheWrongWidth) {
   std::vector<std::uint32_t> ids;
   ValueDictionary::Global().InternRow(T2(1, 2), &ids);
   EXPECT_THROW(rel.InsertIds(ids), std::invalid_argument);
-  EXPECT_THROW(rel.InsertIdRows(IdRowBuffer{ids, 1}), std::invalid_argument);
+  EXPECT_THROW(rel.InsertIdRows(IdRowBuffer{{ids.begin(), ids.end()}, 1}),
+               std::invalid_argument);
   const Relation wide = PairRelation(3);
   EXPECT_THROW(rel.AddRowRange(wide, 0, wide.size()), std::invalid_argument);
   EXPECT_TRUE(rel.empty());
@@ -306,6 +308,32 @@ TEST_P(RelationConformanceTest, RejectsRowsOfTheWrongWidth) {
   Database db(symbols);
   EXPECT_THROW(db.AddFact(p, T2(1, 2)), std::invalid_argument);
   EXPECT_EQ(db.NumFacts(), 0u);
+}
+
+TEST_P(RelationConformanceTest, AddRowRangeRejectsARangePastTheSource) {
+  // Regression test: a range ending past the source's last row used to
+  // be copied anyway, reading past the end of the source's columns (a
+  // heap-buffer-overflow under ASan on the columnar backend, and rows_
+  // out of range on the row store). It now throws and copies nothing.
+  const Relation src = PairRelation(2);
+  Relation dst = PairRelation(5);  // non-empty: the row-by-row path
+  Relation empty(2);               // the bulk copy's path
+  EXPECT_THROW(dst.AddRowRange(src, 0, 40), std::invalid_argument);
+  EXPECT_THROW(dst.AddRowRange(src, 1, 3), std::invalid_argument);
+  EXPECT_THROW(empty.AddRowRange(src, 0, 3), std::invalid_argument);
+  EXPECT_EQ(dst.size(), 5u);
+  EXPECT_TRUE(empty.empty());
+  // An empty or reversed range stays a no-op wherever it lies.
+  EXPECT_EQ(dst.AddRowRange(src, 40, 40), 0u);
+  EXPECT_EQ(dst.AddRowRange(src, 50, 40), 0u);
+  EXPECT_EQ(empty.AddRowRange(src, 0, src.size()), src.size());
+  // Database::AddRowRange reaches the same check.
+  auto symbols = std::make_shared<SymbolTable>();
+  const PredicateId p = symbols->InternPredicate("p", 2).value();
+  Database db(symbols);
+  EXPECT_THROW(db.AddRowRange(p, src, 0, 40), std::invalid_argument);
+  EXPECT_EQ(db.NumFacts(), 0u);
+  EXPECT_EQ(db.AddRowRange(p, src, 0, src.size()), src.size());
 }
 
 TEST_P(RelationConformanceTest, RowViewsReadInsertionOrderAcrossLaterInserts) {
@@ -688,6 +716,40 @@ IdRowBuffer DuplicateHeavyBatch(std::size_t arity, std::size_t count,
   return batch;
 }
 
+/// `count` rows split at a random point: on one side rows new to `ref`
+/// and to each other, on the other repeats of `ref`'s rows (and, when
+/// the new rows come first, of those). `new_first` picks the order.
+/// `ref` must be non-empty.
+IdRowBuffer SplitBatch(std::size_t arity, std::size_t count, bool new_first,
+                       const ReferenceSet& ref, const IdDomain& ids,
+                       std::mt19937* rng) {
+  const std::size_t split =
+      std::uniform_int_distribution<std::size_t>(1, count - 1)(*rng);
+  const std::size_t fresh = new_first ? split : count - split;
+  std::vector<std::vector<std::uint32_t>> news;
+  std::unordered_set<std::vector<std::uint32_t>, Relation::IdRowHash> seen;
+  while (news.size() < fresh) {
+    std::vector<std::uint32_t> row = ids.RandomRow(arity, rng);
+    if (ref.ids.contains(row) || !seen.insert(row).second) continue;
+    news.push_back(std::move(row));
+  }
+  auto repeat = [&]() -> const std::vector<std::uint32_t>& {
+    const std::size_t pool = ref.rows.size() + (new_first ? news.size() : 0);
+    const std::size_t j =
+        std::uniform_int_distribution<std::size_t>(0, pool - 1)(*rng);
+    return j < ref.rows.size() ? ref.rows[j] : news[j - ref.rows.size()];
+  };
+  IdRowBuffer batch;
+  for (std::size_t r = 0; r < count; ++r) {
+    const bool is_new = new_first ? r < split : r >= split;
+    const std::vector<std::uint32_t>& row =
+        is_new ? news[new_first ? r : r - split] : repeat();
+    batch.ids.insert(batch.ids.end(), row.begin(), row.end());
+    ++batch.count;
+  }
+  return batch;
+}
+
 /// `rel` holds exactly `ref`'s rows in `ref`'s order; FindRow, FindRowIn
 /// over random spans and (columnar) FindRowIds find random present rows
 /// at their ids, and random absent rows not at all.
@@ -740,9 +802,11 @@ void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
 TEST_P(RelationConformanceTest, RandomBatchesAgreeWithAReferenceSet) {
   // Duplicate-heavy id batches drive the dedup table through every
   // doubling, with packed key words (arity <= 2) and hashed ones (3, 5);
-  // then through Rebuild (erase a random subset, re-insert it), and
-  // through growth after the verbatim table copy of AddRowRange into an
-  // empty relation.
+  // then through Rebuild (erase a random subset, re-insert it), through
+  // growth after the verbatim table copy of AddRowRange into an empty
+  // relation, and through batches whose new rows all come first or all
+  // come last, which InsertIdRows' yield reservation over- and
+  // under-estimates.
   constexpr std::size_t kBatch = 1536;
   constexpr std::size_t kGrowTo = 16384;
   std::vector<std::uint32_t> pool(std::size_t{1} << 17);
@@ -825,6 +889,20 @@ TEST_P(RelationConformanceTest, RandomBatchesAgreeWithAReferenceSet) {
     }
     // The source saw none of the copy's inserts.
     ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(rel, ref, ids, &rng));
+
+    // Batches whose first rows are all new and the rest all repeats, and
+    // the reverse, split at random points on either side of the prefix
+    // InsertIdRows reserves from, until the table doubled again.
+    if (arity == 0) continue;
+    const std::size_t skew_to = 2 * rel.size();
+    for (int batches = 0; ref.rows.size() < skew_to || batches < 4;
+         ++batches) {
+      ASSERT_LT(batches, 200) << "the relation stopped growing";
+      const IdRowBuffer batch =
+          SplitBatch(arity, kBatch, batches % 2 == 0, ref, ids, &rng);
+      ASSERT_EQ(rel.InsertIdRows(batch), ref.Insert(batch, arity));
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(rel, ref, ids, &rng));
+    }
   }
 }
 

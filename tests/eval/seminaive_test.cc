@@ -6,6 +6,7 @@
 #include "eval/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/block_cache.h"
 #include "workload/graph_gen.h"
 
 namespace datalog {
@@ -65,6 +66,34 @@ TEST(SemiNaiveTest, MatchesNaiveOnChain) {
   ASSERT_TRUE(EvaluateNaive(p, &d1).ok());
   ASSERT_TRUE(EvaluateSemiNaive(p, &d2).ok());
   EXPECT_EQ(d1, d2);
+}
+
+TEST(SemiNaiveTest, SecondEvaluationIsServedByTheBlockCache) {
+  // What one evaluation frees serves the next: from an empty cache, a
+  // second identical evaluation sends no cacheable request to operator
+  // new. The cycle's closure is all 4,096 pairs, and the nonlinear rule
+  // derives far more candidates than that, so the dedup table and the
+  // derive buffers pass the cache's floor.
+  auto symbols = MakeSymbols();
+  Program p = ParseProgramOrDie(symbols, kTransitiveClosure);
+  PredicateId a = symbols->LookupPredicate("a").value();
+  Database edb(symbols);
+  AddGraphFacts({GraphShape::kCycle, 64}, a, &edb);
+  auto evaluate = [&] {
+    Database db = edb;
+    ASSERT_TRUE(EvaluateSemiNaive(p, &db).ok());
+    EXPECT_EQ(db.NumFacts(), 64u + 64u * 64u);
+  };
+  BlockCache& cache = BlockCache::Global();
+  cache.Release();
+  const std::uint64_t misses = cache.stats().misses;
+  evaluate();
+  const std::uint64_t first_misses = cache.stats().misses - misses;
+  EXPECT_GT(first_misses, 0u);
+  const std::uint64_t hits = cache.stats().hits;
+  evaluate();
+  EXPECT_EQ(cache.stats().misses - misses, first_misses);
+  EXPECT_GE(cache.stats().hits - hits, first_misses);
 }
 
 struct ShapeParam {

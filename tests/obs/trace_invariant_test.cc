@@ -8,7 +8,8 @@
 //  3. The MetricsRegistry counters published by RecordEvalStats equal the
 //     EvalStats an engine returned, bit for bit -- including the parallel
 //     engine at 4 threads, the per-rule breakdown, and the per-rule-
-//     application phase timers (plan_ns, derive_ns, insert_ns).
+//     application phase timers (plan_ns, derive_ns, insert_ns) -- and its
+//     storage.cache.* gauges equal the block cache's counts.
 
 #include <cstring>
 #include <map>
@@ -18,6 +19,7 @@
 #include "datalog.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/block_cache.h"
 #include "workload/graph_gen.h"
 
 namespace datalog {
@@ -165,6 +167,34 @@ TEST_F(TraceInvariantTest, IncrementalCommitSpansBalance) {
     if (std::strcmp(event.name, "incr/commit") == 0) saw_commit = true;
   }
   EXPECT_TRUE(saw_commit);
+}
+
+TEST_F(TraceInvariantTest, CacheGaugesReadTheBlockCache) {
+  // The storage.cache.* gauges describe the process, not the run, so
+  // they sit outside the bit-for-bit contract; each publication sets
+  // them to the block cache's counts at that moment.
+  Workload w = MakeWorkload();
+  MetricsRegistry& m = MetricsRegistry::Get();
+  m.Clear();
+  m.Enable();
+  {
+    Database db = w.edb;
+    ASSERT_TRUE(EvaluateSemiNaive(w.program, &db).ok());
+    // One cacheable request, so the counts cannot all be zero.
+    BlockVector<std::uint32_t> block(BlockCache::kFloorBytes);
+  }
+  RecordEvalStats("semi-naive", EvalStats{});
+  const BlockCache::Stats cache = BlockCache::Global().stats();
+  m.Disable();
+  EXPECT_EQ(m.Value("storage.cache.retained_bytes", {}),
+            cache.retained_bytes);
+  EXPECT_EQ(m.Value("storage.cache.peak_bytes", {}), cache.peak_bytes);
+  EXPECT_EQ(m.Value("storage.cache.hits", {}), cache.hits);
+  EXPECT_EQ(m.Value("storage.cache.misses", {}), cache.misses);
+  EXPECT_GT(cache.hits + cache.misses, 0u);
+  EXPECT_GT(cache.peak_bytes, 0u);
+  EXPECT_LE(cache.retained_bytes, cache.peak_bytes);
+  EXPECT_LE(cache.peak_bytes, BlockCache::kCapBytes);
 }
 
 TEST_F(TraceInvariantTest, DisabledTracerEmitsNothing) {

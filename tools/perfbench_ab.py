@@ -19,6 +19,12 @@ the number of pairs the change won, and a verdict:
             base's by more than the metric's bound (a fraction)
   worse     otherwise
 
+It also prints, per side, the median share of each run's CPU time spent
+in the kernel (ru_stime / (ru_utime + ru_stime)) and the median minor page
+faults per operation, both from getrusage(RUSAGE_CHILDREN) deltas around
+each run.py call. They cover run.py's up-to-date build check as well as
+the driver, and get no verdict.
+
 The verdicts are informational. The exit status is 1 when any run fails,
 reports "correct": false, or reports a failed operation; 0 otherwise.
 """
@@ -26,24 +32,34 @@ reports "correct": false, or reports a failed operation; 0 otherwise.
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
 
 def run_side(tree, workload, seed, seconds):
-    """Runs perfbench in `tree`; returns its result dict."""
+    """Runs perfbench in `tree`; returns its result dict, the run's kernel
+    share of CPU time and its minor page faults per operation."""
     env = dict(os.environ)
     env.pop("CARGO_TARGET_DIR", None)  # each tree builds in its own dir
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE,
                           text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError("perfbench/run.py in %s exited with code %d"
                            % (tree, proc.returncode))
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    user = after.ru_utime - before.ru_utime
+    system = after.ru_stime - before.ru_stime
+    kernel_share = system / (user + system) if user + system > 0 else 0.0
+    faults_per_op = ((after.ru_minflt - before.ru_minflt)
+                     / max(1, result["attempted"]))
+    return result, kernel_share, faults_per_op
 
 
 def quantile(values, q):
@@ -100,6 +116,8 @@ def main():
         metrics = json.load(f)["end_to_end"]
     sides = {"base": args.base, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    kernel = {side: [] for side in sides}
+    faults = {side: [] for side in sides}
     bad = []
     for pair in range(args.pairs):
         seed = args.first_seed + pair
@@ -107,8 +125,8 @@ def main():
         row = {}
         for side in order:
             try:
-                result = run_side(sides[side], args.workload, seed,
-                                  args.seconds)
+                result, share, per_op = run_side(sides[side], args.workload,
+                                                 seed, args.seconds)
             except RuntimeError as err:
                 print("perfbench_ab: " + str(err), file=sys.stderr)
                 return 1
@@ -117,20 +135,35 @@ def main():
                            % (pair, seed, side, result["correct"],
                               result["failed"]))
             row[side] = result["metrics"]
+            kernel[side].append(share)
+            faults[side].append(per_op)
         for side in sides:
             for m in metrics:
                 values[side][m["name"]].append(row[side][m["name"]]["value"])
-        print("pair %d seed %d (%s first): %s" % (
-            pair, seed, order[0], "  ".join(
-                "%s %.4g -> %.4g" % (m["name"], values["base"][m["name"]][-1],
-                                     values["change"][m["name"]][-1])
-                for m in metrics)), flush=True)
+        print("pair %d seed %d (%s first): %s  kernel %.1f%% -> %.1f%%  "
+              "faults/op %.3g -> %.3g" % (
+                  pair, seed, order[0], "  ".join(
+                      "%s %.4g -> %.4g" % (m["name"],
+                                           values["base"][m["name"]][-1],
+                                           values["change"][m["name"]][-1])
+                      for m in metrics),
+                  100 * kernel["base"][-1], 100 * kernel["change"][-1],
+                  faults["base"][-1], faults["change"][-1]), flush=True)
 
     print("\n%s: %d pairs of %g s, seeds %d-%d\n" % (
         args.workload, args.pairs, args.seconds, args.first_seed,
         args.first_seed + args.pairs - 1))
     for m in metrics:
         summarize(m, values["base"][m["name"]], values["change"][m["name"]])
+    print("process cost per run (no verdict; includes run.py's build check)")
+    for side in sides:
+        print("  %-6s kernel share median %.2f%% (%.2f-%.2f%%)  minor faults"
+              "/op median %.3g (%.3g-%.3g)"
+              % (side, 100 * quantile(kernel[side], 0.5),
+                 100 * quantile(kernel[side], 0.25),
+                 100 * quantile(kernel[side], 0.75),
+                 quantile(faults[side], 0.5), quantile(faults[side], 0.25),
+                 quantile(faults[side], 0.75)))
     for line in bad:
         print("FAILED: " + line)
     return 1 if bad else 0
