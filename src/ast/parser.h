@@ -31,6 +31,11 @@ namespace datalog {
 /// notation, where G(x, y, 3, 10) has variables x, y and constants 3, 10.
 /// Negated body atoms are written `not A(x)` or `!A(x)` and are accepted by
 /// the evaluation engine only (stratified negation).
+///
+/// Every entry point pulls tokens from one streaming lexer, with one token
+/// of lookahead. When a text fails to parse, a lexical error anywhere in
+/// it is reported in preference to the grammar error met first.
+///
 /// A parsed program together with its fine-grained source locations and
 /// any inline queries (`?- atom.` statements). The source map is
 /// positional (rules[i] describes program.rules()[i]); transforms that
@@ -44,6 +49,14 @@ struct ParsedProgram {
 
   explicit ParsedProgram(std::shared_ptr<SymbolTable> symbols)
       : program(std::move(symbols)) {}
+};
+
+/// Ground facts in flat form, as Parser::ParseFactRows returns them: the
+/// predicate of each fact and the argument values of all of them, both in
+/// text order. A fact of predicate p contributes p's arity values.
+struct FactRows {
+  std::vector<PredicateId> predicates;
+  std::vector<Value> values;
 };
 
 class Parser {
@@ -75,6 +88,11 @@ class Parser {
 
   /// Parses a sequence of ground atoms (facts), each ending with '.'.
   Result<std::vector<Atom>> ParseGroundAtoms(std::string_view text);
+
+  /// Parses the same text as ParseGroundAtoms, with the same result or
+  /// error, into flat rows instead of one Atom per fact. This is the
+  /// fact path of ParseDatabase.
+  Result<FactRows> ParseFactRows(std::string_view text);
 
   /// Parses a query `?- atom.` and returns the atom.
   Result<Atom> ParseQuery(std::string_view text);

@@ -134,21 +134,27 @@ std::string Database::ToString() const {
   return out;
 }
 
-Result<Database> DatabaseFromAtoms(std::shared_ptr<SymbolTable> symbols,
-                                   const std::vector<Atom>& atoms) {
-  Database db(std::move(symbols));
-  for (const Atom& atom : atoms) {
-    DATALOG_RETURN_IF_ERROR(db.AddAtom(atom));
-  }
-  return db;
-}
-
 Result<Database> ParseDatabase(std::shared_ptr<SymbolTable> symbols,
                                std::string_view text) {
   Parser parser(symbols);
-  DATALOG_ASSIGN_OR_RETURN(std::vector<Atom> atoms,
-                           parser.ParseGroundAtoms(text));
-  return DatabaseFromAtoms(std::move(symbols), atoms);
+  DATALOG_ASSIGN_OR_RETURN(FactRows facts, parser.ParseFactRows(text));
+  Database db(std::move(symbols));
+  ValueDictionary& dict = ValueDictionary::Global();
+  const Value* values = facts.values.data();
+  IdRowBuffer run;
+  const std::size_t num_facts = facts.predicates.size();
+  for (std::size_t begin = 0, end = 0; begin < num_facts; begin = end) {
+    const PredicateId pred = facts.predicates[begin];
+    end = begin + 1;
+    while (end < num_facts && facts.predicates[end] == pred) ++end;
+    Relation& rel = db.MutableRelation(pred);
+    run.count = end - begin;
+    run.ids.resize(run.count * static_cast<std::size_t>(rel.arity()));
+    dict.InternRow(values, run.ids.size(), run.ids.data());
+    values += run.ids.size();
+    rel.InsertIdRows(run);
+  }
+  return db;
 }
 
 }  // namespace datalog

@@ -100,11 +100,11 @@ class Database {
   std::unordered_map<PredicateId, Relation> relations_;
 };
 
-/// Builds a database from ground atoms (e.g. from Parser::ParseGroundAtoms).
-Result<Database> DatabaseFromAtoms(std::shared_ptr<SymbolTable> symbols,
-                                   const std::vector<Atom>& atoms);
-
-/// Parses a fact list ("A(1,2). A(2,3).") into a database.
+/// Parses a fact list ("A(1,2). A(2,3).") into a database. The facts go
+/// straight into id rows: once the whole text has parsed, their values
+/// are interned in text order and each run of consecutive facts of one
+/// predicate is one batch insert. A text that fails to parse interns no
+/// value into the ValueDictionary.
 Result<Database> ParseDatabase(std::shared_ptr<SymbolTable> symbols,
                                std::string_view text);
 

@@ -27,7 +27,10 @@ struct RuleStats {
 struct EvalStats {
   int iterations = 0;                 // fixpoint rounds
   std::uint64_t facts_derived = 0;    // new facts added to the database
-  std::uint64_t rule_applications = 0;  // (rule, round[, delta position]) pairs
+  // (rule, round[, delta position]) passes run. A semi-naive pass in which
+  // some positive atom reads an empty row range is skipped, not counted
+  // (DeltaPassReadsRows).
+  std::uint64_t rule_applications = 0;
   MatchStats match;                   // join work
   std::vector<RuleStats> per_rule;    // indexed by rule position
 

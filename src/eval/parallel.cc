@@ -194,6 +194,9 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
         if (lit.negated) continue;
         auto it = shards.find(lit.atom.predicate());
         if (it == shards.end()) continue;  // no delta facts for this atom
+        // Some atom reads no rows (in round 1, an earlier atom's empty
+        // old snapshot): the pass derives nothing.
+        if (!DeltaPassReadsRows(rule, *db, ranges, p)) continue;
         ++stats.rule_applications;
         ++stats.per_rule[ri].applications;
         const int head_arity =

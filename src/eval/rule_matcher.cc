@@ -317,6 +317,18 @@ void MatchAtoms(const Database& full, const DeltaRanges* ranges,
   matcher.Run();
 }
 
+namespace {
+
+/// The source of body position `i` in delta pass `delta_pos`.
+AtomSource DeltaPassSource(std::size_t i, std::size_t delta_pos,
+                           bool use_old) {
+  if (i == delta_pos) return AtomSource::kDelta;
+  if (i < delta_pos && use_old) return AtomSource::kOld;
+  return AtomSource::kFull;
+}
+
+}  // namespace
+
 std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
                                              std::size_t delta_pos,
                                              bool use_old) {
@@ -324,17 +336,24 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
   for (std::size_t i = 0; i < rule.body().size(); ++i) {
     const Literal& lit = rule.body()[i];
     if (lit.negated) continue;
-    AtomSource source;
-    if (i == delta_pos) {
-      source = AtomSource::kDelta;
-    } else if (i < delta_pos && use_old) {
-      source = AtomSource::kOld;
-    } else {
-      source = AtomSource::kFull;
-    }
-    atoms.push_back(PlannedAtom{lit.atom, source});
+    atoms.push_back(
+        PlannedAtom{lit.atom, DeltaPassSource(i, delta_pos, use_old)});
   }
   return atoms;
+}
+
+bool DeltaPassReadsRows(const Rule& rule, const Database& full,
+                        const DeltaRanges& ranges, std::size_t delta_pos) {
+  for (std::size_t i = 0; i < rule.body().size(); ++i) {
+    const Literal& lit = rule.body()[i];
+    if (lit.negated) continue;
+    const AtomSource source = DeltaPassSource(i, delta_pos, ranges.use_old());
+    if (ResolveAtomRows(full, &ranges, source, lit.atom.predicate())
+            .rows.empty()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Greedy join order: repeatedly pick the atom with the cheapest

@@ -221,6 +221,16 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
                                              std::size_t delta_pos,
                                              bool use_old);
 
+/// False when delta pass `delta_pos` of `rule` over `ranges` cannot
+/// derive anything because some positive body atom reads an empty row
+/// range, sourced as BuildDeltaPassAtoms sources it (negated literals
+/// only filter, so they are ignored). In a fixpoint's first round nothing
+/// is old, so every pass whose delta position follows another positive
+/// atom is such a pass. The engines skip these passes before fetching a
+/// plan, and do not count them as rule applications.
+bool DeltaPassReadsRows(const Rule& rule, const Database& full,
+                        const DeltaRanges& ranges, std::size_t delta_pos);
+
 /// The join order the matcher will use for `atoms`: greedy most-bound /
 /// smallest-relation first (sized by PlanningSize), or the given order
 /// when greedy planning is disabled. Deterministic given the relation

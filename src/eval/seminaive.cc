@@ -93,12 +93,14 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
       // against the delta, earlier positions against the old snapshot,
       // later positions against the full relation. Every derivation that
       // uses at least one delta fact is found in exactly one pass -- the
-      // one where p is its first delta position.
+      // one where p is its first delta position. A pass with an atom that
+      // reads no rows (no delta, or in round 1 an earlier atom's empty old
+      // snapshot) derives nothing and is skipped.
       Relation* out = nullptr;
       for (std::size_t p = 0; p < rule.body().size(); ++p) {
         const Literal& lit = rule.body()[p];
         if (lit.negated) continue;
-        if (ranges.delta(lit.atom.predicate()).empty()) continue;
+        if (!DeltaPassReadsRows(rule, *db, ranges, p)) continue;
         ++stats.rule_applications;
         ++stats.per_rule[ri].applications;
         TraceSpan apply_span("seminaive/apply");

@@ -5,7 +5,7 @@
 namespace datalog {
 
 int32_t StringInterner::Intern(std::string_view text) {
-  auto it = index_.find(std::string(text));
+  auto it = index_.find(text);
   if (it != index_.end()) return it->second;
   int32_t id = static_cast<int32_t>(strings_.size());
   strings_.emplace_back(text);
@@ -14,7 +14,7 @@ int32_t StringInterner::Intern(std::string_view text) {
 }
 
 int32_t StringInterner::Lookup(std::string_view text) const {
-  auto it = index_.find(std::string(text));
+  auto it = index_.find(text);
   return it == index_.end() ? -1 : it->second;
 }
 
@@ -39,6 +39,10 @@ std::uint32_t ValueDictionary::Intern(const Value& v) {
     if (it != index_.end()) return it->second;
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
+  return InternLocked(v);
+}
+
+std::uint32_t ValueDictionary::InternLocked(const Value& v) {
   auto it = index_.find(v);
   if (it != index_.end()) return it->second;
   const std::uint32_t id = size_.load(std::memory_order_relaxed);
@@ -63,22 +67,23 @@ std::uint32_t ValueDictionary::Intern(const Value& v) {
 void ValueDictionary::InternRow(const std::vector<Value>& row,
                                 std::vector<std::uint32_t>* out) {
   out->resize(row.size());
+  InternRow(row.data(), row.size(), out->data());
+}
+
+void ValueDictionary::InternRow(const Value* row, std::size_t size,
+                                std::uint32_t* out) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    bool all_found = true;
-    for (std::size_t i = 0; i < row.size(); ++i) {
+    std::size_t i = 0;
+    for (; i < size; ++i) {
       auto it = index_.find(row[i]);
-      if (it == index_.end()) {
-        all_found = false;
-        break;
-      }
-      (*out)[i] = it->second;
+      if (it == index_.end()) break;
+      out[i] = it->second;
     }
-    if (all_found) return;
+    if (i == size) return;
   }
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    (*out)[i] = Intern(row[i]);
-  }
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  for (std::size_t i = 0; i < size; ++i) out[i] = InternLocked(row[i]);
 }
 
 std::uint32_t ValueDictionary::LookupId(const Value& v) const {

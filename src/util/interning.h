@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -42,7 +43,16 @@ class StringInterner {
   int32_t size() const { return static_cast<int32_t>(strings_.size()); }
 
  private:
-  std::unordered_map<std::string, int32_t> index_;
+  /// Transparent hashing, so lookups by string_view build no key string.
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
+  std::unordered_map<std::string, int32_t, StringHash, std::equal_to<>>
+      index_;
   std::vector<std::string> strings_;
 };
 
@@ -89,6 +99,10 @@ class ValueDictionary {
   /// exclusive lock.
   void InternRow(const std::vector<Value>& row,
                  std::vector<std::uint32_t>* out);
+  /// The same over `size` values at `row`, writing `size` ids at `out`.
+  /// Any novel value takes the exclusive lock once for the whole row,
+  /// which is how ParseDatabase interns a batch of fact values.
+  void InternRow(const Value* row, std::size_t size, std::uint32_t* out);
 
   /// Returns the id for `v`, or kInvalidId if it was never interned.
   std::uint32_t LookupId(const Value& v) const;
@@ -123,6 +137,9 @@ class ValueDictionary {
   static constexpr std::uint32_t kChunkBits = 16;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
   static constexpr std::uint32_t kMaxChunks = 1u << (32 - kChunkBits);
+
+  /// Intern's body; the caller holds mu_ exclusively.
+  std::uint32_t InternLocked(const Value& v);
 
   mutable std::shared_mutex mu_;
   std::unordered_map<Value, std::uint32_t, ValueHash> index_;  // guarded by mu_

@@ -2,7 +2,13 @@
 
 #include "ast/parser.h"
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "ast/pretty_print.h"
+#include "eval/database.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "workload/program_gen.h"
@@ -47,6 +53,59 @@ TEST(ParserEdgeTest, Int64Boundaries) {
   // Out of range must be a clean error, not UB.
   Result<Rule> over = parser.ParseRule("p(9223372036854775808) :- q(1).");
   EXPECT_FALSE(over.ok());
+  // INT64_MIN's magnitude alone is out of range; a '-' before it admits
+  // it, so Database::ToString's output for it parses back.
+  Result<Rule> min = parser.ParseRule(
+      "p(-9223372036854775808) :- q(-9223372036854775807).");
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  EXPECT_EQ(min->head().args()[0],
+            Term::Int(std::numeric_limits<std::int64_t>::min()));
+  EXPECT_EQ(min->body()[0].atom.args()[0],
+            Term::Int(std::numeric_limits<std::int64_t>::min() + 1));
+  // One below INT64_MIN still fails, at the column after its digits.
+  Result<Rule> under = parser.ParseRule("p(-9223372036854775809) :- q(1).");
+  ASSERT_FALSE(under.ok());
+  EXPECT_EQ(under.status().message(),
+            "line 1:23: integer literal out of range: 9223372036854775809");
+}
+
+TEST(ParserEdgeTest, LexicalErrorAnywhereWinsOverEarlierGrammarError) {
+  // Line 1 misses a ')'; line 3 holds a character no token starts with.
+  // Every entry point reports the lexical error, wherever it lies.
+  const std::string text = "p(1 q(2).\nr(3).\ns(4). $\n";
+  const std::string lexical = "line 3:7: unexpected character '$'";
+  {
+    Parser parser(MakeSymbols());
+    Result<Program> program = parser.ParseProgram(text);
+    ASSERT_FALSE(program.ok());
+    EXPECT_EQ(program.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(program.status().message(), lexical);
+  }
+  {
+    Parser parser(MakeSymbols());
+    Result<std::vector<Atom>> atoms = parser.ParseGroundAtoms(text);
+    ASSERT_FALSE(atoms.ok());
+    EXPECT_EQ(atoms.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(atoms.status().message(), lexical);
+  }
+  {
+    Parser parser(MakeSymbols());
+    Result<std::vector<Tgd>> tgds = parser.ParseTgds(text);
+    ASSERT_FALSE(tgds.ok());
+    EXPECT_EQ(tgds.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(tgds.status().message(), lexical);
+  }
+  {
+    Result<Database> db = ParseDatabase(MakeSymbols(), text);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.status().message(), lexical);
+  }
+  // Without the lexical error, the grammar error is what is reported.
+  Result<Program> grammar =
+      Parser(MakeSymbols()).ParseProgram("p(1 q(2).\nr(3).\ns(4).\n");
+  ASSERT_FALSE(grammar.ok());
+  EXPECT_EQ(grammar.status().message(), "line 1:5: expected ')'");
 }
 
 TEST(ParserEdgeTest, DanglingMinusIsError) {

@@ -1,5 +1,9 @@
 #include "eval/database.h"
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -16,6 +20,36 @@ TEST(DatabaseTest, ParseAndContains) {
   EXPECT_EQ(db.NumFacts(), 3u);
   EXPECT_TRUE(db.Contains(a, {Value::Int(1), Value::Int(2)}));
   EXPECT_FALSE(db.Contains(a, {Value::Int(2), Value::Int(1)}));
+}
+
+TEST(DatabaseTest, Int64MinRoundTripsThroughText) {
+  auto symbols = MakeSymbols();
+  Database db(symbols);
+  PredicateId p = symbols->InternPredicate("p", 1).value();
+  db.AddFact(p, {Value::Int(std::numeric_limits<std::int64_t>::min())});
+  const std::string text = db.ToString();
+  EXPECT_EQ(text, "p(-9223372036854775808).\n");
+  Result<Database> reparsed = ParseDatabase(symbols, text);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(*reparsed, db);
+}
+
+TEST(DatabaseTest, FailingParseInternsNoValue) {
+  // The literals are used by no other test, so they can reach the
+  // process-wide dictionary only through these parses.
+  ValueDictionary& dict = ValueDictionary::Global();
+  const std::uint32_t before = dict.size();
+  // A grammar error after two facts, then a lexical error after one.
+  EXPECT_FALSE(ParseDatabase(MakeSymbols(),
+                             "p(7405119123344551). p(7405119123344552). q(1, .")
+                   .ok());
+  EXPECT_FALSE(
+      ParseDatabase(MakeSymbols(), "p(7405119123344553).\nq(1) $").ok());
+  EXPECT_EQ(dict.size(), before);
+  EXPECT_EQ(dict.LookupId(Value::Int(7405119123344551)),
+            ValueDictionary::kInvalidId);
+  EXPECT_EQ(dict.LookupId(Value::Int(7405119123344553)),
+            ValueDictionary::kInvalidId);
 }
 
 TEST(DatabaseTest, AddFactDeduplicates) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "eval/naive.h"
+#include "eval/parallel.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/block_cache.h"
@@ -230,6 +231,33 @@ TEST(SccSemiNaiveTest, HandlesFactsAndSingleScc) {
   ASSERT_TRUE(EvaluateSemiNaiveScc(p, &db).ok());
   PredicateId g = symbols->LookupPredicate("g").value();
   EXPECT_TRUE(db.Contains(g, {Value::Int(1), Value::Int(2)}));
+}
+
+TEST(SemiNaiveTest, SkipsPassesThatReadAnEmptyRange) {
+  // In round 1 nothing is old, so the pass whose delta is b's reads a's
+  // empty old snapshot and can derive nothing: both engines skip it and
+  // count one application, not two.
+  auto symbols = MakeSymbols();
+  Program p = ParseProgramOrDie(symbols, "r(x, z) :- a(x, y), b(y, z).\n");
+  const Database edb = ParseDatabaseOrDie(
+      symbols, "a(1, 2). a(2, 3). a(5, 9). b(2, 4). b(3, 6). b(7, 8).");
+  Database naive = edb;
+  ASSERT_TRUE(EvaluateNaive(p, &naive).ok());
+  EXPECT_EQ(naive.relation(symbols->LookupPredicate("r").value()).size(), 2u);
+
+  Database seq = edb;
+  Result<EvalStats> seq_stats = EvaluateSemiNaive(p, &seq);
+  ASSERT_TRUE(seq_stats.ok());
+  EXPECT_EQ(seq_stats->rule_applications, 1u);
+  EXPECT_EQ(seq_stats->per_rule[0].applications, 1u);
+  EXPECT_EQ(seq, naive) << seq.ToString();
+
+  Database par = edb;
+  Result<EvalStats> par_stats = EvaluateSemiNaiveParallel(p, &par, 2);
+  ASSERT_TRUE(par_stats.ok()) << par_stats.status().ToString();
+  EXPECT_EQ(par_stats->rule_applications, 1u);
+  EXPECT_EQ(par_stats->per_rule[0].applications, 1u);
+  EXPECT_EQ(par, naive) << par.ToString();
 }
 
 TEST(SemiNaiveTest, EmptyProgramIsIdentity) {

@@ -7,7 +7,8 @@
 # integration_test includes the differential fuzzer whose knob matrix
 # crosses multiway x left-deep x columnar x compiled x bytecode x
 # {sequential, parallel, incremental}),
-# then repeats the incremental-maintenance fuzzer under ASan+UBSan. Also
+# then repeats the incremental-maintenance fuzzer and the parser suites
+# (ast_test) under ASan+UBSan. Also
 # smoke-tests the observability layer: the CLI's --trace/--metrics
 # output must be valid JSON, runs a deterministic work-counter
 # regression gate (eval.tuples_scanned / eval.index_lookups on a fixed
@@ -41,7 +42,7 @@ configure_and_build() {
 
   echo "== building (${sanitize})"
   cmake --build "${build_dir}" -j "${JOBS}" \
-    --target util_test eval_test incr_test obs_test core_test \
+    --target util_test ast_test eval_test incr_test obs_test core_test \
              integration_test server_test server_oracle_test datalog-opt
 }
 
@@ -224,6 +225,9 @@ run_gate() {
     # drive the parallel engines with tracing enabled), and core_test's
     # metamorphic filter runs the minimizer fuzzer.
     ./tests/util_test
+    # The parser suites: tokens are views into the caller's text, so a
+    # dangling view is what ASan would catch here.
+    ./tests/ast_test
     ./tests/eval_test
     ./tests/incr_test
     ./tests/obs_test
@@ -258,6 +262,8 @@ if [ "${SANITIZE}" = "thread" ] && [ "${DATALOG_CHECK_INCR_ASAN:-1}" = "1" ]; th
   echo "== running incremental fuzzer under -fsanitize=address,undefined"
   cd "${build_dir}"
   ./tests/incr_test
+  # The parser suites, whose tokens are views into the caller's text.
+  ./tests/ast_test
   # *Multiway* adds the worst-case-optimal join matrix (cyclic bodies,
   # multiway x left-deep x columnar) to the ASan pass; its id-space
   # scratch buffers and sorted-key caches churn on every replan.
