@@ -23,12 +23,6 @@ struct MultiwayKnob {
   ~MultiwayKnob() { SetMultiwayJoins(true); }
 };
 
-/// Restores the bytecode knob whatever path the benchmark takes.
-struct BytecodeKnob {
-  explicit BytecodeKnob(bool on) { SetBytecodeExecution(on); }
-  ~BytecodeKnob() { SetBytecodeExecution(true); }
-};
-
 void RunCyclic(benchmark::State& state, const CyclicOptions& options,
                bool multiway) {
   MultiwayKnob knob(multiway);
@@ -77,16 +71,6 @@ void BM_Triangle_LeftDeep(benchmark::State& state) {
 }
 BENCHMARK(BM_Triangle_Multiway)->RangeMultiplier(2)->Range(64, 256);
 BENCHMARK(BM_Triangle_LeftDeep)->RangeMultiplier(2)->Range(64, 256);
-
-// Bytecode-VM A/B on the leapfrog path: the multiway triangle with the
-// VM ablated, so the kSeek/kSeekEmitAll program and the struct
-// ApplyMultiway interpreter can be compared on identical plans.
-void BM_Triangle_Multiway_StructInterp(benchmark::State& state) {
-  BytecodeKnob knob(false);
-  RunCyclic(state, GraphOptions(CyclicShape::kTriangle, state.range(0)),
-            /*multiway=*/true);
-}
-BENCHMARK(BM_Triangle_Multiway_StructInterp)->RangeMultiplier(2)->Range(64, 256);
 
 void BM_KCycle_Multiway(benchmark::State& state) {
   CyclicOptions options = GraphOptions(CyclicShape::kKCycle, state.range(0));

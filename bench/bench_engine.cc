@@ -70,89 +70,6 @@ void BM_LinearTcGrid_SemiNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearTcGrid_SemiNaive)->RangeMultiplier(4)->Range(16, 256);
 
-/// Compiled-plan A/B: the same workloads with the rule-compilation layer
-/// ablated, so one --json run carries both the before (LegacyMatcher) and
-/// after (the default compiled path) series for the TC and same-generation
-/// joins.
-template <typename Evaluator>
-void RunEngineLegacy(benchmark::State& state, const char* program_text,
-                     GraphShape shape, Evaluator evaluate) {
-  SetCompiledRulePlans(false);
-  RunEngine(state, program_text, shape, evaluate);
-  SetCompiledRulePlans(true);
-}
-
-void BM_LinearTcChain_SemiNaive_LegacyMatcher(benchmark::State& state) {
-  RunEngineLegacy(state, kLinearTc, GraphShape::kChain, EvaluateSemiNaive);
-}
-BENCHMARK(BM_LinearTcChain_SemiNaive_LegacyMatcher)
-    ->RangeMultiplier(2)
-    ->Range(16, 128);
-
-void BM_LinearTcRandom_SemiNaive_LegacyMatcher(benchmark::State& state) {
-  RunEngineLegacy(state, kLinearTc, GraphShape::kRandom, EvaluateSemiNaive);
-}
-BENCHMARK(BM_LinearTcRandom_SemiNaive_LegacyMatcher)
-    ->RangeMultiplier(2)
-    ->Range(32, 256);
-
-/// Storage-backend A/B: the same workloads on the legacy row store (still
-/// through compiled plans, so the delta is purely columnar layout + the
-/// vectorized batch probe path, not the matcher). The knob flips before
-/// RunEngine constructs anything, so every relation -- EDB and derived
-/// alike -- lands on the row store (backends are chosen per relation at
-/// construction).
-template <typename Evaluator>
-void RunEngineRowStore(benchmark::State& state, const char* program_text,
-                       GraphShape shape, Evaluator evaluate) {
-  SetColumnarStorage(false);
-  RunEngine(state, program_text, shape, evaluate);
-  SetColumnarStorage(true);
-}
-
-void BM_LinearTcChain_SemiNaive_RowStore(benchmark::State& state) {
-  RunEngineRowStore(state, kLinearTc, GraphShape::kChain, EvaluateSemiNaive);
-}
-BENCHMARK(BM_LinearTcChain_SemiNaive_RowStore)
-    ->RangeMultiplier(2)
-    ->Range(16, 128);
-
-void BM_LinearTcRandom_SemiNaive_RowStore(benchmark::State& state) {
-  RunEngineRowStore(state, kLinearTc, GraphShape::kRandom, EvaluateSemiNaive);
-}
-BENCHMARK(BM_LinearTcRandom_SemiNaive_RowStore)
-    ->RangeMultiplier(2)
-    ->Range(32, 256);
-
-/// Bytecode-VM A/B: the same workloads with bytecode execution ablated,
-/// so compiled plans run the struct interpreters (ApplyBatch /
-/// ApplyMultiway) instead of the computed-goto VM. Everything else --
-/// plans, columnar storage, indexes -- is identical, so the delta is
-/// purely dispatch + the fused innermost emission loop.
-template <typename Evaluator>
-void RunEngineStructInterp(benchmark::State& state, const char* program_text,
-                           GraphShape shape, Evaluator evaluate) {
-  SetBytecodeExecution(false);
-  RunEngine(state, program_text, shape, evaluate);
-  SetBytecodeExecution(true);
-}
-
-void BM_LinearTcChain_SemiNaive_StructInterp(benchmark::State& state) {
-  RunEngineStructInterp(state, kLinearTc, GraphShape::kChain,
-                        EvaluateSemiNaive);
-}
-BENCHMARK(BM_LinearTcChain_SemiNaive_StructInterp)
-    ->RangeMultiplier(2)
-    ->Range(16, 128);
-
-void BM_LinearTcRandom_SemiNaive_StructInterp(benchmark::State& state) {
-  RunEngineStructInterp(state, kLinearTc, GraphShape::kRandom,
-                        EvaluateSemiNaive);
-}
-BENCHMARK(BM_LinearTcRandom_SemiNaive_StructInterp)
-    ->RangeMultiplier(2)
-    ->Range(32, 256);
-
 /// Same-generation: the classic non-linear two-sided join; each delta pass
 /// probes two indexed body atoms, so per-probe key-buffer reuse dominates.
 constexpr const char* kSameGen =
@@ -187,33 +104,6 @@ void BM_SameGen_SemiNaive(benchmark::State& state) {
   RunSameGen(state, EvaluateSemiNaive);
 }
 BENCHMARK(BM_SameGen_SemiNaive)->RangeMultiplier(2)->Range(32, 256);
-
-void BM_SameGen_SemiNaive_LegacyMatcher(benchmark::State& state) {
-  SetCompiledRulePlans(false);
-  RunSameGen(state, EvaluateSemiNaive);
-  SetCompiledRulePlans(true);
-}
-BENCHMARK(BM_SameGen_SemiNaive_LegacyMatcher)
-    ->RangeMultiplier(2)
-    ->Range(32, 256);
-
-void BM_SameGen_SemiNaive_StructInterp(benchmark::State& state) {
-  SetBytecodeExecution(false);
-  RunSameGen(state, EvaluateSemiNaive);
-  SetBytecodeExecution(true);
-}
-BENCHMARK(BM_SameGen_SemiNaive_StructInterp)
-    ->RangeMultiplier(2)
-    ->Range(32, 256);
-
-void BM_SameGen_SemiNaive_RowStore(benchmark::State& state) {
-  SetColumnarStorage(false);
-  RunSameGen(state, EvaluateSemiNaive);
-  SetColumnarStorage(true);
-}
-BENCHMARK(BM_SameGen_SemiNaive_RowStore)
-    ->RangeMultiplier(2)
-    ->Range(32, 256);
 
 /// SCC-ordered vs flat semi-naive on a layered program: the upper layers
 /// must not pay for the closure's delta rounds.

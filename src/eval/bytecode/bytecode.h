@@ -16,18 +16,17 @@ class CompiledRule;
 namespace bytecode {
 
 /// The register-based instruction set compiled join plans lower to (see
-/// docs/bytecode_vm.md). Operands address the same flat u32 frame slots
-/// the struct executors use, so a bytecode run is bit-for-bit
-/// interchangeable with ApplyBatch/ApplyMultiway: same MatchStats bumps,
-/// same frontier emission order, same derived facts.
+/// docs/bytecode_vm.md). Operands address the frame slots of the plan's
+/// schedules (eval/compiled_rule.h). On a left-deep plan a run makes the
+/// same MatchStats bumps as CompiledRule::Execute and derives the same
+/// rows in the same order.
 ///
 /// Generic opcodes pair an *open* (resolve the depth's candidate set,
 /// bump index_lookups) with a *next* (advance one candidate row, bump
 /// tuples_scanned); FILTER/LOAD ops act on the current row. The fused
 /// `...EmitAll` superinstructions run the innermost loop -- candidate
 /// iteration, filters, slot writes, negation and head emission -- without
-/// per-row dispatch; they are what buys the VM its wall-clock edge over
-/// the struct interpreter.
+/// per-row dispatch.
 enum class Op : std::uint8_t {
   kHalt = 0,
   // LOAD_KEY: keys[a][b] = slots[c]. Patches a bound-variable position
@@ -198,8 +197,8 @@ struct Program {
 };
 
 /// Lowers a compiled plan to bytecode. Returns an empty program when the
-/// plan does not qualify for id-space execution (not batch_ok, empty
-/// body, or compiled without a rule head).
+/// plan cannot run in id space (a head or negated variable the positive
+/// body never binds, an empty body, or compiled without a rule head).
 Program Lower(const CompiledRule& plan);
 
 /// Static safety check: operand bounds (pc targets, slots, columns,
@@ -223,12 +222,12 @@ using DispatchCounts = std::array<std::uint64_t, kNumOps>;
 
 /// Executes a validated program up to the emit boundary: enumerates body
 /// matches and appends each instantiated head row to `derived` (cleared
-/// first), mirroring CompiledRule::Apply's batch/multiway executors bump
-/// for bump. Returns false -- before bumping any counter -- when the
-/// program cannot run against these databases (a live relation is not
-/// columnar, or a relation's arity contradicts the program), in which
-/// case the caller falls back to the struct interpreter. When `dispatch`
-/// is non-null every executed instruction is tallied per opcode.
+/// first). Returns false -- before bumping any counter -- when the
+/// program cannot run against these databases (a negated relation's
+/// arity contradicts the program, a delta step has no ranges, or a
+/// hand-written program is malformed), in which case CompiledRule::Apply
+/// falls back to Execute. When `dispatch` is non-null every executed
+/// instruction is tallied per opcode.
 bool Derive(const Program& program, const Database& full,
             const DeltaRanges* ranges, MatchStats* stats,
             IdRowBuffer* derived, DispatchCounts* dispatch = nullptr);

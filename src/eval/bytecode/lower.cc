@@ -63,10 +63,9 @@ std::vector<TermDesc> LowerTerms(const std::vector<CompiledTerm>& terms,
 
 Program Lower(const CompiledRule& plan) {
   Program p;
-  // Mirror Apply's id-space gating: plans that cannot run the batch or
-  // multiway executors stay on the struct/value-space paths, so there is
-  // nothing to lower.
-  if (!plan.has_rule_ || !plan.batch_ok_ || plan.steps_.empty()) return p;
+  // Plans whose heads or negation keys the VM cannot emit in id space,
+  // and empty bodies, stay on Execute: there is nothing to lower.
+  if (!plan.has_rule_ || !plan.lowerable_ || plan.steps_.empty()) return p;
 
   p.shape = plan.shape_ == PlanShape::kMultiway ? 1 : 0;
   p.use_index = plan.use_index_;

@@ -87,11 +87,12 @@ void PublishDispatchCounts(const DispatchCounts& counts) {
 namespace {
 
 // Loop-invariant per-step source state, resolved once per Run with
-// exactly ApplyBatch's rules (see eval/compiled_rule.cc): relation, the
-// rows the atom reads, liveness, and -- when the step probes an index --
-// a direct view. `rows` is emptied for dead steps so a validated but
-// hand-written program that enters a dead step's Next op yields no rows
-// instead of touching mismatched columns.
+// exactly the rules of CompiledRule::Execute's MatchFrame::DepthSource
+// (see eval/compiled_rule.h): relation, the rows the atom reads,
+// liveness, and -- when the step probes an index -- a direct view.
+// `rows` is emptied for dead steps so a validated but hand-written
+// program that enters a dead step's Next op yields no rows instead of
+// touching mismatched columns.
 struct StepRt {
   const Relation* rel = nullptr;
   RowSpan rows;
@@ -132,9 +133,9 @@ struct MwProbeRt {
   const std::vector<std::uint32_t>* root = nullptr;
 };
 
-// Per-multiway-step scratch, mirroring ApplyMultiway's per-depth state:
-// election keys, union membership keys, per-probe candidate lists, the
-// winner's materialized projection, and the iteration cursor.
+// Per-multiway-step scratch: election keys, union membership keys,
+// per-probe candidate lists, the winner's materialized projection, and
+// the iteration cursor.
 struct MwStepRt {
   std::vector<MwProbeRt> probes;
   std::vector<std::vector<std::uint32_t>> keys;
@@ -146,11 +147,6 @@ struct MwStepRt {
   std::size_t smallest = 0;
 };
 
-struct NegRt {
-  const Relation* rel = nullptr;
-  bool row_store = false;
-};
-
 template <bool kCount>
 bool DeriveImpl(const Program& p, const Database& full,
                 const DeltaRanges* ranges, MatchStats* stats,
@@ -159,7 +155,7 @@ bool DeriveImpl(const Program& p, const Database& full,
   if (p.const_ids.size() != p.const_pool.size()) return false;  // unresolved
 
   // ---- Guards (no counter bumps, no side effects) -----------------------
-  std::vector<NegRt> negs;
+  std::vector<const Relation*> negs;
   negs.reserve(p.negated.size());
   for (const NegDesc& nd : p.negated) {
     const Relation& nr =
@@ -167,10 +163,10 @@ bool DeriveImpl(const Program& p, const Database& full,
     if (!nr.empty() && nr.arity() != static_cast<int>(nd.terms.size())) {
       return false;
     }
-    negs.push_back(NegRt{&nr, !nr.columnar()});
+    negs.push_back(&nr);
   }
 
-  // ---- Step sources (ApplyBatch's per-depth resolution, verbatim) -------
+  // ---- Step sources (Execute's per-depth resolution) ---------------------
   const std::size_t nsteps = p.steps.size();
   std::vector<StepRt> srt(nsteps);
   for (std::size_t d = 0; d < nsteps; ++d) {
@@ -185,7 +181,6 @@ bool DeriveImpl(const Program& p, const Database& full,
     rt.rows = src.rows;
     rt.dead = rt.rows.empty() || rel.arity() != static_cast<int>(sd.arity);
     rt.old_only = source == AtomSource::kOld;
-    if (!rt.dead && !rel.columnar()) return false;
     if (rt.dead) {
       rt.rows = RowSpan{};
       continue;
@@ -219,13 +214,13 @@ bool DeriveImpl(const Program& p, const Database& full,
     }
   }
 
-  // ---- Multiway probe state (ApplyMultiway's prologue, verbatim) --------
+  // ---- Multiway probe state ---------------------------------------------
   std::deque<std::vector<std::uint32_t>> owned_roots;
   std::vector<MwStepRt> mrt;
   if (p.shape == 1) {
     if (p.mw_steps.empty()) return false;
-    // Any dead atom empties the whole intersection: derive nothing,
-    // exactly like ApplyMultiway.
+    // Every atom takes part in every intersection, so one dead atom
+    // kills every match before any probe happens: derive nothing.
     for (const StepRt& rt : srt) {
       if (rt.dead) {
         derived_rows->ids.clear();
@@ -298,8 +293,10 @@ bool DeriveImpl(const Program& p, const Database& full,
   std::size_t& derived_count = derived_rows->count;
   std::vector<std::uint32_t> neg_key;
 
-  // Emit boundary, shared by kEmit and the fused superinstructions:
-  // ApplyBatch/ApplyMultiway's per-match tail bump for bump.
+  // Emit boundary, shared by kEmit and the fused superinstructions: one
+  // substitution per complete match, negated literals probed in id space
+  // against `full`, the head row buffered (`derived` is inserted only
+  // after the run, since the head relation may belong to `full`).
   auto emit_match = [&]() {
     ++local.substitutions;
     for (std::size_t ni = 0; ni < negs.size(); ++ni) {
@@ -308,20 +305,7 @@ bool DeriveImpl(const Program& p, const Database& full,
       for (const TermDesc& t : nd.terms) {
         neg_key.push_back(t.is_constant ? t.id : slots[t.index]);
       }
-      if (negs[ni].row_store) {
-        // Row-store membership resolves ids through the dictionary; an
-        // id no value ever interned cannot be in any relation.
-        bool ids_ok = true;
-        for (std::uint32_t id : neg_key) {
-          if (id >= dict_size) {
-            ids_ok = false;
-            break;
-          }
-        }
-        if (ids_ok && negs[ni].rel->ContainsIds(neg_key)) return;
-      } else if (negs[ni].rel->ContainsIds(neg_key)) {
-        return;
-      }
+      if (negs[ni]->ContainsIds(neg_key)) return;
     }
     for (const TermDesc& t : p.head) {
       derived.push_back(t.is_constant ? t.id : slots[t.index]);

@@ -50,13 +50,13 @@ struct CompiledAtomStep {
   std::vector<SlotRef> checks;
   std::size_t planned_size = 0;  // source relation size at plan time
 
-  // Columnar batch-probe mirrors of the schedules above, precomputed at
-  // compile time so the batch executor never touches a Value:
-  // `key_template_ids` is `key_template` with constants interned to
-  // dictionary ids (patched positions hold kInvalidId until key_fill
-  // overwrites them per probe), and `id_checks` lowers each repeated-
-  // variable check to a row-local column pair (first-occurrence column,
-  // repeat column) compared directly on the raw id arrays.
+  // Id-space mirrors of the schedules above, precomputed at compile time
+  // so the bytecode lowering never touches a Value: `key_template_ids`
+  // is `key_template` with constants interned to dictionary ids (patched
+  // positions hold kInvalidId until key_fill overwrites them per probe),
+  // and `id_checks` lowers each repeated-variable check to a row-local
+  // column pair (first-occurrence column, repeat column) compared
+  // directly on the raw id arrays.
   std::vector<std::uint32_t> key_template_ids;
   std::vector<std::pair<int, int>> id_checks;
 };
@@ -101,14 +101,11 @@ struct MultiwayStep {
 
 /// A head or negated-literal argument: a constant, or a frame slot. A
 /// negative slot marks a variable the positive body never binds; using it
-/// throws, exactly like the legacy Binding::at would on a match.
+/// throws std::out_of_range, like Binding::at would on a match.
 struct CompiledTerm {
   bool is_constant = false;
   Value value;
   int slot = -1;
-  // Dictionary id of `value` (constants only), interned at compile time
-  // so the batch path instantiates heads and negation keys in id space.
-  std::uint32_t value_id = 0;
 };
 
 /// Per-enumeration mutable state: the flat variable frame plus one
@@ -138,10 +135,10 @@ struct MatchFrame {
   std::vector<DepthSource> sources;
 };
 
-/// A rule body compiled to slot-addressed join schedules: the
-/// (rule, delta position, use_old) variant of the legacy Matcher, planned
-/// once and executed many times. Immutable while executing; Replan (and
-/// the cache's Get) may rebuild the schedules between executions.
+/// A rule body compiled to slot-addressed join schedules: one
+/// (rule, delta position, use_old) variant, planned once and executed
+/// many times. Immutable while executing; Replan (and the cache's Get)
+/// may rebuild the schedules between executions.
 ///
 /// Thread safety: compiling and Replan-ing require exclusive access.
 /// Execute/Apply are read-only on the plan and on the databases provided
@@ -178,10 +175,11 @@ class CompiledRule {
   /// Recomputes the join order and all schedules against current sizes.
   void Replan(const Database& full, const DeltaRanges* ranges);
 
-  /// Pre-builds every index and sorted-key list Execute can probe --
-  /// for delta steps, those of the relation the delta range reads (the
-  /// full one, normally) -- making a subsequent Execute/Apply over the
-  /// same ranges read-only on the relations (frozen-snapshot contract).
+  /// Pre-builds every index and sorted-key list Apply and Execute can
+  /// probe -- for delta steps, those of the relation the delta range
+  /// reads (the full one, normally) -- making a subsequent Execute/Apply
+  /// over the same ranges read-only on the relations (frozen-snapshot
+  /// contract).
   void EnsureIndexes(const Database& full, const DeltaRanges* ranges) const;
 
   /// Enumerates body matches -- every atom reading its rows as
@@ -192,17 +190,17 @@ class CompiledRule {
   /// Returns the number of facts new in `out`. Only valid for plans
   /// compiled from a Rule.
   ///
-  /// When the columnar storage knob is on and every relation the plan
-  /// touches is columnar, Apply dispatches to the vectorized batch-probe
-  /// executor (ApplyBatch): level-at-a-time enumeration over flat u32
-  /// frames with branch-light filters on the raw column arrays. The
-  /// batch path visits candidate rows in exactly the depth-first order
-  /// Execute does, replicates MatchStats bump for bump, and inserts
-  /// derived facts in the same order, so the two executors are
-  /// bit-for-bit interchangeable (tests/integration enforces this).
+  /// Apply runs the bytecode VM (eval/bytecode) whenever the plan was
+  /// lowered, and Execute otherwise: for plans with an empty body or a
+  /// head or negated variable the positive body never binds, which the
+  /// lowering refuses. On a left-deep plan the VM visits candidate rows
+  /// in exactly the depth-first order Execute does, replicates its
+  /// MatchStats bump for bump and derives the same rows in the same
+  /// order (tests/eval/compiled_rule_test.cc and the differential suite
+  /// compare the two); a multiway plan has its own counters.
   ///
-  /// Every executor hands its head rows to one batch insert
-  /// (Relation::InsertIdRows on the id-space paths). The enumeration's
+  /// The head rows go to `out` in one batch insert after the
+  /// enumeration (Relation::InsertIdRows from the VM). The enumeration's
   /// wall time goes to `sinks.derive_ns` and the insert's to
   /// `sinks.insert_ns` (null sinks read no clock).
   std::size_t Apply(const Database& full, const DeltaRanges* ranges,
@@ -210,8 +208,9 @@ class CompiledRule {
                     const PhaseSinks& sinks = {}) const;
 
   /// Enumerates every complete match into `sink` (called with the frame;
-  /// return false to stop early). Counter semantics are identical to the
-  /// legacy Matcher, row for row.
+  /// return false to stop early), depth first over the left-deep
+  /// schedule in value space. The reference for the VM's counters on
+  /// left-deep plans, row for row.
   template <typename Sink>
   void Execute(const Database& full, const DeltaRanges* ranges,
                MatchFrame* frame, MatchStats* stats, Sink&& sink) const {
@@ -224,8 +223,7 @@ class CompiledRule {
     // are invariant for the whole enumeration (no insert happens while
     // matching), and resolving them per visit would cost a hash lookup
     // per parent row per depth. A dead depth still lets shallower depths
-    // run -- and count -- exactly as the legacy matcher's early returns
-    // do.
+    // run -- and count.
     for (std::size_t d = 0; d < steps_.size(); ++d) {
       const CompiledAtomStep& step = steps_[d];
       const AtomRows src =
@@ -270,9 +268,9 @@ class CompiledRule {
   /// The plan shape BuildSchedules selected (see docs/multiway_joins.md):
   /// kMultiway when the body's join hypergraph is cyclic with estimated
   /// width >= 2, the multiway and index knobs are on, every
-  /// participating relation is non-empty, and the plan qualifies for
-  /// id-space emission (batch_ok). Replan re-decides, so a >= 4x
-  /// cardinality drift can flip the shape between rounds.
+  /// participating relation is non-empty, and the plan can be lowered
+  /// (lowerable). Replan re-decides, so a >= 4x cardinality drift can
+  /// flip the shape between rounds.
   PlanShape shape() const { return shape_; }
   const std::vector<MultiwayStep>& multiway_steps() const {
     return mw_steps_;
@@ -285,11 +283,9 @@ class CompiledRule {
   std::size_t multiway_exit_depth() const { return mw_exit_depth_; }
 
   /// The plan lowered to register-based bytecode (empty when the plan
-  /// does not qualify for id-space execution). Rebuilt by every
-  /// BuildSchedules, so Replan keeps it in sync with the struct
-  /// schedules. Apply executes it -- via the computed-goto VM in
-  /// eval/bytecode -- when the bytecode and columnar knobs are on; see
-  /// docs/bytecode_vm.md.
+  /// cannot be lowered). Rebuilt by every BuildSchedules, so Replan keeps
+  /// it in sync with the schedules. Apply executes it with the
+  /// computed-goto VM in eval/bytecode; see docs/bytecode_vm.md.
   const bytecode::Program& bytecode_program() const { return bc_; }
 
   /// True if every negated literal is absent from `full` under the frame.
@@ -304,21 +300,11 @@ class CompiledRule {
 
   void BuildSchedules(const Database& full, const DeltaRanges* ranges);
 
-  /// Runs the first id-space executor that accepts the databases -- the
-  /// bytecode VM, then ApplyMultiway, then ApplyBatch -- deriving the
-  /// head rows into `derived`. False when none can (Apply then falls back
-  /// to the depth-first Execute path).
-  bool DeriveIds(const Database& full, const DeltaRanges* ranges,
-                 MatchStats* stats, IdRowBuffer* derived) const;
-
-  /// Vectorized executor behind Apply: per join depth, expand the whole
-  /// frontier of candidate frames at once against the raw id columns,
-  /// deriving head rows into `derived`. Returns false -- before bumping
-  /// any counter -- when some live relation is not columnar (a knob
-  /// flipped mid-stream), in which case Apply falls back to the
-  /// depth-first Execute path.
-  bool ApplyBatch(const Database& full, const DeltaRanges* ranges,
-                  MatchStats* stats, IdRowBuffer* derived) const;
+  /// Runs the lowered program with the VM, deriving the head rows into
+  /// `derived`. False -- before bumping any counter -- when the VM
+  /// declines the databases (Apply then falls back to Execute).
+  bool Derive(const Database& full, const DeltaRanges* ranges,
+              MatchStats* stats, IdRowBuffer* derived) const;
 
   /// Builds the multiway variable order, its first-witness exit depth and
   /// the per-step probe schedules (called by BuildSchedules, after the
@@ -330,17 +316,6 @@ class CompiledRule {
   void BuildMultiwaySchedules(
       const std::vector<PlannedAtom>& order,
       const std::unordered_map<VariableId, int>& slot_of);
-
-  /// Generic worst-case-optimal executor behind Apply when the plan
-  /// shape is kMultiway: iterates variables in the plan's fixed order,
-  /// intersecting sorted candidate-id lists contributed by every atom
-  /// containing the variable, deriving head rows into `derived`. Depths
-  /// from multiway_exit_depth() on stop at their first complete match.
-  /// Returns false -- before bumping any counter -- when some live
-  /// relation is not columnar, in which case Apply falls back to the
-  /// left-deep path.
-  bool ApplyMultiway(const Database& full, const DeltaRanges* ranges,
-                     MatchStats* stats, IdRowBuffer* derived) const;
 
   static void FillTerms(const std::vector<CompiledTerm>& terms,
                         const MatchFrame& frame, Tuple* out) {
@@ -366,7 +341,7 @@ class CompiledRule {
     const MatchFrame::DepthSource& ds = frame.sources[depth];
     if (ds.dead) {
       // Empty relation, arity mismatch, or an exhausted old snapshot: no
-      // matches, and no counter bump (matching the legacy early returns).
+      // matches, and no counter bump.
       return true;
     }
     const CompiledAtomStep& step = steps_[depth];
@@ -452,8 +427,8 @@ class CompiledRule {
   std::vector<MultiwayStep> mw_steps_;
   std::size_t mw_exit_depth_ = 0;  // see multiway_exit_depth()
   // True when every head/negated term is a constant or a bound slot, so
-  // the batch executor can run without the unbound-variable throw path.
-  bool batch_ok_ = false;
+  // the VM can emit in id space without the unbound-variable throw path.
+  bool lowerable_ = false;
   bytecode::Program bc_;  // rebuilt by BuildSchedules; empty if unlowered
   std::vector<PlannedAtom> atoms_;  // original order; Replan re-sorts
   std::vector<CompiledAtomStep> steps_;

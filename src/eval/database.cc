@@ -21,11 +21,6 @@ bool Database::AddFact(PredicateId pred, Tuple tuple) {
   return MutableRelation(pred).Insert(std::move(tuple));
 }
 
-bool Database::AddFactIds(PredicateId pred,
-                          const std::vector<std::uint32_t>& ids) {
-  return MutableRelation(pred).InsertIds(ids);
-}
-
 std::size_t Database::AddRowRange(PredicateId pred, const Relation& rel,
                                   std::size_t begin, std::size_t end) {
   if (begin >= end) return 0;
@@ -91,9 +86,8 @@ std::size_t Database::NumFacts() const {
 std::size_t Database::UnionWith(const Database& other) {
   std::size_t added = 0;
   for (const auto& [pred, rel] : other.relations_) {
-    // Id-space copy when both sides are columnar -- a bulk column copy
-    // into a relation this database did not have yet (AddRowRange falls
-    // back to Tuple insertion across backends).
+    // Id-space copy -- a bulk column copy into a relation this database
+    // did not have yet.
     added += AddRowRange(pred, rel, 0, rel.size());
   }
   return added;

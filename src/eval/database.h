@@ -29,17 +29,12 @@ class Database {
   /// Adds the fact `pred(tuple)`; returns true if it is new.
   bool AddFact(PredicateId pred, Tuple tuple);
 
-  /// Adds the fact whose column values are the dictionary ids `ids`
-  /// (columnar fast path; falls back to value insertion on a row-store
-  /// relation). Returns true if it is new.
-  bool AddFactIds(PredicateId pred, const std::vector<std::uint32_t>& ids);
-
   /// Appends rows [begin, end) of `rel` as facts of `pred`, preserving
   /// their order; returns how many were new (Relation::AddRowRange).
-  /// When both relations are columnar the copy stays in id space, and a
-  /// whole relation copied into a still-empty one is a bulk column copy
-  /// -- this is how UnionWith copies an EDB into a fresh database and how
-  /// the parallel engine merges a task's derivations.
+  /// The copy stays in id space, and a whole relation copied into a
+  /// still-empty one is a bulk column copy -- this is how UnionWith
+  /// copies an EDB into a fresh database and how the parallel engine
+  /// merges a task's derivations.
   std::size_t AddRowRange(PredicateId pred, const Relation& rel,
                           std::size_t begin, std::size_t end);
 

@@ -7,7 +7,6 @@
 #include <set>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ast/dependence_graph.h"
 #include "ast/validate.h"
@@ -59,57 +58,10 @@ struct PassTask {
   MatchStats match;           // task-local join counters
   std::uint64_t derive_ns = 0;  // task-local phase timers (metrics only)
   std::uint64_t insert_ns = 0;
-  // Compiled plan resolved during prep (null on the legacy-matcher
-  // ablation path); shared read-only across all shards of the pass.
+  // Compiled plan resolved during prep; shared read-only across all
+  // shards of the pass.
   const CompiledRule* plan = nullptr;
 };
-
-/// Pre-builds every index the matcher can probe while running this pass,
-/// so the parallel phase performs no index construction. PlanJoinOrder is
-/// deterministic given the (frozen) relation sizes, and at depth d the
-/// matcher's binding holds exactly the variables of atoms 0..d-1 of the
-/// order, so the bound column set of every probe is known statically.
-/// This is a superset of the probes actually issued: the matcher may
-/// abandon a prefix with no matches, but never probes a column set this
-/// walk does not cover.
-void EnsureIndexesForPass(const Database& full, const DeltaRanges& shard,
-                          const Rule& rule, std::size_t delta_pos) {
-  if (!IndexLookupsEnabled()) return;
-  std::vector<PlannedAtom> atoms =
-      BuildDeltaPassAtoms(rule, delta_pos, /*use_old=*/true);
-  std::vector<PlannedAtom> order = PlanJoinOrder(full, &shard, atoms);
-  std::unordered_set<VariableId> bound;
-  for (const PlannedAtom& planned : order) {
-    const Atom& atom = planned.atom;
-    const AtomRows src =
-        ResolveAtomRows(full, &shard, planned.source, atom.predicate());
-    const Relation& rel = *src.rel;
-    if (src.rows.empty() || rel.arity() != atom.arity()) {
-      // Nothing to index; also keeps the shared empty-relation sentinel
-      // untouched (the matcher skips empty relations too).
-      for (const Term& t : atom.args()) {
-        if (t.is_variable()) bound.insert(t.var());
-      }
-      continue;
-    }
-    std::vector<int> bound_cols;
-    for (int i = 0; i < atom.arity(); ++i) {
-      const Term& t = atom.args()[static_cast<std::size_t>(i)];
-      if (t.is_constant() || (t.is_variable() && bound.contains(t.var()))) {
-        bound_cols.push_back(i);
-      }
-    }
-    // Only partially bound probes use an index; fully bound ones (old
-    // snapshot included) look the row up in the dedup table.
-    if (!bound_cols.empty() &&
-        static_cast<int>(bound_cols.size()) != atom.arity()) {
-      rel.EnsureIndex(bound_cols);
-    }
-    for (const Term& t : atom.args()) {
-      if (t.is_variable()) bound.insert(t.var());
-    }
-  }
-}
 
 }  // namespace
 
@@ -206,23 +158,16 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
         }
       }
     }
-    if (CompiledRulePlansEnabled()) {
-      for (PassTask& task : tasks) {
-        {
-          PhaseTimer timer(timed ? &stats.plan_ns : nullptr);
-          task.plan = &cache.Get(task.rule_index, rules[task.rule_index],
-                                 task.delta_pos, /*use_old=*/true, *db,
-                                 &ranges);
-        }
-        // Per-shard index builds still happen here, single-threaded:
-        // after this, Execute is read-only on every relation it probes.
-        task.plan->EnsureIndexes(*db, task.ranges);
+    for (PassTask& task : tasks) {
+      {
+        PhaseTimer timer(timed ? &stats.plan_ns : nullptr);
+        task.plan = &cache.Get(task.rule_index, rules[task.rule_index],
+                               task.delta_pos, /*use_old=*/true, *db,
+                               &ranges);
       }
-    } else {
-      for (const PassTask& task : tasks) {
-        EnsureIndexesForPass(*db, *task.ranges, rules[task.rule_index],
-                             task.delta_pos);
-      }
+      // Per-shard index builds still happen here, single-threaded: after
+      // this, Apply is read-only on every relation it probes.
+      task.plan->EnsureIndexes(*db, task.ranges);
     }
     stats.index_build_ns += ElapsedNs(prep_start);
     prep_span.Note("tasks", tasks.size());
@@ -239,21 +184,14 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     stats.parallel_tasks += tasks.size();
     const Database& frozen = *db;
     for (PassTask& task : tasks) {
-      pool->Submit([&rules, &frozen, &task, timed] {
+      pool->Submit([&frozen, &task, timed] {
         TraceSpan task_span("parallel/task");
         PhaseSinks sinks;
         if (timed) {
           sinks.derive_ns = &task.derive_ns;
           sinks.insert_ns = &task.insert_ns;
         }
-        if (task.plan != nullptr) {
-          task.plan->Apply(frozen, task.ranges, &task.out, &task.match,
-                           sinks);
-        } else {
-          ApplyRuleWithDelta(rules[task.rule_index], frozen, *task.ranges,
-                             task.delta_pos, &task.out, &task.match,
-                             /*cache=*/nullptr, /*rule_index=*/0, sinks);
-        }
+        task.plan->Apply(frozen, task.ranges, &task.out, &task.match, sinks);
         if (task_span.active()) {
           task_span.Note("rule", task.rule_index);
           task_span.Note("delta_pos", task.delta_pos);

@@ -8,19 +8,14 @@
 namespace datalog {
 
 namespace {
-bool columnar_storage_enabled = true;
-
 /// Reusable id scratch buffers for Value->id key conversion on the
-/// columnar probe paths. Thread-local so concurrent frozen-snapshot
-/// readers never share them.
+/// probe paths. Thread-local so concurrent frozen-snapshot readers never
+/// share them.
 std::vector<std::uint32_t>& IdScratch() {
   thread_local std::vector<std::uint32_t> scratch;
   return scratch;
 }
 }  // namespace
-
-void SetColumnarStorage(bool enabled) { columnar_storage_enabled = enabled; }
-bool ColumnarStorageEnabled() { return columnar_storage_enabled; }
 
 // Locate and InsertOrFind are inlined into their callers in this file:
 // two out-of-line calls per row measurably slowed the batch insert.
@@ -159,28 +154,9 @@ bool Relation::InsertIdsUnchecked(const std::uint32_t* ids) {
 
 bool Relation::Insert(Tuple tuple) {
   CheckWidth(tuple.size());
-  if (!columnar_) {
-    auto [it, inserted] = row_ids_.emplace(
-        std::move(tuple), static_cast<std::uint32_t>(num_rows_));
-    if (inserted) {
-      rows_.push_back(it->first);
-      ++num_rows_;
-    }
-    return inserted;
-  }
   std::vector<std::uint32_t>& ids = IdScratch();
   ValueDictionary::Global().InternRow(tuple, &ids);
   return InsertIdsUnchecked(ids.data());
-}
-
-bool Relation::InsertIds(const std::vector<std::uint32_t>& ids) {
-  CheckWidth(ids.size());
-  if (columnar_) return InsertIdsUnchecked(ids.data());
-  ValueDictionary& dict = ValueDictionary::Global();
-  Tuple tuple;
-  tuple.reserve(ids.size());
-  for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-  return Insert(std::move(tuple));
 }
 
 std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
@@ -191,50 +167,41 @@ std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
         std::to_string(rows.count) + " rows of arity " +
         std::to_string(arity_));
   }
-  std::size_t added = 0;
-  if (columnar_) {
-    // A batch of derived rows may be mostly duplicates or mostly new, so
-    // the first kYieldPrefix rows go in unreserved and the rest is
-    // reserved for at their yield (see the header). Each row is hashed
-    // once, kAhead rows before its probe, when its home group is
-    // prefetched (a table growth in between only wastes those few
-    // prefetches).
-    constexpr std::size_t kAhead = 8;
-    RowIdTable::KeyHash ahead[kAhead] = {};
-    const std::uint32_t* ids = rows.ids.data();
-    for (std::size_t r = 0; r < rows.count && r < kAhead; ++r) {
-      ahead[r] = id_table_.KeyHashOf(ids + r * width);
-      id_table_.Prefetch(ahead[r].hash);
-    }
-    for (std::size_t r = 0; r < rows.count; ++r) {
-      if (r == kYieldPrefix && added != 0) {
-        // added <= kYieldPrefix, so this is at most the rows left.
-        const std::size_t expected =
-            (rows.count - kYieldPrefix) * added / kYieldPrefix;
-        id_table_.Reserve(expected);
-        ReserveRows(expected);
-      }
-      const RowIdTable::KeyHash kh = ahead[r % kAhead];
-      if (r + kAhead < rows.count) {
-        ahead[r % kAhead] = id_table_.KeyHashOf(ids + (r + kAhead) * width);
-        id_table_.Prefetch(ahead[r % kAhead].hash);
-      }
-      const std::uint32_t* row = ids + r * width;
-      if (!id_table_.InsertOrFind(columns_, row, kh,
-                                  static_cast<std::uint32_t>(num_rows_))) {
-        continue;
-      }
-      for (std::size_t c = 0; c < width; ++c) columns_[c].push_back(row[c]);
-      ++num_rows_;
-      ++added;
-    }
-    return added;
+  // A batch of derived rows may be mostly duplicates or mostly new, so
+  // the first kYieldPrefix rows go in unreserved and the rest is
+  // reserved for at their yield (see the header). Each row is hashed
+  // once, kAhead rows before its probe, when its home group is
+  // prefetched (a table growth in between only wastes those few
+  // prefetches).
+  constexpr std::size_t kAhead = 8;
+  RowIdTable::KeyHash ahead[kAhead] = {};
+  const std::uint32_t* ids = rows.ids.data();
+  for (std::size_t r = 0; r < rows.count && r < kAhead; ++r) {
+    ahead[r] = id_table_.KeyHashOf(ids + r * width);
+    id_table_.Prefetch(ahead[r].hash);
   }
-  std::vector<std::uint32_t> row(width);
+  std::size_t added = 0;
   for (std::size_t r = 0; r < rows.count; ++r) {
-    const std::uint32_t* base = rows.ids.data() + r * width;
-    row.assign(base, base + width);
-    if (InsertIds(row)) ++added;
+    if (r == kYieldPrefix && added != 0) {
+      // added <= kYieldPrefix, so this is at most the rows left.
+      const std::size_t expected =
+          (rows.count - kYieldPrefix) * added / kYieldPrefix;
+      id_table_.Reserve(expected);
+      ReserveRows(expected);
+    }
+    const RowIdTable::KeyHash kh = ahead[r % kAhead];
+    if (r + kAhead < rows.count) {
+      ahead[r % kAhead] = id_table_.KeyHashOf(ids + (r + kAhead) * width);
+      id_table_.Prefetch(ahead[r % kAhead].hash);
+    }
+    const std::uint32_t* row = ids + r * width;
+    if (!id_table_.InsertOrFind(columns_, row, kh,
+                                static_cast<std::uint32_t>(num_rows_))) {
+      continue;
+    }
+    for (std::size_t c = 0; c < width; ++c) columns_[c].push_back(row[c]);
+    ++num_rows_;
+    ++added;
   }
   return added;
 }
@@ -245,12 +212,6 @@ void Relation::ReserveRows(std::size_t additional) {
   // exact request each time and degrade repeated appends to O(n^2)
   // element moves.
   const std::size_t want = num_rows_ + additional;
-  if (!columnar_) {
-    if (want > rows_.capacity()) {
-      rows_.reserve(std::max(want, rows_.capacity() * 2));
-    }
-    return;
-  }
   for (auto& col : columns_) {
     if (want > col.capacity()) col.reserve(std::max(want, col.capacity() * 2));
   }
@@ -266,26 +227,19 @@ std::size_t Relation::AddRowRange(const Relation& src, std::size_t begin,
         " copied from a relation of " + std::to_string(src.num_rows_) +
         " rows");
   }
-  if (columnar_ && src.columnar_) {
-    if (num_rows_ == 0 && begin == 0 && end == src.num_rows_) {
-      CopyIntoEmpty(src);
-      return end;
-    }
-    ReserveRows(end - begin);
-    std::vector<std::uint32_t>& ids = IdScratch();
-    ids.resize(columns_.size());
-    std::size_t added = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      for (std::size_t c = 0; c < columns_.size(); ++c) {
-        ids[c] = src.columns_[c][i];
-      }
-      if (InsertIdsUnchecked(ids.data())) ++added;
-    }
-    return added;
+  if (num_rows_ == 0 && begin == 0 && end == src.num_rows_) {
+    CopyIntoEmpty(src);
+    return end;
   }
+  ReserveRows(end - begin);
+  std::vector<std::uint32_t>& ids = IdScratch();
+  ids.resize(columns_.size());
   std::size_t added = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    if (Insert(Tuple(src.row(i)))) ++added;
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      ids[c] = src.columns_[c][i];
+    }
+    if (InsertIdsUnchecked(ids.data())) ++added;
   }
   return added;
 }
@@ -306,18 +260,14 @@ std::uint32_t Relation::FindRow(RowRef row) const {
   if (row.size() != static_cast<std::size_t>(arity_) || num_rows_ == 0) {
     return kNoRow;
   }
-  if (!columnar_) {
-    auto it = row_ids_.find(row);
-    return it == row_ids_.end() ? kNoRow : it->second;
-  }
   std::vector<std::uint32_t>& ids = IdScratch();
   ids.resize(row.size());
-  if (row.columnar()) {
+  if (row.has_ids()) {
     for (std::size_t c = 0; c < row.size(); ++c) ids[c] = row.id(c);
   } else if (!ValueDictionary::Global().LookupRow(row.values_, row.size(),
                                                   &ids)) {
     // A value the dictionary has never seen cannot be stored in any
-    // columnar relation.
+    // relation.
     return kNoRow;
   }
   return id_table_.Find(columns_, ids.data());
@@ -327,12 +277,7 @@ bool Relation::ContainsIds(const std::vector<std::uint32_t>& ids) const {
   if (ids.size() != static_cast<std::size_t>(arity_) || num_rows_ == 0) {
     return false;
   }
-  if (columnar_) return id_table_.Find(columns_, ids.data()) != kNoRow;
-  ValueDictionary& dict = ValueDictionary::Global();
-  Tuple tuple;
-  tuple.reserve(ids.size());
-  for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-  return row_ids_.contains(tuple);
+  return id_table_.Find(columns_, ids.data()) != kNoRow;
 }
 
 std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
@@ -350,27 +295,14 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
   if (erased == 0) return 0;
   // Compact to the survivors, preserving their relative order.
   const std::size_t survivors = num_rows_ - erased;
-  if (!columnar_) {
-    std::vector<Tuple> kept;
-    kept.reserve(survivors);
+  for (IdVector& col : columns_) {
+    std::size_t out = 0;
     for (std::size_t i = 0; i < num_rows_; ++i) {
-      if (!doomed[i]) kept.push_back(std::move(rows_[i]));
+      if (!doomed[i]) col[out++] = col[i];
     }
-    rows_ = std::move(kept);
-    row_ids_.clear();
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      row_ids_.emplace(rows_[i], static_cast<std::uint32_t>(i));
-    }
-  } else {
-    for (IdVector& col : columns_) {
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < num_rows_; ++i) {
-        if (!doomed[i]) col[out++] = col[i];
-      }
-      col.resize(out);
-    }
-    id_table_.Rebuild(columns_, survivors);
+    col.resize(out);
   }
+  id_table_.Rebuild(columns_, survivors);
   num_rows_ = survivors;
   // Invalidate every index: row ids shifted, so the incremental
   // built_up_to watermarks are meaningless now. The entries are emptied
@@ -386,14 +318,6 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
     index.map.clear();
     index.built_up_to = 0;
   }
-  for (auto& [cols, index] : id_indexes_) {
-    index.map.clear();
-    index.built_up_to = 0;
-  }
-  for (auto& [col, index] : single_id_indexes_) {
-    index.map.clear();
-    index.built_up_to = 0;
-  }
   for (auto& [col, cache] : sorted_keys_) {
     cache.keys.clear();
     cache.built_up_to = 0;
@@ -404,7 +328,6 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
 
 const std::vector<std::uint32_t>& Relation::SortedKeys(int column,
                                                      RowSpan rows) const {
-  if (!columnar_) return EmptyRowIds();  // row store: no id columns
   rows = Bounds(rows);
   SortedKeyCache& cache = sorted_keys_[column];
   if (rows.begin == 0 && rows.end == num_rows_) {
@@ -435,7 +358,6 @@ void Relation::CollectSortedKeys(const std::vector<int>& columns,
                                  RowSpan rows,
                                  std::vector<std::uint32_t>* out) const {
   out->clear();
-  if (!columnar_) return;
   rows = Bounds(rows);
   const IdVector& c0 = columns_[static_cast<std::size_t>(columns[0])];
   for (std::size_t i = rows.begin; i < rows.end; ++i) {
@@ -476,26 +398,16 @@ const std::vector<std::uint32_t>& Relation::EmptyRowIds() {
 
 const std::vector<std::uint32_t>& Relation::SingleIndexView::Find(
     const Value& key) const {
-  if (id_map_ != nullptr) {
-    const std::uint32_t id = ValueDictionary::Global().LookupId(key);
-    if (id == ValueDictionary::kInvalidId) return EmptyRowIds();
-    return FindId(id);
-  }
-  auto it = value_map_->find(key);
-  return it == value_map_->end() ? EmptyRowIds() : it->second;
+  const std::uint32_t id = ValueDictionary::Global().LookupId(key);
+  if (id == ValueDictionary::kInvalidId) return EmptyRowIds();
+  return FindId(id);
 }
 
 const std::vector<std::uint32_t>& Relation::MultiIndexView::Find(
     const Tuple& key) const {
-  if (id_map_ != nullptr) {
-    std::vector<std::uint32_t>& ids = IdScratch();
-    if (!ValueDictionary::Global().LookupRow(key, &ids)) {
-      return EmptyRowIds();
-    }
-    return FindIds(ids);
-  }
-  auto it = value_map_->find(key);
-  return it == value_map_->end() ? EmptyRowIds() : it->second;
+  std::vector<std::uint32_t>& ids = IdScratch();
+  if (!ValueDictionary::Global().LookupRow(key, &ids)) return EmptyRowIds();
+  return FindIds(ids);
 }
 
 const std::vector<std::uint32_t>& Relation::Lookup(
@@ -510,11 +422,6 @@ const std::vector<std::uint32_t>& Relation::Lookup(int column,
 }
 
 Relation::SingleIndexView Relation::PrepareSingleIndex(int column) const {
-  if (columnar_) {
-    SingleIdColumnIndex& index = single_id_indexes_[column];
-    ExtendSingleIdIndex(column, &index);
-    return SingleIndexView(&index.map);
-  }
   SingleColumnIndex& index = single_indexes_[column];
   ExtendSingleIndex(column, &index);
   return SingleIndexView(&index.map);
@@ -522,11 +429,6 @@ Relation::SingleIndexView Relation::PrepareSingleIndex(int column) const {
 
 Relation::MultiIndexView Relation::PrepareIndex(
     const std::vector<int>& columns) const {
-  if (columnar_) {
-    IdColumnIndex& index = id_indexes_[columns];
-    ExtendIdIndex(columns, &index);
-    return MultiIndexView(&index.map);
-  }
   ColumnIndex& index = indexes_[columns];
   ExtendIndex(columns, &index);
   return MultiIndexView(&index.map);
@@ -545,31 +447,6 @@ void Relation::ExtendIndex(const std::vector<int>& columns,
   // Write-free when already current, so concurrent Lookups on an
   // EnsureIndex'd column set never race on built_up_to.
   if (index->built_up_to == num_rows_) return;
-  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
-    Tuple key;
-    key.reserve(columns.size());
-    for (int c : columns) {
-      key.push_back(rows_[i][static_cast<std::size_t>(c)]);
-    }
-    index->map[std::move(key)].push_back(static_cast<std::uint32_t>(i));
-  }
-  index->built_up_to = num_rows_;
-}
-
-void Relation::ExtendSingleIndex(int column, SingleColumnIndex* index) const {
-  // Write-free when already current (frozen-snapshot contract), like
-  // ExtendIndex above.
-  if (index->built_up_to == num_rows_) return;
-  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
-    index->map[rows_[i][static_cast<std::size_t>(column)]].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  index->built_up_to = num_rows_;
-}
-
-void Relation::ExtendIdIndex(const std::vector<int>& columns,
-                             IdColumnIndex* index) const {
-  if (index->built_up_to == num_rows_) return;
   std::vector<std::uint32_t> key(columns.size());
   for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     for (std::size_t k = 0; k < columns.size(); ++k) {
@@ -580,8 +457,9 @@ void Relation::ExtendIdIndex(const std::vector<int>& columns,
   index->built_up_to = num_rows_;
 }
 
-void Relation::ExtendSingleIdIndex(int column,
-                                   SingleIdColumnIndex* index) const {
+void Relation::ExtendSingleIndex(int column, SingleColumnIndex* index) const {
+  // Write-free when already current (frozen-snapshot contract), like
+  // ExtendIndex above.
   if (index->built_up_to == num_rows_) return;
   const IdVector& col = columns_[static_cast<std::size_t>(column)];
   for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {

@@ -18,28 +18,16 @@
 
 namespace datalog {
 
-/// Storage-backend knob (an ablation/differential switch like the ones in
-/// eval/rule_matcher.h): when enabled -- the default -- relations
-/// constructed afterwards use the columnar backend (contiguous u32 id
-/// columns over the global ValueDictionary, id-keyed dedup set and
-/// id-keyed postings indexes); when disabled they use the legacy row
-/// store (Value tuples, Value/Tuple-keyed indexes). Both backends are
-/// bit-identical through every public API; the conformance suite in
-/// tests/eval/relation_conformance_test.cc runs against both. Not
-/// thread-safe; flip only between evaluations.
-void SetColumnarStorage(bool enabled);
-bool ColumnarStorageEnabled();
-
 /// A run of dictionary ids whose buffer is recycled through the block
-/// cache (util/block_cache.h): the type of a columnar relation's id
-/// columns and of an IdRowBuffer's ids.
+/// cache (util/block_cache.h): the type of a relation's id columns and
+/// of an IdRowBuffer's ids.
 using IdVector = BlockVector<std::uint32_t>;
 
 /// Rows of dictionary ids buffered for one batch insert: `count` rows of
 /// the target relation's arity, laid out row-major in `ids`. The count is
-/// explicit because zero-arity rows take no ids. The id-space executors
-/// (bytecode VM, ApplyBatch, ApplyMultiway) derive each rule
-/// application's head rows into one of these before inserting them.
+/// explicit because zero-arity rows take no ids. The bytecode VM derives
+/// each rule application's head rows into one of these before inserting
+/// them.
 struct IdRowBuffer {
   IdVector ids;
   std::size_t count = 0;
@@ -60,9 +48,9 @@ struct RowSpan {
   bool contains(std::size_t row) const { return begin <= row && row < end; }
 };
 
-/// A non-owning view of one row: a row of a Relation (either backend) or
-/// a Tuple. `operator[]` yields the column's Value -- on a columnar
-/// relation by resolving the stored id through the lock-free
+/// A non-owning view of one row: a row of a Relation or a Tuple.
+/// `operator[]` yields the column's Value -- for a relation row by
+/// resolving the stored id through the lock-free
 /// ValueDictionary::Resolve -- so readers index rows without allocating;
 /// conversion to an owning Tuple is explicit. Implicitly constructible
 /// from a Tuple (like std::string_view from std::string), which lets
@@ -86,10 +74,10 @@ class RowRef {
     return ValueDictionary::Global().Resolve((*columns_)[c][row_]);
   }
 
-  /// The dictionary id of column `c`. Only for rows of a columnar
-  /// relation (columnar() is true).
+  /// The dictionary id of column `c`. Only for rows of a relation
+  /// (has_ids() is true).
   std::uint32_t id(std::size_t c) const { return (*columns_)[c][row_]; }
-  bool columnar() const { return columns_ != nullptr; }
+  bool has_ids() const { return columns_ != nullptr; }
 
   explicit operator Tuple() const {
     Tuple tuple;
@@ -107,22 +95,13 @@ class RowRef {
     return true;
   }
 
-  /// Agrees with TupleHash on the equal Tuple.
-  std::size_t Hash() const {
-    std::size_t seed = size_;
-    for (std::size_t c = 0; c < size_; ++c) {
-      HashCombine(seed, (*this)[c].Hash());
-    }
-    return seed;
-  }
-
  private:
   friend class Relation;
   RowRef(const std::vector<IdVector>* columns, std::uint32_t row,
          std::uint32_t size)
       : columns_(columns), row_(row), size_(size) {}
 
-  const Value* values_ = nullptr;  // Tuple-backed (and row-store) rows
+  const Value* values_ = nullptr;  // Tuple-backed rows
   const std::vector<IdVector>* columns_ = nullptr;
   std::uint32_t row_ = 0;
   std::uint32_t size_ = 0;
@@ -133,18 +112,12 @@ class RowRef {
 /// extend incrementally and lets callers treat a row-count watermark as a
 /// stable snapshot boundary (used by semi-naive evaluation).
 ///
-/// Two storage backends (chosen per relation at construction from the
-/// SetColumnarStorage knob; see docs/columnar_storage.md):
-///
-///  - Row store (legacy): rows are `Tuple`s, dedup and membership go
-///    through a Tuple-keyed hash map (row -> row id), and indexes key on
-///    `Value`/`Tuple`.
-///  - Columnar: every inserted value is interned to a dense u32 id in the
-///    global ValueDictionary and each column is a contiguous IdVector.
-///    The columns are the only row storage: dedup, membership and the
-///    postings indexes all key on ids, so probes compare 4-byte
-///    integers, and rows are read back through RowRef views that
-///    resolve ids on access.
+/// Storage is columnar (see docs/columnar_storage.md): every inserted
+/// value is interned to a dense u32 id in the global ValueDictionary and
+/// each column is a contiguous IdVector. The columns are the only row
+/// storage: dedup, membership and the postings indexes all key on ids,
+/// so probes compare 4-byte integers, and rows are read back through
+/// RowRef views that resolve ids on access.
 ///
 /// Rows of a width other than arity() are rejected by every insert entry
 /// (std::invalid_argument); membership probes of another width simply
@@ -164,51 +137,35 @@ class Relation {
 
   explicit Relation(int arity = 0)
       : arity_(arity),
-        columnar_(ColumnarStorageEnabled()),
-        id_table_(static_cast<std::size_t>(arity)) {
-    if (columnar_) {
-      columns_.resize(static_cast<std::size_t>(arity));
-    }
-  }
+        columns_(static_cast<std::size_t>(arity)),
+        id_table_(static_cast<std::size_t>(arity)) {}
 
   int arity() const { return arity_; }
   std::size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
 
-  /// True when this relation uses the columnar backend (decided at
-  /// construction; a later knob flip does not migrate existing storage).
-  bool columnar() const { return columnar_; }
-
   /// Inserts `tuple`; returns true if it was not already present.
   bool Insert(Tuple tuple);
 
-  /// Insert by dictionary ids (`ids.size()` must equal arity()); returns
-  /// true if the row was new. On the columnar backend only the id
-  /// columns and the dedup table are written -- no Value is touched. On
-  /// a row-store relation the ids are resolved and inserted as a Tuple,
-  /// so callers need not check the backend.
-  bool InsertIds(const std::vector<std::uint32_t>& ids);
-
   /// Inserts every row of `rows` in order (each of arity() ids); returns
-  /// how many were new. The single write-path entry of the id-space
-  /// executors. On the columnar backend, once the batch's first
-  /// kYieldPrefix rows are in, the dedup table and the columns are
-  /// reserved once for the rest of the batch at the share of new rows
-  /// those rows showed: a mostly-duplicate batch reserves next to
-  /// nothing, a mostly-new one stops doubling mid-batch. A prefix that
-  /// misleads over-reserves by at most the batch's remaining rows, and
-  /// nothing is kept past the batch. Batches of at most kYieldPrefix
-  /// rows reserve nothing.
+  /// how many were new. The single write path of the bytecode VM and of
+  /// fact loading: only the id columns and the dedup table are written,
+  /// no Value is touched. Once the batch's first kYieldPrefix rows are
+  /// in, the dedup table and the columns are reserved once for the rest
+  /// of the batch at the share of new rows those rows showed: a
+  /// mostly-duplicate batch reserves next to nothing, a mostly-new one
+  /// stops doubling mid-batch. A prefix that misleads over-reserves by
+  /// at most the batch's remaining rows, and nothing is kept past the
+  /// batch. Batches of at most kYieldPrefix rows reserve nothing.
   std::size_t InsertIdRows(const IdRowBuffer& rows);
 
   /// Appends rows [begin, end) of `src` (same arity) in order; returns
   /// how many were new. `begin >= end` appends nothing; `end` past
   /// src.size() throws std::invalid_argument, like a width mismatch.
-  /// Between columnar relations the copy stays in id space, and a whole
-  /// relation copied into an EMPTY one -- an EDB copy, a parallel task's
-  /// derivations merged into a relation that had none -- takes the
-  /// columns and the dedup table verbatim, without a single equality
-  /// probe.
+  /// The copy stays in id space, and a whole relation copied into an
+  /// EMPTY one -- an EDB copy, a parallel task's derivations merged into
+  /// a relation that had none -- takes the columns and the dedup table
+  /// verbatim, without a single equality probe.
   std::size_t AddRowRange(const Relation& src, std::size_t begin,
                           std::size_t end);
 
@@ -223,17 +180,16 @@ class Relation {
   /// docs/incremental_eval.md).
   std::size_t EraseAll(const std::vector<Tuple>& tuples);
 
-  /// The id of the stored row equal to `row`, or kNoRow. On the columnar
-  /// backend this is one dedup-table probe (ids read straight from `row`
-  /// when it is itself a columnar row view); on the row store one hash
-  /// lookup. Rows are append-only, so a fully bound atom over a row
+  /// The id of the stored row equal to `row`, or kNoRow: one dedup-table
+  /// probe (ids read straight from `row` when it is itself a relation
+  /// row view). Rows are append-only, so a fully bound atom over a row
   /// range (an old snapshot, a delta) matches iff the id lies inside it
   /// (FindRowIn).
   std::uint32_t FindRow(RowRef row) const;
   bool Contains(RowRef row) const { return FindRow(row) != kNoRow; }
   bool Contains(const Tuple& tuple) const { return Contains(RowRef(tuple)); }
 
-  /// Columnar-only hot path of FindRow: `ids` points at arity() ids.
+  /// Hot path of FindRow: `ids` points at arity() ids.
   std::uint32_t FindRowIds(const std::uint32_t* ids) const {
     return id_table_.Find(columns_, ids);
   }
@@ -269,8 +225,7 @@ class Relation {
   }
 
   /// Membership by dictionary ids; agrees with Contains on the resolved
-  /// tuple. Works on either backend (row store resolves the ids and
-  /// probes the Tuple map).
+  /// tuple.
   bool ContainsIds(const std::vector<std::uint32_t>& ids) const;
 
   /// The rows in insertion order, as RowRef views.
@@ -320,14 +275,13 @@ class Relation {
 
   RowRange rows() const { return RowRange(this); }
   RowRef row(std::size_t i) const {
-    if (!columnar_) return RowRef(rows_[i]);
     return RowRef(&columns_, static_cast<std::uint32_t>(i),
                   static_cast<std::uint32_t>(arity_));
   }
 
-  /// The id column for `c` (columnar backend only): column(c)[i] is the
-  /// dictionary id of row(i)[c]. Contiguous, insertion-ordered, append-
-  /// only between erasures -- the batch probe path's scan substrate.
+  /// The id column for `c`: column(c)[i] is the dictionary id of
+  /// row(i)[c]. Contiguous, insertion-ordered, append-only between
+  /// erasures -- the bytecode VM's scan substrate.
   const IdVector& column(int c) const {
     return columns_[static_cast<std::size_t>(c)];
   }
@@ -339,10 +293,10 @@ class Relation {
   const std::vector<std::uint32_t>& Lookup(const std::vector<int>& columns,
                                            const Tuple& key) const;
 
-  /// Single-column fast path: the index is keyed directly on the value
-  /// (its dictionary id on the columnar backend), so neither the probe
-  /// nor the per-row index entries allocate a one-element Tuple. Agrees
-  /// exactly with Lookup({column}, {key}).
+  /// Single-column fast path: the index is keyed directly on the value's
+  /// dictionary id, so neither the probe nor the per-row index entries
+  /// allocate a one-element key. Agrees exactly with
+  /// Lookup({column}, {key}).
   const std::vector<std::uint32_t>& Lookup(int column, const Value& key) const;
 
   /// Builds (or extends to cover all current rows) the index on
@@ -365,53 +319,43 @@ class Relation {
   /// Direct handles onto a built index, skipping the per-probe index-map
   /// find and extend check that Lookup pays. Valid until the next Insert;
   /// EraseAll empties the underlying maps in place, so a stale view
-  /// safely finds nothing instead of dangling. The compiled matcher
-  /// prepares one per join depth per enumeration (the relation is frozen
-  /// while matching). On a columnar relation the view wraps the id-keyed
-  /// index: Find converts the key through the dictionary, FindId probes
-  /// directly (the batch path's access).
+  /// safely finds nothing instead of dangling. Execute prepares one per
+  /// join depth per enumeration, and the bytecode VM one per step (the
+  /// relation is frozen while matching). Find converts a Value key
+  /// through the dictionary; FindId / FindIds probe by id directly.
   class SingleIndexView {
    public:
     SingleIndexView() = default;
-    bool valid() const { return value_map_ != nullptr || id_map_ != nullptr; }
+    bool valid() const { return map_ != nullptr; }
     const std::vector<std::uint32_t>& Find(const Value& key) const;
     const std::vector<std::uint32_t>& FindId(std::uint32_t id) const {
-      auto it = id_map_->find(id);
-      return it == id_map_->end() ? EmptyRowIds() : it->second;
+      auto it = map_->find(id);
+      return it == map_->end() ? EmptyRowIds() : it->second;
     }
 
    private:
     friend class Relation;
-    using ValueMap =
-        std::unordered_map<Value, std::vector<std::uint32_t>, ValueHash>;
-    using IdMap = std::unordered_map<std::uint32_t,
-                                     std::vector<std::uint32_t>>;
-    explicit SingleIndexView(const ValueMap* map) : value_map_(map) {}
-    explicit SingleIndexView(const IdMap* map) : id_map_(map) {}
-    const ValueMap* value_map_ = nullptr;
-    const IdMap* id_map_ = nullptr;
+    using Map = std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>;
+    explicit SingleIndexView(const Map* map) : map_(map) {}
+    const Map* map_ = nullptr;
   };
   class MultiIndexView {
    public:
     MultiIndexView() = default;
-    bool valid() const { return value_map_ != nullptr || id_map_ != nullptr; }
+    bool valid() const { return map_ != nullptr; }
     const std::vector<std::uint32_t>& Find(const Tuple& key) const;
     const std::vector<std::uint32_t>& FindIds(
         const std::vector<std::uint32_t>& key) const {
-      auto it = id_map_->find(key);
-      return it == id_map_->end() ? EmptyRowIds() : it->second;
+      auto it = map_->find(key);
+      return it == map_->end() ? EmptyRowIds() : it->second;
     }
 
    private:
     friend class Relation;
-    using ValueMap =
-        std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash>;
-    using IdMap = std::unordered_map<std::vector<std::uint32_t>,
-                                     std::vector<std::uint32_t>, IdRowHash>;
-    explicit MultiIndexView(const ValueMap* map) : value_map_(map) {}
-    explicit MultiIndexView(const IdMap* map) : id_map_(map) {}
-    const ValueMap* value_map_ = nullptr;
-    const IdMap* id_map_ = nullptr;
+    using Map = std::unordered_map<std::vector<std::uint32_t>,
+                                   std::vector<std::uint32_t>, IdRowHash>;
+    explicit MultiIndexView(const Map* map) : map_(map) {}
+    const Map* map_ = nullptr;
   };
 
   /// Build/extend the index on `column` (resp. `columns`, any size >= 0;
@@ -421,18 +365,18 @@ class Relation {
   SingleIndexView PrepareSingleIndex(int column) const;
   MultiIndexView PrepareIndex(const std::vector<int>& columns) const;
 
-  /// The sorted distinct dictionary ids stored in `column` over `rows`
-  /// (columnar backend only; empty on the row store): the root candidate
-  /// list the multiway-intersection plan shape intersects against (see
-  /// docs/multiway_joins.md). Cached: the whole relation's list is
-  /// rebuilt when rows were appended since the last call, and a partial
-  /// span's list -- a round's delta range, or a parallel shard of it --
-  /// is computed once and kept until a span is asked for at a larger
-  /// relation size, i.e. in a later round. An enumeration reads one span
-  /// per column, so dropping those never pulls a list from under a
-  /// reader. Same thread-safety contract as Lookup: write-free when
-  /// cached, so EnsureSortedKeys before a parallel fan-out makes it a
-  /// pure read. EraseAll drops every cached list.
+  /// The sorted distinct dictionary ids stored in `column` over `rows`:
+  /// the root candidate list the multiway-intersection plan shape
+  /// intersects against (see docs/multiway_joins.md). Cached: the whole
+  /// relation's list is rebuilt when rows were appended since the last
+  /// call, and a partial span's list -- a round's delta range, or a
+  /// parallel shard of it -- is computed once and kept until a span is
+  /// asked for at a larger relation size, i.e. in a later round. An
+  /// enumeration reads one span per column, so dropping those never
+  /// pulls a list from under a reader. Same thread-safety contract as
+  /// Lookup: write-free when cached, so EnsureSortedKeys before a
+  /// parallel fan-out makes it a pure read. EraseAll drops every cached
+  /// list.
   const std::vector<std::uint32_t>& SortedKeys(int column,
                                                RowSpan rows) const;
   void EnsureSortedKeys(int column, RowSpan rows) const {
@@ -441,15 +385,14 @@ class Relation {
 
   /// Uncached form of SortedKeys that also handles repeated variables:
   /// sets `*out` to the sorted distinct ids v such that some row of
-  /// `rows` holds v in every column of `columns` (non-empty; columnar
-  /// backend only).
+  /// `rows` holds v in every column of `columns` (non-empty).
   void CollectSortedKeys(const std::vector<int>& columns, RowSpan rows,
                          std::vector<std::uint32_t>* out) const;
 
   static const std::vector<std::uint32_t>& EmptyRowIds();
 
  private:
-  /// Dedup/membership table for the columnar backend, laid out like a
+  /// Dedup/membership table over the id columns, laid out like a
   /// SwissTable-style hash set. Slots come in groups of 16, and each slot
   /// has one control byte: group_match::kFree, or a 7-bit tag cut from
   /// the slot's hash. The other hash bits pick the home group; groups are
@@ -625,49 +568,28 @@ class Relation {
   /// batch: enough to read a yield from, and few enough that the rows
   /// reserved for are most of any batch large enough to grow a table.
   static constexpr std::size_t kYieldPrefix = 256;
-  /// Pre-sizes the id columns (the row vector on the row store) for
-  /// `additional` more rows about to be appended, growing at least
-  /// geometrically. The dedup table is sized separately.
+  /// Pre-sizes the id columns for `additional` more rows about to be
+  /// appended, growing at least geometrically. The dedup table is sized
+  /// separately.
   void ReserveRows(std::size_t additional);
   /// PostingsIn for a span that does not cover the whole relation.
   static std::span<const std::uint32_t> CutPostings(
       const std::vector<std::uint32_t>& postings, RowSpan rows);
   /// Width check shared by the insert entries.
   void CheckWidth(std::size_t width) const;
-  /// Columnar insert of arity() ids at `ids` (width already checked).
+  /// Insert of arity() ids at `ids` (width already checked).
   bool InsertIdsUnchecked(const std::uint32_t* ids);
-  /// Bulk id-space copy of every row of `src` into this empty columnar
-  /// relation (see AddRowRange).
+  /// Bulk id-space copy of every row of `src` into this empty relation
+  /// (see AddRowRange).
   void CopyIntoEmpty(const Relation& src);
 
-  /// Transparent hashing/equality over RowRef, so the row store's map
-  /// answers probes by any row view without building a key Tuple.
-  struct RowRefHash {
-    using is_transparent = void;
-    std::size_t operator()(RowRef row) const { return row.Hash(); }
-  };
-  struct RowRefEq {
-    using is_transparent = void;
-    bool operator()(RowRef a, RowRef b) const { return a == b; }
-  };
-
   struct ColumnIndex {
-    std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> map;
+    MultiIndexView::Map map;
     std::size_t built_up_to = 0;  // rows [0, built_up_to) are indexed
   };
   struct SingleColumnIndex {
-    std::unordered_map<Value, std::vector<std::uint32_t>, ValueHash> map;
+    SingleIndexView::Map map;
     std::size_t built_up_to = 0;  // rows [0, built_up_to) are indexed
-  };
-  struct IdColumnIndex {
-    std::unordered_map<std::vector<std::uint32_t>,
-                       std::vector<std::uint32_t>, IdRowHash>
-        map;
-    std::size_t built_up_to = 0;
-  };
-  struct SingleIdColumnIndex {
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> map;
-    std::size_t built_up_to = 0;
   };
   struct SortedKeyCache {
     std::vector<std::uint32_t> keys;  // sorted distinct ids
@@ -681,34 +603,22 @@ class Relation {
 
   void ExtendIndex(const std::vector<int>& columns, ColumnIndex* index) const;
   void ExtendSingleIndex(int column, SingleColumnIndex* index) const;
-  void ExtendIdIndex(const std::vector<int>& columns,
-                     IdColumnIndex* index) const;
-  void ExtendSingleIdIndex(int column, SingleIdColumnIndex* index) const;
 
   int arity_;
-  bool columnar_;
   std::size_t num_rows_ = 0;
-  // Row store: insertion-ordered rows plus the dedup/membership map from
-  // each row to its row id.
-  std::vector<Tuple> rows_;
-  std::unordered_map<Tuple, std::uint32_t, RowRefHash, RowRefEq> row_ids_;
-  // Columnar backend: one contiguous id vector per column -- the only
-  // row storage -- plus the allocation-free open-addressing dedup table
-  // over those columns.
+  // One contiguous id vector per column -- the only row storage -- plus
+  // the allocation-free open-addressing dedup table over those columns.
   std::vector<IdVector> columns_;
   RowIdTable id_table_;
-  // Ordered maps keyed by column list (or single column); indexes are
-  // created lazily by Lookup and extended incrementally as rows are
-  // appended. The row backend fills the Value/Tuple-keyed families, the
-  // columnar backend the id-keyed ones. EraseAll empties entries in
-  // place (instead of erasing the nodes) so outstanding index views stay
-  // safely dereferenceable.
+  // Id-keyed postings indexes in ordered maps keyed by column list (or
+  // single column); created lazily by Lookup and extended incrementally
+  // as rows are appended. EraseAll empties entries in place (instead of
+  // erasing the nodes) so outstanding index views stay safely
+  // dereferenceable.
   mutable std::map<std::vector<int>, ColumnIndex> indexes_;
   mutable std::map<int, SingleColumnIndex> single_indexes_;
-  mutable std::map<std::vector<int>, IdColumnIndex> id_indexes_;
-  mutable std::map<int, SingleIdColumnIndex> single_id_indexes_;
-  // Sorted distinct per-column id lists for the multiway plan shape
-  // (columnar backend only); same in-place invalidation as the indexes.
+  // Sorted distinct per-column id lists for the multiway plan shape;
+  // same in-place invalidation as the indexes.
   mutable std::map<int, SortedKeyCache> sorted_keys_;
 };
 

@@ -11,9 +11,7 @@ namespace datalog {
 namespace {
 bool greedy_join_ordering_enabled = true;
 bool index_lookups_enabled = true;
-bool compiled_rule_plans_enabled = true;
 bool multiway_joins_enabled = true;
-bool bytecode_execution_enabled = true;
 const JoinOrderHints* join_order_hints = nullptr;
 std::uint64_t join_order_hints_version = 0;
 }  // namespace
@@ -24,16 +22,8 @@ void SetGreedyJoinOrdering(bool enabled) {
 bool GreedyJoinOrderingEnabled() { return greedy_join_ordering_enabled; }
 void SetIndexLookups(bool enabled) { index_lookups_enabled = enabled; }
 bool IndexLookupsEnabled() { return index_lookups_enabled; }
-void SetCompiledRulePlans(bool enabled) {
-  compiled_rule_plans_enabled = enabled;
-}
-bool CompiledRulePlansEnabled() { return compiled_rule_plans_enabled; }
 void SetMultiwayJoins(bool enabled) { multiway_joins_enabled = enabled; }
 bool MultiwayJoinsEnabled() { return multiway_joins_enabled; }
-void SetBytecodeExecution(bool enabled) {
-  bytecode_execution_enabled = enabled;
-}
-bool BytecodeExecutionEnabled() { return bytecode_execution_enabled; }
 
 void SetJoinOrderHints(const JoinOrderHints* hints) {
   join_order_hints = hints;
@@ -91,158 +81,6 @@ std::uint64_t BodyFingerprint(const std::vector<PlannedAtom>& atoms) {
 
 namespace {
 
-/// Recursive backtracking join over the planned atoms.
-class Matcher {
- public:
-  Matcher(const Database& full, const DeltaRanges* ranges,
-          const std::vector<PlannedAtom>& atoms,
-          const std::function<bool(const Binding&)>& callback,
-          MatchStats* stats)
-      : full_(full), ranges_(ranges), callback_(callback), stats_(stats) {
-    order_ = PlanJoinOrder(full, ranges, atoms);
-  }
-
-  void Run() {
-    if (order_.empty()) {
-      // Empty body: exactly one (empty) match.
-      if (stats_ != nullptr) ++stats_->substitutions;
-      callback_(binding_);
-      return;
-    }
-    Enumerate(0);
-  }
-
- private:
-  bool Enumerate(std::size_t depth) {
-    if (depth == order_.size()) {
-      if (stats_ != nullptr) ++stats_->substitutions;
-      return callback_(binding_);
-    }
-    const PlannedAtom& planned = order_[depth];
-    const Atom& atom = planned.atom;
-    const AtomRows src =
-        ResolveAtomRows(full_, ranges_, planned.source, atom.predicate());
-    const Relation& rel = *src.rel;
-    const RowSpan rows = src.rows;
-    if (rows.empty()) {
-      // No rows, no matches. Returning before any Lookup also keeps the
-      // shared empty-relation sentinel write-free, which the parallel
-      // evaluator's frozen-snapshot contract relies on.
-      return true;
-    }
-    if (rel.arity() != atom.arity()) {
-      return true;  // arity mismatch cannot match (defensive; validated earlier)
-    }
-
-    // Split argument positions into bound (constant / bound variable) and
-    // free.
-    std::vector<int> bound_cols;
-    Tuple key;
-    for (int i = 0; i < atom.arity(); ++i) {
-      const Term& t = atom.args()[static_cast<std::size_t>(i)];
-      if (t.is_constant()) {
-        bound_cols.push_back(i);
-        key.push_back(t.value());
-      } else {
-        auto it = binding_.find(t.var());
-        if (it != binding_.end()) {
-          bound_cols.push_back(i);
-          key.push_back(it->second);
-        }
-      }
-    }
-
-    if (stats_ != nullptr) ++stats_->index_lookups;
-
-    // The membership fast path below uses Lookup/Contains, so it must
-    // honor the index-lookups ablation knob too; with the knob off a
-    // fully bound atom falls through to the scan-and-filter loop like
-    // any other bound atom.
-    if (IndexLookupsEnabled() &&
-        static_cast<int>(bound_cols.size()) == atom.arity()) {
-      // Fully bound: membership test, one lookup of the unique matching
-      // row, which must lie in the atom's rows.
-      if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (rel.FindRowIn(key, rows) != Relation::kNoRow) {
-        return Enumerate(depth + 1);
-      }
-      return true;
-    }
-
-    auto try_row = [&](RowRef row) {
-      std::vector<VariableId> newly_bound;
-      bool ok = true;
-      for (int i = 0; i < atom.arity() && ok; ++i) {
-        const Term& t = atom.args()[static_cast<std::size_t>(i)];
-        if (t.is_constant()) continue;
-        auto [it, inserted] =
-            binding_.emplace(t.var(), row[static_cast<std::size_t>(i)]);
-        if (inserted) {
-          newly_bound.push_back(t.var());
-        } else if (it->second != row[static_cast<std::size_t>(i)]) {
-          ok = false;  // repeated variable with conflicting values
-        }
-      }
-      bool keep_going = true;
-      if (ok) keep_going = Enumerate(depth + 1);
-      for (VariableId v : newly_bound) binding_.erase(v);
-      return keep_going;
-    };
-
-    if (bound_cols.empty()) {
-      for (std::size_t i = rows.begin; i < rows.end; ++i) {
-        if (stats_ != nullptr) ++stats_->tuples_scanned;
-        if (!try_row(rel.row(i))) return false;
-      }
-      return true;
-    }
-
-    if (!IndexLookupsEnabled()) {
-      for (std::size_t i = rows.begin; i < rows.end; ++i) {
-        const RowRef row = rel.row(i);
-        if (stats_ != nullptr) ++stats_->tuples_scanned;
-        bool matches = true;
-        for (std::size_t k = 0; k < bound_cols.size(); ++k) {
-          if (row[static_cast<std::size_t>(bound_cols[k])] != key[k]) {
-            matches = false;
-            break;
-          }
-        }
-        if (matches && !try_row(row)) return false;
-      }
-      return true;
-    }
-
-    for (std::uint32_t row_id :
-         rel.PostingsIn(rel.Lookup(bound_cols, key), rows)) {
-      if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (!try_row(rel.row(row_id))) return false;
-    }
-    return true;
-  }
-
-  const Database& full_;
-  const DeltaRanges* ranges_;
-  // Stored by value: callers commonly pass a temporary std::function
-  // constructed from a lambda at the call site.
-  std::function<bool(const Binding&)> callback_;
-  MatchStats* stats_;
-  std::vector<PlannedAtom> order_;
-  Binding binding_;
-};
-
-/// True if every negated literal of `rule` is absent from `full` under
-/// `binding` (safety guarantees the literal is fully bound).
-bool NegationHolds(const Rule& rule, const Database& full,
-                   const Binding& binding) {
-  for (const Literal& lit : rule.body()) {
-    if (!lit.negated) continue;
-    Tuple tuple = InstantiateHead(lit.atom, binding);
-    if (full.Contains(lit.atom.predicate(), tuple)) return false;
-  }
-  return true;
-}
-
 std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
                           const DeltaRanges* ranges,
                           std::size_t delta_pos,  // or npos
@@ -250,48 +88,20 @@ std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
                           CompiledRuleCache* cache, std::size_t rule_index,
                           const PhaseSinks& sinks) {
   const bool use_old = ranges != nullptr && ranges->use_old();
-  if (CompiledRulePlansEnabled()) {
-    if (cache != nullptr) {
-      const CompiledRule* plan;
-      {
-        PhaseTimer timer(sinks.plan_ns);
-        plan = &cache->Get(rule_index, rule, delta_pos, use_old, full, ranges);
-      }
-      return plan->Apply(full, ranges, out, stats, sinks);
-    }
-    CompiledRule plan;
+  if (cache != nullptr) {
+    const CompiledRule* plan;
     {
       PhaseTimer timer(sinks.plan_ns);
-      plan = CompiledRule::Compile(rule, delta_pos, use_old, full, ranges);
+      plan = &cache->Get(rule_index, rule, delta_pos, use_old, full, ranges);
     }
-    return plan.Apply(full, ranges, out, stats, sinks);
+    return plan->Apply(full, ranges, out, stats, sinks);
   }
-
-  std::vector<PlannedAtom> atoms =
-      BuildDeltaPassAtoms(rule, delta_pos, use_old);
-
-  // Derived tuples are buffered and inserted only after the enumeration
-  // finishes: `out` may be a relation of `full`, and inserting while the
-  // matcher is iterating rows/indexes of the same relation would
-  // invalidate them.
-  std::vector<Tuple> derived;
+  CompiledRule plan;
   {
-    PhaseTimer timer(sinks.derive_ns);
-    auto on_match = [&](const Binding& binding) {
-      if (!NegationHolds(rule, full, binding)) return true;
-      derived.push_back(InstantiateHead(rule.head(), binding));
-      return true;
-    };
-    Matcher matcher(full, ranges, atoms, on_match, stats);
-    matcher.Run();
+    PhaseTimer timer(sinks.plan_ns);
+    plan = CompiledRule::Compile(rule, delta_pos, use_old, full, ranges);
   }
-
-  PhaseTimer timer(sinks.insert_ns);
-  std::size_t new_facts = 0;
-  for (Tuple& tuple : derived) {
-    if (out->Insert(std::move(tuple))) ++new_facts;
-  }
-  return new_facts;
+  return plan.Apply(full, ranges, out, stats, sinks);
 }
 
 }  // namespace
@@ -300,21 +110,15 @@ void MatchAtoms(const Database& full, const DeltaRanges* ranges,
                 const std::vector<PlannedAtom>& atoms,
                 const std::function<bool(const Binding&)>& callback,
                 MatchStats* stats) {
-  if (CompiledRulePlansEnabled()) {
-    // Thin adapter over the compiled path: the enumeration runs on the
-    // flat frame and a Binding is materialized only per complete match
-    // (overwritten in place, so buckets are allocated once).
-    const CompiledRule plan = CompiledRule::CompileAtoms(atoms, full, ranges);
-    MatchFrame frame(plan);
-    Binding binding;
-    plan.Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
-      plan.FillBinding(f, &binding);
-      return callback(binding);
-    });
-    return;
-  }
-  Matcher matcher(full, ranges, atoms, callback, stats);
-  matcher.Run();
+  // The enumeration runs on the flat frame; the Binding is overwritten
+  // in place per complete match, so its buckets are allocated once.
+  const CompiledRule plan = CompiledRule::CompileAtoms(atoms, full, ranges);
+  MatchFrame frame(plan);
+  Binding binding;
+  plan.Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
+    plan.FillBinding(f, &binding);
+    return callback(binding);
+  });
 }
 
 namespace {

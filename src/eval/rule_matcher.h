@@ -131,13 +131,8 @@ using Binding = std::unordered_map<VariableId, Value>;
 /// engine design choices. Not thread-safe; intended for benchmarks only.
 /// When greedy join ordering is off, body atoms are matched in their
 /// given (textual) order. When index lookups are off, every atom match
-/// scans the whole relation and filters. When compiled rule plans are
-/// off, matching falls back to the legacy row-at-a-time Matcher instead
-/// of the slot-addressed compiled path (see eval/compiled_rule.h). A
-/// fourth knob of the same family, SetColumnarStorage in
-/// eval/relation.h, selects the relation storage backend and thereby
-/// whether compiled Apply takes the vectorized batch-probe path; all
-/// four knobs are bit-for-bit neutral on results and MatchStats.
+/// scans the whole relation and filters. Both are neutral on results
+/// and on the substitution count, not on the probe/scan counters.
 ///
 /// SetMultiwayJoins gates the second compiled plan shape: the generic
 /// worst-case-optimal multiway intersection that CompiledRule selects
@@ -145,28 +140,16 @@ using Binding = std::unordered_map<VariableId, Value>;
 /// docs/multiway_joins.md). Disabling it pins every plan to the greedy
 /// left-deep shape. Multiway plans also require index lookups: with
 /// SetIndexLookups(false) the planner falls back to left-deep, keeping
-/// that knob a true ablation axis. Neutral on results and on the
-/// substitution count, but -- unlike the other knobs -- not on the
-/// probe/scan counters, which measure the work the shape saves.
+/// that knob a true ablation axis. Neutral on results; the substitution
+/// count may only fall (a first-witness exit, see
+/// docs/multiway_joins.md), and the probe/scan counters measure the
+/// work the shape saves.
 void SetGreedyJoinOrdering(bool enabled);
 bool GreedyJoinOrderingEnabled();
 void SetIndexLookups(bool enabled);
 bool IndexLookupsEnabled();
-void SetCompiledRulePlans(bool enabled);
-bool CompiledRulePlansEnabled();
 void SetMultiwayJoins(bool enabled);
 bool MultiwayJoinsEnabled();
-
-/// SetBytecodeExecution selects how compiled plans execute: lowered to
-/// the register-based bytecode run by the computed-goto VM (default; see
-/// eval/bytecode/bytecode.h and docs/bytecode_vm.md), or the struct
-/// interpreters ApplyBatch/ApplyMultiway. Checked per Apply, not
-/// snapshotted into the plan, so flipping it never triggers a replan and
-/// replanning semantics (cardinality drift, hint-version bumps) are
-/// unchanged. Bit-for-bit neutral on results, MatchStats, and frontier
-/// emission order.
-void SetBytecodeExecution(bool enabled);
-bool BytecodeExecutionEnabled();
 
 /// Join-order hints produced by the analyzer's binding pass (see
 /// src/analysis/binding_pass.cc): for a body whose predicate-id sequence
@@ -203,8 +186,9 @@ class CompiledRuleCache;  // eval/compiled_rule.h
 
 /// Enumerates every binding that instantiates all `atoms` to facts of the
 /// indicated sources. Atoms are matched in a greedily chosen order
-/// (most-bound / smallest-relation first). The callback returns false to
-/// stop the enumeration early.
+/// (most-bound / smallest-relation first) by CompiledRule::Execute, and a
+/// Binding is materialized per complete match. The callback returns
+/// false to stop the enumeration early.
 ///
 /// `ranges` may be null when every atom uses AtomSource::kFull.
 void MatchAtoms(const Database& full, const DeltaRanges* ranges,

@@ -10,170 +10,14 @@
 namespace datalog {
 namespace {
 
-/// Backtracking join over source-annotated atoms, structured like the
-/// semi-naive Matcher in eval/rule_matcher.cc but with the three-part
+/// Backtracking join over source-annotated atoms with the three-part
 /// (primary \ subtraction) ∪ addition sources the incremental passes
-/// need. Probes go through Relation::Lookup/Contains, which route to
-/// the id-keyed indexes on the columnar backend -- the delta joins are
-/// storage-agnostic and work identically over either backend (the
-/// differential commit-script fuzzer pins this down).
-class DeltaMatcher {
- public:
-  DeltaMatcher(const std::vector<Atom>& atoms,
-               const std::vector<AtomSourceSpec>& specs,
-               const Binding& initial,
-               const std::function<bool(const Binding&)>& callback,
-               MatchStats* stats, bool fixed_order)
-      : atoms_(atoms),
-        specs_(specs),
-        callback_(callback),
-        stats_(stats),
-        binding_(initial) {
-    order_.resize(atoms.size());
-    for (std::size_t i = 0; i < atoms.size(); ++i) order_[i] = i;
-    if (!fixed_order) GreedyOrder();
-  }
-
-  void Run() {
-    if (atoms_.empty()) {
-      if (stats_ != nullptr) ++stats_->substitutions;
-      callback_(binding_);
-      return;
-    }
-    Enumerate(0);
-  }
-
- private:
-  /// Most-bound-columns first; smaller primary relation breaks ties.
-  /// Recomputed statically from the initial binding (greedy on the
-  /// variables bound so far), mirroring PlanJoinOrder's heuristic.
-  void GreedyOrder() {
-    std::set<VariableId> bound;
-    for (const auto& [var, value] : binding_) bound.insert(var);
-    std::vector<std::size_t> remaining = order_;
-    order_.clear();
-    while (!remaining.empty()) {
-      std::size_t best_pos = 0;
-      int best_bound = -1;
-      std::size_t best_size = 0;
-      for (std::size_t r = 0; r < remaining.size(); ++r) {
-        const Atom& atom = atoms_[remaining[r]];
-        int n_bound = 0;
-        for (const Term& t : atom.args()) {
-          if (t.is_constant() || bound.contains(t.var())) ++n_bound;
-        }
-        std::size_t size =
-            specs_[remaining[r]].primary->relation(atom.predicate()).size();
-        if (n_bound > best_bound ||
-            (n_bound == best_bound && size < best_size)) {
-          best_pos = r;
-          best_bound = n_bound;
-          best_size = size;
-        }
-      }
-      std::size_t chosen = remaining[best_pos];
-      order_.push_back(chosen);
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best_pos));
-      for (const Term& t : atoms_[chosen].args()) {
-        if (t.is_variable()) bound.insert(t.var());
-      }
-    }
-  }
-
-  bool Enumerate(std::size_t depth) {
-    if (depth == order_.size()) {
-      if (stats_ != nullptr) ++stats_->substitutions;
-      return callback_(binding_);
-    }
-    const Atom& atom = atoms_[order_[depth]];
-    const AtomSourceSpec& spec = specs_[order_[depth]];
-
-    std::vector<int> bound_cols;
-    Tuple key;
-    for (int i = 0; i < atom.arity(); ++i) {
-      const Term& t = atom.args()[static_cast<std::size_t>(i)];
-      if (t.is_constant()) {
-        bound_cols.push_back(i);
-        key.push_back(t.value());
-      } else if (auto it = binding_.find(t.var()); it != binding_.end()) {
-        bound_cols.push_back(i);
-        key.push_back(it->second);
-      }
-    }
-
-    auto try_row = [&](RowRef row, bool check_subtraction) {
-      if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (check_subtraction && spec.subtraction != nullptr &&
-          spec.subtraction->Contains(atom.predicate(), row)) {
-        return true;  // excluded; keep enumerating
-      }
-      std::vector<VariableId> newly_bound;
-      bool ok = true;
-      for (int i = 0; i < atom.arity() && ok; ++i) {
-        const Term& t = atom.args()[static_cast<std::size_t>(i)];
-        const Value v = row[static_cast<std::size_t>(i)];
-        if (t.is_constant()) {
-          ok = t.value() == v;
-        } else if (auto it = binding_.find(t.var()); it != binding_.end()) {
-          ok = it->second == v;
-        } else {
-          binding_.emplace(t.var(), v);
-          newly_bound.push_back(t.var());
-        }
-      }
-      bool keep_going = true;
-      if (ok) keep_going = Enumerate(depth + 1);
-      for (VariableId v : newly_bound) binding_.erase(v);
-      return keep_going;
-    };
-
-    auto scan_source = [&](const Database& db, bool check_subtraction) {
-      const Relation& rel = db.relation(atom.predicate());
-      if (rel.empty() || rel.arity() != atom.arity()) return true;
-      if (bound_cols.empty()) {
-        if (stats_ != nullptr) ++stats_->index_lookups;
-        for (RowRef row : rel.rows()) {
-          if (!try_row(row, check_subtraction)) return false;
-        }
-        return true;
-      }
-      if (stats_ != nullptr) ++stats_->index_lookups;
-      if (static_cast<int>(bound_cols.size()) == atom.arity()) {
-        if (rel.Contains(key) && !try_row(key, check_subtraction)) {
-          return false;
-        }
-        return true;
-      }
-      for (std::uint32_t row_id : rel.Lookup(bound_cols, key)) {
-        if (!try_row(rel.row(row_id), check_subtraction)) return false;
-      }
-      return true;
-    };
-
-    if (!scan_source(*spec.primary, /*check_subtraction=*/true)) return false;
-    if (spec.addition != nullptr &&
-        !scan_source(*spec.addition, /*check_subtraction=*/false)) {
-      return false;
-    }
-    return true;
-  }
-
-  const std::vector<Atom>& atoms_;
-  const std::vector<AtomSourceSpec>& specs_;
-  const std::function<bool(const Binding&)>& callback_;
-  MatchStats* stats_;
-  Binding binding_;
-  std::vector<std::size_t> order_;
-};
-
-/// Slot-addressed variant of DeltaMatcher (the incremental leg of the
-/// compiled-rule-plan work, see eval/compiled_rule.h): argument positions
-/// are classified once into key / write / check schedules against a flat
-/// Value frame, and every depth reuses one key buffer, so the inner loop
-/// performs no per-row binding churn and no per-probe allocation. Counter
-/// semantics mirror DeltaMatcher row for row; the enumeration order is
-/// identical (same greedy heuristic, same source sequence), so results
-/// AND MatchStats agree with the legacy path.
+/// need, slot-addressed like the compiled rule plans (see
+/// eval/compiled_rule.h): argument positions are classified once into
+/// key / write / check schedules against a flat Value frame, and every
+/// depth reuses one key buffer, so the inner loop performs no per-row
+/// binding churn and no per-probe allocation. Probes go through
+/// Relation::Lookup/Contains on the id-keyed indexes.
 class CompiledDeltaMatcher {
  public:
   CompiledDeltaMatcher(const std::vector<Atom>& atoms,
@@ -260,7 +104,9 @@ class CompiledDeltaMatcher {
     std::vector<SlotRef> checks;
   };
 
-  /// Same heuristic and tie-breaks as DeltaMatcher::GreedyOrder.
+  /// Most-bound-columns first; smaller primary relation breaks ties.
+  /// Computed statically from the initial binding (greedy on the
+  /// variables bound so far), mirroring PlanJoinOrder's heuristic.
   static std::vector<std::size_t> GreedyOrder(
       const std::vector<Atom>& atoms, const std::vector<AtomSourceSpec>& specs,
       const Binding& initial) {
@@ -388,10 +234,9 @@ class CompiledDeltaMatcher {
 /// intersection of the candidate sets contributed by every atom that
 /// mentions it. Candidate sets respect the three-part source semantics:
 /// (primary \ subtraction) ∪ addition, per atom. Works in value space
-/// through Relation::Lookup, so it is storage-agnostic like the other
-/// two matchers. Substitutions count complete assignments, identical to
-/// the left-deep matchers; probe/scan counters measure this shape's own
-/// (deterministic) work.
+/// through Relation::Lookup. Substitutions count complete assignments,
+/// identical to the left-deep matcher; probe/scan counters measure this
+/// shape's own (deterministic) work.
 class MultiwayDeltaMatcher {
  public:
   static bool Eligible(const std::vector<Atom>& atoms,
@@ -581,19 +426,15 @@ void EnumerateDeltaJoin(const std::vector<Atom>& atoms,
                         MatchStats* stats, bool fixed_order) {
   // Multiway residual shape: never on the fixed-order path (the parallel
   // rederive sweep pre-ensures indexes for the textual left-deep order
-  // and must stay write-free), and only with the plan/knob family that
-  // enables it on the batch side.
-  if (!fixed_order && CompiledRulePlansEnabled() && MultiwayJoinsEnabled() &&
-      IndexLookupsEnabled() && MultiwayDeltaMatcher::Eligible(atoms, initial)) {
+  // and must stay write-free), and only with the knobs that enable it
+  // for rule plans.
+  if (!fixed_order && MultiwayJoinsEnabled() && IndexLookupsEnabled() &&
+      MultiwayDeltaMatcher::Eligible(atoms, initial)) {
     MultiwayDeltaMatcher(atoms, specs, initial, callback, stats).Run();
     return;
   }
-  if (CompiledRulePlansEnabled()) {
-    CompiledDeltaMatcher(atoms, specs, initial, callback, stats, fixed_order)
-        .Run();
-    return;
-  }
-  DeltaMatcher(atoms, specs, initial, callback, stats, fixed_order).Run();
+  CompiledDeltaMatcher(atoms, specs, initial, callback, stats, fixed_order)
+      .Run();
 }
 
 std::vector<std::pair<std::size_t, std::vector<int>>> PlannedIndexColumns(

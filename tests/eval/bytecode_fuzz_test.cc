@@ -28,17 +28,10 @@
 namespace datalog {
 namespace {
 
+using testing::KnobGuard;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseRuleOrDie;
-
-struct KnobGuard {
-  ~KnobGuard() {
-    SetColumnarStorage(true);
-    SetMultiwayJoins(true);
-    SetBytecodeExecution(true);
-  }
-};
 
 /// A small world to execute accepted programs against: the databases do
 /// not need to match the fuzzed program -- Run's setup declines

@@ -22,23 +22,11 @@
 namespace datalog {
 namespace {
 
+using testing::KnobGuard;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseProgramOrDie;
 using testing::ParseRuleOrDie;
-
-struct KnobGuard {
-  ~KnobGuard() {
-    SetCompiledRulePlans(true);
-    SetColumnarStorage(true);
-    SetMultiwayJoins(true);
-    SetBytecodeExecution(true);
-    SetIndexLookups(true);
-    SetGreedyJoinOrdering(true);
-  }
-};
-
-TEST(BytecodeTest, KnobDefaultsOn) { EXPECT_TRUE(BytecodeExecutionEnabled()); }
 
 /// Runs `program` against (full, ranges) into a fresh copy of
 /// `out_base`, returning the stats, the new-fact count, and the result.
@@ -297,7 +285,7 @@ TEST(BytecodeTest, ValidatorRejectsCorruptedPrograms) {
 TEST(BytecodeTest, RunDeclinesGracefullyOnBadDatabases) {
   // Run must return false -- with no partial inserts and no counter
   // drift -- when the databases contradict the program, so Apply can
-  // fall back to the struct interpreter.
+  // fall back to Execute.
   KnobGuard guard;
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
@@ -325,14 +313,15 @@ TEST(BytecodeTest, RunDeclinesGracefullyOnBadDatabases) {
                              /*ranges=*/nullptr, &out, &stats, &new_facts));
   EXPECT_EQ(stats.substitutions + stats.index_lookups + stats.tuples_scanned,
             0u);
+  EXPECT_EQ(out.NumFacts(), 0u);
 
-  // Row-store relations: the VM declines (id-space execution needs
-  // columns).
-  SetColumnarStorage(false);
-  Database row_db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
-  SetColumnarStorage(true);
+  // An output database whose symbol table lacks the head predicate.
+  Database foreign(MakeSymbols());
   EXPECT_FALSE(
-      bytecode::Run(program, row_db, nullptr, &out, &stats, &new_facts));
+      bytecode::Run(program, db, nullptr, &foreign, &stats, &new_facts));
+  EXPECT_EQ(stats.substitutions + stats.index_lookups + stats.tuples_scanned,
+            0u);
+  EXPECT_EQ(foreign.NumFacts(), 0u);
 }
 
 }  // namespace

@@ -26,21 +26,11 @@ namespace datalog {
 namespace {
 
 using testing::AddFullEnumerationTwins;
+using testing::KnobGuard;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseProgramOrDie;
 using testing::ParseRuleOrDie;
-
-struct KnobGuard {
-  ~KnobGuard() {
-    SetGreedyJoinOrdering(true);
-    SetIndexLookups(true);
-    SetCompiledRulePlans(true);
-    SetMultiwayJoins(true);
-    SetColumnarStorage(true);
-    SetBytecodeExecution(true);
-  }
-};
 
 Database MakeCyclicDb(const std::shared_ptr<SymbolTable>& symbols,
                       const CyclicOptions& options) {
@@ -184,8 +174,8 @@ TEST(MultiwayConformanceTest, IdenticalDerivedSetsAcrossShapes) {
 
 /// The first-witness exit: nonrecursive KCycle and Clique rules,
 /// evaluated once from an empty head over hub-skewed graphs, find exactly
-/// one witness per head row on the multiway plan -- on the VM and on the
-/// struct executor -- and derive the left-deep fixpoint.
+/// one witness per head row on the multiway plan and derive the
+/// left-deep fixpoint.
 TEST(MultiwayConformanceTest, FirstWitnessExitFindsOneWitnessPerHeadRow) {
   KnobGuard guard;
   std::uint64_t left_deep_substitutions = 0;
@@ -205,25 +195,21 @@ TEST(MultiwayConformanceTest, FirstWitnessExitFindsOneWitnessPerHeadRow) {
     Program program = ParseProgramOrDie(
         symbols, CyclicProgramText(cycle) + CyclicProgramText(options));
 
-    auto run = [&](bool multiway, bool bytecode, EvalStats* stats) {
+    auto run = [&](bool multiway, EvalStats* stats) {
       SetMultiwayJoins(multiway);
-      SetBytecodeExecution(bytecode);
       Database d(symbols);
       d.UnionWith(edb);
       *stats = EvaluateSemiNaive(program, &d).value();
       return d;
     };
     EvalStats left_deep;
-    const Database expected = run(false, true, &left_deep);
+    const Database expected = run(false, &left_deep);
     left_deep_substitutions += left_deep.match.substitutions;
-    for (bool bytecode : {true, false}) {
-      EvalStats stats;
-      EXPECT_EQ(run(true, bytecode, &stats), expected)
-          << "seed " << seed << " bytecode=" << bytecode;
-      EXPECT_EQ(stats.match.substitutions, stats.facts_derived)
-          << "seed " << seed << " bytecode=" << bytecode;
-      if (bytecode) multiway_substitutions += stats.match.substitutions;
-    }
+    EvalStats stats;
+    EXPECT_EQ(run(true, &stats), expected) << "seed " << seed;
+    EXPECT_EQ(stats.match.substitutions, stats.facts_derived)
+        << "seed " << seed;
+    multiway_substitutions += stats.match.substitutions;
   }
   // The graphs have heads with several witnesses, so the exit saved work.
   EXPECT_LT(multiway_substitutions, left_deep_substitutions);

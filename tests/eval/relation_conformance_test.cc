@@ -1,11 +1,11 @@
-// Storage-conformance suite: every behavioral contract of Relation,
-// exercised identically against the row-store and columnar backends.
-// The two backends must be observationally indistinguishable through
-// the public API -- insertion/dedup results, iteration order, lookup
-// row-id sets, old-limit watermark snapshots, erasure semantics, and
-// index-view invalidation. Any divergence that slips past this suite
-// would surface as a cross-engine mismatch in the differential fuzzer,
-// so keep this suite the first, cheapest line of defense.
+// Storage-conformance suite: every behavioral contract of Relation's
+// columnar storage through the public API -- insertion/dedup results,
+// iteration order, lookup row-id sets, span reads, old-limit watermark
+// snapshots, erasure semantics, index-view invalidation, and the id
+// views (columns, FindRowIds, sorted keys) against the Value views. Any
+// divergence that slips past this suite would surface as a cross-engine
+// mismatch in the differential fuzzer, so keep this suite the first,
+// cheapest line of defense.
 
 #include <algorithm>
 #include <memory>
@@ -36,26 +36,7 @@ Relation PairRelation(std::int64_t n) {
   return rel;
 }
 
-/// Runs each test body under one backend and restores the process-wide
-/// knob afterwards, so test order cannot leak storage modes.
-class RelationConformanceTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    saved_ = ColumnarStorageEnabled();
-    SetColumnarStorage(GetParam());
-  }
-  void TearDown() override { SetColumnarStorage(saved_); }
-
- private:
-  bool saved_ = true;
-};
-
-TEST_P(RelationConformanceTest, BackendMatchesKnob) {
-  Relation rel(2);
-  EXPECT_EQ(rel.columnar(), GetParam());
-}
-
-TEST_P(RelationConformanceTest, InsertDeduplicatesAndCounts) {
+TEST(RelationConformanceTest, InsertDeduplicatesAndCounts) {
   Relation rel(2);
   EXPECT_TRUE(rel.Insert(T2(1, 2)));
   EXPECT_FALSE(rel.Insert(T2(1, 2)));
@@ -67,7 +48,7 @@ TEST_P(RelationConformanceTest, InsertDeduplicatesAndCounts) {
   EXPECT_FALSE(rel.Contains(T2(2, 2)));
 }
 
-TEST_P(RelationConformanceTest, IterationFollowsInsertionOrder) {
+TEST(RelationConformanceTest, IterationFollowsInsertionOrder) {
   Relation rel(2);
   rel.Insert(T2(5, 6));
   rel.Insert(T2(1, 2));
@@ -79,7 +60,7 @@ TEST_P(RelationConformanceTest, IterationFollowsInsertionOrder) {
   EXPECT_EQ(rel.row(2), T2(3, 4));
 }
 
-TEST_P(RelationConformanceTest, MixedValueKindsStayDistinct) {
+TEST(RelationConformanceTest, MixedValueKindsStayDistinct) {
   // Int(7) and Symbol(7) share a payload; the dictionary (and the row
   // set) must keep the kinds apart.
   Relation rel(1);
@@ -91,7 +72,7 @@ TEST_P(RelationConformanceTest, MixedValueKindsStayDistinct) {
   EXPECT_FALSE(rel.Contains({Value::Frozen(7)}));
 }
 
-TEST_P(RelationConformanceTest, LookupReturnsRowIdsInInsertionOrder) {
+TEST(RelationConformanceTest, LookupReturnsRowIdsInInsertionOrder) {
   Relation rel(2);
   rel.Insert(T2(1, 9));
   rel.Insert(T2(2, 9));
@@ -105,7 +86,7 @@ TEST_P(RelationConformanceTest, LookupReturnsRowIdsInInsertionOrder) {
   EXPECT_TRUE(rel.Lookup(0, Value::Int(99)).empty());
 }
 
-TEST_P(RelationConformanceTest, MultiColumnLookupAgreesWithScan) {
+TEST(RelationConformanceTest, MultiColumnLookupAgreesWithScan) {
   Relation rel(3);
   rel.Insert({Value::Int(1), Value::Int(2), Value::Int(3)});
   rel.Insert({Value::Int(1), Value::Int(2), Value::Int(4)});
@@ -119,16 +100,16 @@ TEST_P(RelationConformanceTest, MultiColumnLookupAgreesWithScan) {
   EXPECT_EQ(one[0], 2u);
 }
 
-TEST_P(RelationConformanceTest, LookupKeyNeverInsertedAnywhere) {
+TEST(RelationConformanceTest, LookupKeyNeverInsertedAnywhere) {
   // A probe key absent from the whole process (not just this relation)
-  // exercises the columnar backend's unknown-dictionary-id early out.
+  // exercises the unknown-dictionary-id early out.
   Relation rel(2);
   rel.Insert(T2(1, 2));
   EXPECT_TRUE(rel.Lookup(0, Value::Int(123456789)).empty());
   EXPECT_FALSE(rel.Contains(T2(123456789, 987654321)));
 }
 
-TEST_P(RelationConformanceTest, IndexExtendsAcrossLaterInserts) {
+TEST(RelationConformanceTest, IndexExtendsAcrossLaterInserts) {
   Relation rel(2);
   rel.Insert(T2(1, 2));
   EXPECT_EQ(rel.Lookup(0, Value::Int(1)).size(), 1u);
@@ -136,7 +117,7 @@ TEST_P(RelationConformanceTest, IndexExtendsAcrossLaterInserts) {
   EXPECT_EQ(rel.Lookup(0, Value::Int(1)).size(), 2u);
 }
 
-TEST_P(RelationConformanceTest, OldLimitWatermarkSnapshotsStaleRows) {
+TEST(RelationConformanceTest, OldLimitWatermarkSnapshotsStaleRows) {
   // The semi-naive contract: row ids below a previously taken size()
   // keep identifying the same tuples after later appends.
   Relation rel(2);
@@ -158,7 +139,7 @@ TEST_P(RelationConformanceTest, OldLimitWatermarkSnapshotsStaleRows) {
   EXPECT_GE(hits[1], watermark);
 }
 
-TEST_P(RelationConformanceTest, EraseAllRemovesAndCompacts) {
+TEST(RelationConformanceTest, EraseAllRemovesAndCompacts) {
   Relation rel(2);
   rel.Insert(T2(1, 2));
   rel.Insert(T2(3, 4));
@@ -172,7 +153,7 @@ TEST_P(RelationConformanceTest, EraseAllRemovesAndCompacts) {
   EXPECT_EQ(rel.size(), 3u);
 }
 
-TEST_P(RelationConformanceTest, EraseAllRebuildsIndexesOnNextLookup) {
+TEST(RelationConformanceTest, EraseAllRebuildsIndexesOnNextLookup) {
   Relation rel(2);
   rel.Insert(T2(1, 2));
   rel.Insert(T2(3, 4));
@@ -189,7 +170,7 @@ TEST_P(RelationConformanceTest, EraseAllRebuildsIndexesOnNextLookup) {
   EXPECT_EQ(multi[0], 0u);
 }
 
-TEST_P(RelationConformanceTest, EraseAllInvalidatesOutstandingViews) {
+TEST(RelationConformanceTest, EraseAllInvalidatesOutstandingViews) {
   // Regression test: EraseAll used to drop the index map nodes
   // themselves, leaving previously prepared views dangling into freed
   // memory (a use-after-free under ASan). The contract is that a stale
@@ -211,7 +192,7 @@ TEST_P(RelationConformanceTest, EraseAllInvalidatesOutstandingViews) {
   EXPECT_EQ(rel.PrepareIndex({0, 1}).Find(T2(4, 5)).size(), 1u);
 }
 
-TEST_P(RelationConformanceTest, PreparedViewsAgreeWithLookup) {
+TEST(RelationConformanceTest, PreparedViewsAgreeWithLookup) {
   Relation rel(2);
   rel.Insert(T2(1, 2));
   rel.Insert(T2(2, 2));
@@ -223,7 +204,7 @@ TEST_P(RelationConformanceTest, PreparedViewsAgreeWithLookup) {
   EXPECT_TRUE(multi.Find(T2(9, 9)).empty());
 }
 
-TEST_P(RelationConformanceTest, DegenerateEmptyColumnIndexMapsAllRows) {
+TEST(RelationConformanceTest, DegenerateEmptyColumnIndexMapsAllRows) {
   // Zero bound columns: the empty key indexes every row (the compiled
   // matcher's zero-arity old-snapshot probe relies on this).
   Relation rel(2);
@@ -236,7 +217,7 @@ TEST_P(RelationConformanceTest, DegenerateEmptyColumnIndexMapsAllRows) {
   EXPECT_EQ(all[1], 1u);
 }
 
-TEST_P(RelationConformanceTest, ZeroArityRelation) {
+TEST(RelationConformanceTest, ZeroArityRelation) {
   Relation rel(0);
   EXPECT_TRUE(rel.Insert(Tuple{}));
   EXPECT_FALSE(rel.Insert(Tuple{}));
@@ -247,16 +228,15 @@ TEST_P(RelationConformanceTest, ZeroArityRelation) {
   EXPECT_FALSE(rel.Contains(Tuple{}));
 }
 
-TEST_P(RelationConformanceTest, IdsRoundTripThroughEitherBackend) {
-  // InsertIds/ContainsIds are advertised as backend-agnostic: feed the
-  // columnar id row of a tuple into a relation of the backend under
-  // test and observe the same set through the Value API.
+TEST(RelationConformanceTest, IdsRoundTripThroughTheValueApi) {
+  // Feed the id row of a tuple in through InsertIdRows and observe the
+  // same set through the Value API and ContainsIds.
   ValueDictionary& dict = ValueDictionary::Global();
   std::vector<std::uint32_t> ids;
   dict.InternRow(T2(41, 42), &ids);
   Relation rel(2);
-  EXPECT_TRUE(rel.InsertIds(ids));
-  EXPECT_FALSE(rel.InsertIds(ids));
+  EXPECT_EQ(rel.InsertIdRows(IdRowBuffer{{ids.begin(), ids.end()}, 1}), 1u);
+  EXPECT_EQ(rel.InsertIdRows(IdRowBuffer{{ids.begin(), ids.end()}, 1}), 0u);
   EXPECT_TRUE(rel.Contains(T2(41, 42)));
   EXPECT_TRUE(rel.ContainsIds(ids));
   EXPECT_EQ(rel.row(0), T2(41, 42));
@@ -265,11 +245,10 @@ TEST_P(RelationConformanceTest, IdsRoundTripThroughEitherBackend) {
   EXPECT_FALSE(rel.ContainsIds(other));
 }
 
-TEST_P(RelationConformanceTest, ColumnViewMirrorsRows) {
+TEST(RelationConformanceTest, ColumnViewMirrorsRows) {
   Relation rel(2);
   rel.Insert(T2(1, 2));
   rel.Insert(T2(3, 4));
-  if (!rel.columnar()) return;  // the id columns are columnar-only
   ValueDictionary& dict = ValueDictionary::Global();
   for (std::size_t i = 0; i < rel.size(); ++i) {
     for (int c = 0; c < rel.arity(); ++c) {
@@ -279,7 +258,7 @@ TEST_P(RelationConformanceTest, ColumnViewMirrorsRows) {
   }
 }
 
-TEST_P(RelationConformanceTest, RejectsRowsOfTheWrongWidth) {
+TEST(RelationConformanceTest, RejectsRowsOfTheWrongWidth) {
   // Regression test: a row wider than the arity used to be read past the
   // end of the column array by the dedup table's equality check (a
   // heap-buffer-overflow under ASan on the second insert). Every insert
@@ -290,7 +269,6 @@ TEST_P(RelationConformanceTest, RejectsRowsOfTheWrongWidth) {
   EXPECT_THROW(rel.Insert(Tuple{}), std::invalid_argument);
   std::vector<std::uint32_t> ids;
   ValueDictionary::Global().InternRow(T2(1, 2), &ids);
-  EXPECT_THROW(rel.InsertIds(ids), std::invalid_argument);
   EXPECT_THROW(rel.InsertIdRows(IdRowBuffer{{ids.begin(), ids.end()}, 1}),
                std::invalid_argument);
   const Relation wide = PairRelation(3);
@@ -310,11 +288,10 @@ TEST_P(RelationConformanceTest, RejectsRowsOfTheWrongWidth) {
   EXPECT_EQ(db.NumFacts(), 0u);
 }
 
-TEST_P(RelationConformanceTest, AddRowRangeRejectsARangePastTheSource) {
+TEST(RelationConformanceTest, AddRowRangeRejectsARangePastTheSource) {
   // Regression test: a range ending past the source's last row used to
   // be copied anyway, reading past the end of the source's columns (a
-  // heap-buffer-overflow under ASan on the columnar backend, and rows_
-  // out of range on the row store). It now throws and copies nothing.
+  // heap-buffer-overflow under ASan). It now throws and copies nothing.
   const Relation src = PairRelation(2);
   Relation dst = PairRelation(5);  // non-empty: the row-by-row path
   Relation empty(2);               // the bulk copy's path
@@ -336,7 +313,7 @@ TEST_P(RelationConformanceTest, AddRowRangeRejectsARangePastTheSource) {
   EXPECT_EQ(db.AddRowRange(p, src, 0, src.size()), src.size());
 }
 
-TEST_P(RelationConformanceTest, RowViewsReadInsertionOrderAcrossLaterInserts) {
+TEST(RelationConformanceTest, RowViewsReadInsertionOrderAcrossLaterInserts) {
   Relation rel(2);
   rel.Insert(T2(5, 6));
   rel.Insert(T2(1, 2));
@@ -365,7 +342,7 @@ TEST_P(RelationConformanceTest, RowViewsReadInsertionOrderAcrossLaterInserts) {
   EXPECT_EQ(rel.rows().size(), rel.size());
 }
 
-TEST_P(RelationConformanceTest, BulkCopyIntoEmptyMatchesPerRowCopy) {
+TEST(RelationConformanceTest, BulkCopyIntoEmptyMatchesPerRowCopy) {
   const Relation src = PairRelation(200);
   // The whole relation lands in an empty relation through the bulk
   // path; a middle range goes row by row, in id space.
@@ -405,7 +382,7 @@ TEST_P(RelationConformanceTest, BulkCopyIntoEmptyMatchesPerRowCopy) {
   }
 }
 
-TEST_P(RelationConformanceTest, DatabaseCopyIsIndependentOfItsSource) {
+TEST(RelationConformanceTest, DatabaseCopyIsIndependentOfItsSource) {
   // The server publishes each epoch as a copy of the live database; the
   // copy and its source must never observe each other's writes.
   auto symbols = std::make_shared<SymbolTable>();
@@ -428,7 +405,7 @@ TEST_P(RelationConformanceTest, DatabaseCopyIsIndependentOfItsSource) {
   EXPECT_EQ(source.relation(e).row(49), T2(1, 2000));
 }
 
-TEST_P(RelationConformanceTest, RowLookupAgreesWithLimitFilteredIndexScan) {
+TEST(RelationConformanceTest, RowLookupAgreesWithLimitFilteredIndexScan) {
   // Fully bound atoms on an old snapshot use the dedup table's unique
   // row id against the limit; a scan of the full-row postings, filtered
   // by the limit, is the reference.
@@ -452,7 +429,6 @@ TEST_P(RelationConformanceTest, RowLookupAgreesWithLimitFilteredIndexScan) {
           << probe[1].payload() << ")";
     }
   }
-  if (!rel.columnar()) return;
   std::vector<std::uint32_t> ids;
   for (std::size_t i = 0; i < rel.size(); ++i) {
     ValueDictionary::Global().InternRow(probes[i], &ids);
@@ -567,10 +543,6 @@ void ExpectSpanReadsMatchRows(const Relation& rel,
               Relation::kNoRow)
         << where;
 
-    if (!rel.columnar()) {
-      EXPECT_TRUE(rel.SortedKeys(0, span).empty()) << where;
-      continue;
-    }
     std::vector<std::uint32_t> ids;
     for (int c = 0; c < 3; ++c) {
       std::vector<std::uint32_t> expected;
@@ -603,7 +575,7 @@ void ExpectSpanReadsMatchRows(const Relation& rel,
   }
 }
 
-TEST_P(RelationConformanceTest, SpanReadsAgreeWithFilteredRows) {
+TEST(RelationConformanceTest, SpanReadsAgreeWithFilteredRows) {
   for (unsigned seed = 1; seed <= 8; ++seed) {
     std::mt19937 rng(seed);
     const Relation rel = RandomRelation(10 + 15 * seed, &rng);
@@ -615,7 +587,7 @@ TEST_P(RelationConformanceTest, SpanReadsAgreeWithFilteredRows) {
   ExpectSpanReadsMatchRows(Relation(3), RandomSpans(0, &rng), "empty");
 }
 
-TEST_P(RelationConformanceTest, SpanReadsAfterAppendsExtendTheIndexes) {
+TEST(RelationConformanceTest, SpanReadsAfterAppendsExtendTheIndexes) {
   // The semi-naive drivers build an index, read a round's delta range
   // through it, append the round's derivations, and read the next range
   // through the same index extended in place -- with the sorted keys of
@@ -751,8 +723,8 @@ IdRowBuffer SplitBatch(std::size_t arity, std::size_t count, bool new_first,
 }
 
 /// `rel` holds exactly `ref`'s rows in `ref`'s order; FindRow, FindRowIn
-/// over random spans and (columnar) FindRowIds find random present rows
-/// at their ids, and random absent rows not at all.
+/// over random spans and FindRowIds find random present rows at their
+/// ids, and random absent rows not at all.
 void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
                             const IdDomain& ids, std::mt19937* rng) {
   const std::size_t arity = static_cast<std::size_t>(rel.arity());
@@ -760,12 +732,7 @@ void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
   std::size_t i = 0;
   for (const RowRef row : rel.rows()) {
     for (std::size_t c = 0; c < arity; ++c) {
-      if (rel.columnar()) {
-        ASSERT_EQ(row.id(c), ref.rows[i][c]) << "row " << i;
-      } else {
-        ASSERT_EQ(row[c], ValueDictionary::Global().Resolve(ref.rows[i][c]))
-            << "row " << i;
-      }
+      ASSERT_EQ(row.id(c), ref.rows[i][c]) << "row " << i;
     }
     ++i;
   }
@@ -781,11 +748,9 @@ void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
     const RowSpan span = random_span();
     ASSERT_EQ(rel.FindRowIn(tuple, span),
               span.contains(i) ? i : Relation::kNoRow);
-    if (rel.columnar()) {
-      ASSERT_EQ(rel.FindRowIds(ref.rows[i].data()), i);
-      ASSERT_EQ(rel.FindRowIdsIn(ref.rows[i].data(), span),
-                span.contains(i) ? i : Relation::kNoRow);
-    }
+    ASSERT_EQ(rel.FindRowIds(ref.rows[i].data()), i);
+    ASSERT_EQ(rel.FindRowIdsIn(ref.rows[i].data(), span),
+              span.contains(i) ? i : Relation::kNoRow);
   }
   for (int probe = 0; probe < 64; ++probe) {
     const std::vector<std::uint32_t> absent = ids.RandomRow(arity, rng);
@@ -793,13 +758,11 @@ void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
     const Tuple tuple = ResolveRow(absent);
     ASSERT_EQ(rel.FindRow(tuple), Relation::kNoRow);
     ASSERT_EQ(rel.FindRowIn(tuple, random_span()), Relation::kNoRow);
-    if (rel.columnar()) {
-      ASSERT_EQ(rel.FindRowIds(absent.data()), Relation::kNoRow);
-    }
+    ASSERT_EQ(rel.FindRowIds(absent.data()), Relation::kNoRow);
   }
 }
 
-TEST_P(RelationConformanceTest, RandomBatchesAgreeWithAReferenceSet) {
+TEST(RelationConformanceTest, RandomBatchesAgreeWithAReferenceSet) {
   // Duplicate-heavy id batches drive the dedup table through every
   // doubling, with packed key words (arity <= 2) and hashed ones (3, 5);
   // then through Rebuild (erase a random subset, re-insert it), through
@@ -905,12 +868,6 @@ TEST_P(RelationConformanceTest, RandomBatchesAgreeWithAReferenceSet) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(RowAndColumnar, RelationConformanceTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Columnar" : "RowStore";
-                         });
 
 }  // namespace
 }  // namespace datalog

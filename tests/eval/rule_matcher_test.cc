@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "eval/compiled_rule.h"
 #include "eval/relation.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -9,6 +10,9 @@
 namespace datalog {
 namespace {
 
+using testing::ExecutePlan;
+using testing::ExpectSameRun;
+using testing::KnobGuard;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseRuleOrDie;
@@ -139,11 +143,12 @@ TEST(RuleMatcherTest, NegatedLiteralFiltersMatches) {
 
 /// A delta read in place -- rows [old, mark) of the full relation --
 /// derives the same rows in the same order, and visits and counts
-/// exactly the rows a copy of that range would, on every executor: the
-/// bytecode VM and the struct interpreters (left-deep and multiway), the
-/// row store's depth-first path, and the legacy matcher. Rows past the
-/// mark are in the full relation but never in the delta.
+/// exactly the rows a copy of that range would, on both executors: the
+/// bytecode VM (left-deep and multiway plans) and the depth-first
+/// Execute. Rows past the mark are in the full relation but never in the
+/// delta.
 TEST(RuleMatcherTest, InPlaceDeltaRangeMatchesACopiedDelta) {
+  KnobGuard guard;
   const char* const kRules[] = {
       "h(x, z) :- g(x, y), g(y, z).",
       "h(x, y) :- g(x, y), g(y, x).",
@@ -151,19 +156,8 @@ TEST(RuleMatcherTest, InPlaceDeltaRangeMatchesACopiedDelta) {
       "h(x, y) :- g(x, x), g(x, y).",
       "h(x, y) :- g(x, y), g(1, x).",
   };
-  struct Knobs {
-    bool compiled, columnar, bytecode, multiway;
-  };
-  const Knobs kKnobs[] = {{true, true, true, true},
-                          {true, true, false, true},
-                          {true, true, false, false},
-                          {true, false, false, false},
-                          {false, true, false, false}};
-  for (const Knobs& knobs : kKnobs) {
-    SetCompiledRulePlans(knobs.compiled);
-    SetColumnarStorage(knobs.columnar);
-    SetBytecodeExecution(knobs.bytecode);
-    SetMultiwayJoins(knobs.multiway);
+  for (bool multiway : {true, false}) {
+    SetMultiwayJoins(multiway);
     auto symbols = MakeSymbols();
     Database full = ParseDatabaseOrDie(
         symbols,
@@ -194,14 +188,8 @@ TEST(RuleMatcherTest, InPlaceDeltaRangeMatchesACopiedDelta) {
             rule, full, copied, p, &out_copied.MutableRelation(h),
             &copied_stats);
         const std::string label = std::string(text) + " delta at " +
-                                  std::to_string(p) + " compiled " +
-                                  std::to_string(knobs.compiled) +
-                                  " columnar " +
-                                  std::to_string(knobs.columnar) +
-                                  " bytecode " +
-                                  std::to_string(knobs.bytecode) +
-                                  " multiway " +
-                                  std::to_string(knobs.multiway);
+                                  std::to_string(p) + " multiway " +
+                                  std::to_string(multiway);
         EXPECT_EQ(added_in_place, added_copied) << label;
         const Relation& a = out_in_place.relation(h);
         const Relation& b = out_copied.relation(h);
@@ -215,13 +203,14 @@ TEST(RuleMatcherTest, InPlaceDeltaRangeMatchesACopiedDelta) {
             << label;
         EXPECT_EQ(in_place_stats.tuples_scanned, copied_stats.tuples_scanned)
             << label;
+
+        const CompiledRule plan =
+            CompiledRule::Compile(rule, p, /*use_old=*/true, full, &in_place);
+        ExpectSameRun(ExecutePlan(plan, full, &in_place),
+                      ExecutePlan(plan, full, &copied), label + " (Execute)");
       }
     }
   }
-  SetCompiledRulePlans(true);
-  SetColumnarStorage(true);
-  SetBytecodeExecution(true);
-  SetMultiwayJoins(true);
 }
 
 TEST(RuleMatcherTest, DeltaRestrictsOnePosition) {

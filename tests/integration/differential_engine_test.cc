@@ -2,9 +2,13 @@
 // Cross-rule Optimization Bugs in Datalog Engines" (Zhang, Wang, Rigger):
 // generate randomly structured positive programs and databases from fixed
 // seeds, run every engine configuration -- naive, semi-naive, SCC-ordered
-// semi-naive, parallel at 1/2/4 threads, and the magic-sets rewrite -- and
-// assert they all tell exactly one story. Any divergence pinpoints the
-// engine and the seed that reproduces it.
+// semi-naive, parallel at 1/2/4 threads, incremental commits, tabled
+// top-down and the magic-sets rewrite -- under every ablation knob
+// (greedy ordering x index lookups x multiway joins), and assert they
+// all tell exactly one story. The naive fixpoint, tabled top-down and a
+// from-scratch recompute are the oracles, and the plans' depth-first
+// Execute is the reference for the bytecode VM's rows and counters. Any
+// divergence pinpoints the engine and the seed that reproduces it.
 
 #include <cstdint>
 #include <random>
@@ -23,22 +27,109 @@ namespace datalog {
 namespace {
 
 using testing::AddFullEnumerationTwins;
+using testing::ApplyPlan;
+using testing::ExecutePlan;
+using testing::ExpectSameRun;
+using testing::KnobGuard;
 using testing::MakeSymbols;
 using testing::ParseProgramOrDie;
 using testing::ParseQueryOrDie;
+using testing::PlanRun;
 
-/// RAII reset for the full ablation-knob matrix so a failing assertion
-/// cannot leak a disabled knob into other tests.
-struct KnobMatrixGuard {
-  ~KnobMatrixGuard() {
-    SetGreedyJoinOrdering(true);
-    SetIndexLookups(true);
-    SetCompiledRulePlans(true);
-    SetColumnarStorage(true);
-    SetMultiwayJoins(true);
-    SetBytecodeExecution(true);
+/// Calls `check(plan, ranges, label)` for every plan the engines compile
+/// for `program` over `db`: each rule's full join (no ranges) and each of
+/// its semi-naive delta passes over a split of every relation into an
+/// old first half and a delta second half, so kFull, kOld and kDelta
+/// sources all read rows.
+template <typename Check>
+void ForEachPlan(const Program& program, const Database& db, Check check) {
+  DeltaRanges ranges(/*use_old=*/true);
+  for (PredicateId pred : db.NonEmptyPredicates()) {
+    const std::size_t n = db.relation(pred).size();
+    ranges.SetOld(pred, n / 2);
+    ranges.SetDelta(pred, RowSpan{n / 2, n});
   }
-};
+  for (std::size_t ri = 0; ri < program.NumRules(); ++ri) {
+    const Rule& rule = program.rules()[ri];
+    if (rule.IsFact()) continue;
+    const std::string label = "rule " + std::to_string(ri);
+    check(CompiledRule::Compile(rule, /*delta_pos=*/std::size_t(-1),
+                                /*use_old=*/false, db, nullptr),
+          nullptr, label + " full");
+    for (std::size_t p = 0; p < rule.body().size(); ++p) {
+      if (rule.body()[p].negated) continue;
+      check(CompiledRule::Compile(rule, p, /*use_old=*/true, db, &ranges),
+            &ranges, label + " delta at " + std::to_string(p));
+    }
+  }
+}
+
+/// The VM (Apply) against Execute on every lowered plan of `program` over
+/// `db` (ForEachPlan). A left-deep plan must derive the same rows in the
+/// same order with bit-identical MatchStats; a multiway plan, which has
+/// its own probe counters and may stop at one witness per head row, the
+/// same row set with at most Execute's substitutions. Returns how many
+/// left-deep plans were checked.
+std::size_t ExpectVmAgreesWithExecute(const Program& program,
+                                      const Database& db,
+                                      const std::string& config) {
+  std::size_t left_deep = 0;
+  ForEachPlan(program, db,
+              [&](const CompiledRule& plan, const DeltaRanges* ranges,
+                  const std::string& label) {
+                if (plan.bytecode_program().empty()) return;
+                const std::string where = label + ", " + config;
+                const PlanRun vm = ApplyPlan(plan, db, ranges);
+                const PlanRun ref = ExecutePlan(plan, db, ranges);
+                if (plan.shape() == PlanShape::kLeftDeep) {
+                  ++left_deep;
+                  ExpectSameRun(vm, ref, where);
+                  return;
+                }
+                EXPECT_EQ(std::set<Tuple>(vm.rows.begin(), vm.rows.end()),
+                          std::set<Tuple>(ref.rows.begin(), ref.rows.end()))
+                    << where;
+                EXPECT_LE(vm.stats.substitutions, ref.stats.substitutions)
+                    << where;
+              });
+  return left_deep;
+}
+
+/// Replays a random insert/retract script on `view`: `batches` commits of
+/// one to four operations over the extensional predicates `edb_preds`,
+/// values drawn from [0, domain), mostly retracting facts that exist so
+/// deletions do real work. Calls `after_commit(batch)` after each commit.
+template <typename AfterCommit>
+void RunCommitScript(MaterializedView* view, const SymbolTable& symbols,
+                     const std::vector<std::string>& edb_preds,
+                     std::uint64_t rng_seed, int batches, std::uint64_t domain,
+                     AfterCommit after_commit) {
+  std::mt19937_64 rng(rng_seed);
+  for (int batch = 0; batch < batches; ++batch) {
+    Transaction txn = view->Begin();
+    const int num_ops = 1 + static_cast<int>(rng() % 4);
+    for (int op = 0; op < num_ops; ++op) {
+      PredicateId pred =
+          symbols.LookupPredicate(edb_preds[rng() % edb_preds.size()])
+              .value();
+      const bool insert = rng() % 2 == 0;
+      const auto& rows = view->base().relation(pred).rows();
+      if (!insert && !rows.empty() && rng() % 4 != 0) {
+        EXPECT_TRUE(txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
+        continue;
+      }
+      Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % domain)),
+                     Value::Int(static_cast<std::int64_t>(rng() % domain))};
+      EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
+                          : txn.Retract(pred, std::move(tuple)))
+                      .ok());
+    }
+    Result<CommitStats> stats = txn.Commit();
+    EXPECT_TRUE(stats.ok()) << "batch " << batch << ": "
+                            << stats.status().ToString();
+    after_commit(batch);
+  }
+}
 
 struct GeneratedCase {
   std::shared_ptr<SymbolTable> symbols;
@@ -235,244 +326,164 @@ TEST_P(DifferentialEngineTest, IncrementalViewMatchesFromScratchAfterCommits) {
 }
 
 TEST_P(DifferentialEngineTest, CompiledPlansAgreeAcrossKnobMatrix) {
-  // The compiled-vs-legacy matcher axis, crossed with the other three
-  // ablation knobs (columnar storage on/off x greedy ordering on/off x
-  // index lookups on/off). Every configuration must reach the identical
+  // Compiled plans under the ablation knobs (greedy ordering on/off x
+  // index lookups on/off): every configuration must reach the naive
   // fixpoint, and -- because substitutions count complete body matches,
-  // which no join order, access path, or storage backend changes -- the
-  // identical substitutions total, for semi-naive and for the parallel
-  // engine at 4 threads.
-  KnobMatrixGuard guard;
+  // which no join order or access path changes -- the identical
+  // substitutions total, for semi-naive and for the parallel engine at 4
+  // threads.
+  KnobGuard guard;
   GeneratedCase c = MakeCase(GetParam());
 
   Database reference = c.edb;
-  Result<EvalStats> ref_stats = EvaluateSemiNaive(c.program, &reference);
+  ASSERT_TRUE(EvaluateNaive(c.program, &reference).ok());
+
+  Database seq_default = c.edb;
+  Result<EvalStats> ref_stats = EvaluateSemiNaive(c.program, &seq_default);
   ASSERT_TRUE(ref_stats.ok()) << ref_stats.status().ToString();
+  ASSERT_EQ(seq_default, reference);
 
   // The parallel engine's round structure legitimately counts a slightly
   // different substitutions total than sequential semi-naive (its deltas
   // are sharded per round), so it gets its own reference; within each
   // engine the count must be invariant across the whole knob matrix.
-  Database par_reference = c.edb;
+  Database par_default = c.edb;
   Result<EvalStats> par_ref_stats =
-      EvaluateSemiNaiveParallel(c.program, &par_reference, 4);
+      EvaluateSemiNaiveParallel(c.program, &par_default, 4);
   ASSERT_TRUE(par_ref_stats.ok()) << par_ref_stats.status().ToString();
-  ASSERT_EQ(par_reference, reference);
+  ASSERT_EQ(par_default, reference);
 
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    // Regenerate the case under this backend: relations choose their
-    // storage at construction, so a fresh EDB puts every relation --
-    // base facts included -- on the backend under test. The generator
-    // is seed-deterministic, so the facts are identical.
-    GeneratedCase cc = MakeCase(GetParam());
-    for (bool compiled : {true, false}) {
-      for (bool greedy : {true, false}) {
-        for (bool indexed : {true, false}) {
-          SetCompiledRulePlans(compiled);
-          SetGreedyJoinOrdering(greedy);
-          SetIndexLookups(indexed);
-          const std::string config =
-              std::string("columnar=") + (columnar ? "1" : "0") +
-              " compiled=" + (compiled ? "1" : "0") +
-              " greedy=" + (greedy ? "1" : "0") +
-              " index=" + (indexed ? "1" : "0") +
-              " seed=" + std::to_string(GetParam());
+  for (bool greedy : {true, false}) {
+    for (bool indexed : {true, false}) {
+      SetGreedyJoinOrdering(greedy);
+      SetIndexLookups(indexed);
+      const std::string config =
+          std::string("greedy=") + (greedy ? "1" : "0") +
+          " index=" + (indexed ? "1" : "0") +
+          " seed=" + std::to_string(GetParam());
 
-          Database seq = cc.edb;
-          Result<EvalStats> seq_stats = EvaluateSemiNaive(cc.program, &seq);
-          ASSERT_TRUE(seq_stats.ok())
-              << config << ": " << seq_stats.status().ToString();
-          EXPECT_EQ(seq, reference) << "semi-naive diverges, " << config;
-          EXPECT_EQ(seq_stats->match.substitutions,
-                    ref_stats->match.substitutions)
-              << "substitutions drift, " << config;
+      Database seq = c.edb;
+      Result<EvalStats> seq_stats = EvaluateSemiNaive(c.program, &seq);
+      ASSERT_TRUE(seq_stats.ok())
+          << config << ": " << seq_stats.status().ToString();
+      EXPECT_EQ(seq, reference) << "semi-naive diverges, " << config;
+      EXPECT_EQ(seq_stats->match.substitutions,
+                ref_stats->match.substitutions)
+          << "substitutions drift, " << config;
 
-          Database par = cc.edb;
-          Result<EvalStats> par_stats =
-              EvaluateSemiNaiveParallel(cc.program, &par, 4);
-          ASSERT_TRUE(par_stats.ok())
-              << config << ": " << par_stats.status().ToString();
-          EXPECT_EQ(par, reference) << "parallel x4 diverges, " << config;
-          EXPECT_EQ(par_stats->match.substitutions,
-                    par_ref_stats->match.substitutions)
-              << "parallel substitutions drift, " << config;
-        }
-      }
+      Database par = c.edb;
+      Result<EvalStats> par_stats =
+          EvaluateSemiNaiveParallel(c.program, &par, 4);
+      ASSERT_TRUE(par_stats.ok())
+          << config << ": " << par_stats.status().ToString();
+      EXPECT_EQ(par, reference) << "parallel x4 diverges, " << config;
+      EXPECT_EQ(par_stats->match.substitutions,
+                par_ref_stats->match.substitutions)
+          << "parallel substitutions drift, " << config;
     }
   }
 }
 
 TEST_P(DifferentialEngineTest, BytecodeVmAgreesAcrossKnobMatrix) {
-  // The bytecode-VM axis: flipping SetBytecodeExecution must be invisible
-  // -- not just the same fixpoint but bit-identical MatchStats (the VM
-  // replicates the struct interpreters' counter bumps operation for
-  // operation), across columnar on/off and for both sequential semi-naive
-  // and the parallel engine at 4 threads. On the row store the VM
-  // declines and falls through, so that leg checks the fallback is clean.
-  KnobMatrixGuard guard;
+  // The bytecode VM against Execute, the reference for its counters, on
+  // every left-deep plan of the case -- each rule's full join and each
+  // delta pass over the saturated database -- under greedy ordering x
+  // index lookups: the same rows in the same order and bit-identical
+  // MatchStats.
+  KnobGuard guard;
   const std::uint64_t seed = GetParam();
+  GeneratedCase c = MakeCase(seed);
+  Database db = c.edb;
+  ASSERT_TRUE(EvaluateSemiNaive(c.program, &db).ok());
 
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    GeneratedCase c = MakeCase(seed);
-
-    struct RunResult {
-      Database db;
-      EvalStats seq;
-      EvalStats par;
-    };
-    auto run_both = [&](bool bytecode) {
-      SetBytecodeExecution(bytecode);
-      Database seq_db = c.edb;
-      Result<EvalStats> seq = EvaluateSemiNaive(c.program, &seq_db);
-      EXPECT_TRUE(seq.ok()) << seq.status().ToString();
-      Database par_db = c.edb;
-      Result<EvalStats> par =
-          EvaluateSemiNaiveParallel(c.program, &par_db, 4);
-      EXPECT_TRUE(par.ok()) << par.status().ToString();
-      EXPECT_EQ(par_db, seq_db);
-      return RunResult{std::move(seq_db), *seq, *par};
-    };
-
-    RunResult vm = run_both(true);
-    RunResult structs = run_both(false);
-    const std::string config = std::string("columnar=") +
-                               (columnar ? "1" : "0") +
-                               " seed=" + std::to_string(seed);
-    EXPECT_EQ(vm.db, structs.db) << "bytecode fixpoint diverges, " << config;
-    EXPECT_EQ(vm.seq.match.substitutions, structs.seq.match.substitutions)
-        << config;
-    EXPECT_EQ(vm.seq.match.index_lookups, structs.seq.match.index_lookups)
-        << config;
-    EXPECT_EQ(vm.seq.match.tuples_scanned, structs.seq.match.tuples_scanned)
-        << config;
-    EXPECT_EQ(vm.par.match.substitutions, structs.par.match.substitutions)
-        << "parallel, " << config;
-    EXPECT_EQ(vm.par.match.index_lookups, structs.par.match.index_lookups)
-        << "parallel, " << config;
-    EXPECT_EQ(vm.par.match.tuples_scanned, structs.par.match.tuples_scanned)
-        << "parallel, " << config;
+  std::size_t checked = 0;
+  for (bool greedy : {true, false}) {
+    for (bool indexed : {true, false}) {
+      SetGreedyJoinOrdering(greedy);
+      SetIndexLookups(indexed);
+      checked += ExpectVmAgreesWithExecute(
+          c.program, db,
+          std::string("greedy=") + (greedy ? "1" : "0") +
+              " index=" + (indexed ? "1" : "0") +
+              " seed=" + std::to_string(seed));
+    }
   }
+  EXPECT_GT(checked, 0u) << "seed " << seed;
 }
 
 TEST_P(DifferentialEngineTest, BytecodeVmAgreesOnIncrementalCommits) {
-  // The incremental commit path (three-part delta joins through the
-  // CompiledRuleCache) with the VM on vs off over the same transaction
-  // script: every snapshot must be identical.
-  KnobMatrixGuard guard;
+  // The VM against Execute on the databases an incremental view passes
+  // through: after every commit of a random script -- DRed erasures
+  // compact relations and invalidate their indexes -- every left-deep
+  // plan over the view must match Execute exactly, and the final view
+  // must equal a from-scratch naive fixpoint of its base.
+  KnobGuard guard;
   const std::uint64_t seed = GetParam();
-
-  auto run_script = [&](bool bytecode) {
-    SetBytecodeExecution(bytecode);
-    GeneratedCase c = MakeCase(seed);
-    IncrOptions options;
-    options.num_threads = seed % 2 == 0 ? 1 : 2;
-    Result<MaterializedView> view =
-        MaterializedView::Create(c.program, c.edb, options);
-    EXPECT_TRUE(view.ok()) << view.status().ToString();
-    const std::size_t num_extensional = 1 + seed % 3;
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 29);
-    std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate("e" +
-                                  std::to_string(rng() % num_extensional))
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(
-              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 12))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
-    }
-    return snapshots;
-  };
-
-  const std::vector<Database> vm = run_script(true);
-  const std::vector<Database> structs = run_script(false);
-  ASSERT_EQ(vm.size(), structs.size());
-  for (std::size_t i = 0; i < vm.size(); ++i) {
-    EXPECT_EQ(vm[i], structs[i])
-        << "bytecode incremental commit path diverges on seed " << seed
-        << ", batch " << i;
+  GeneratedCase c = MakeCase(seed);
+  IncrOptions options;
+  options.num_threads = seed % 2 == 0 ? 1 : 2;
+  Result<MaterializedView> view =
+      MaterializedView::Create(c.program, c.edb, options);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  std::vector<std::string> edb_preds;
+  for (std::size_t i = 0; i < 1 + seed % 3; ++i) {
+    edb_preds.push_back("e" + std::to_string(i));
   }
+  RunCommitScript(
+      &*view, *c.symbols, edb_preds, seed * 0x9E3779B97F4A7C15ull + 29, 8,
+      12, [&](int batch) {
+        ExpectVmAgreesWithExecute(c.program, view->db(),
+                                  "seed=" + std::to_string(seed) +
+                                      " batch=" + std::to_string(batch));
+      });
+  Database ref = view->base();
+  ASSERT_TRUE(EvaluateNaive(c.program, &ref).ok());
+  EXPECT_EQ(view->db(), ref) << "incremental view diverges on seed " << seed;
 }
 
 TEST_P(DifferentialEngineTest, CompiledPlansAgreeOnIncrementalCommits) {
   // The incremental commit path (delta joins + DRed re-derivation) run
-  // over the same transaction script under every (matcher, storage
-  // backend) combination; the view must be identical after every commit.
-  KnobMatrixGuard guard;
+  // over the same transaction script under every (greedy ordering, index
+  // lookups) combination; the view must be identical after every commit,
+  // and the last must equal a from-scratch fixpoint of its base.
+  KnobGuard guard;
   const std::uint64_t seed = GetParam();
 
-  auto run_script = [&](bool compiled, bool columnar) {
-    SetCompiledRulePlans(compiled);
-    SetColumnarStorage(columnar);
+  auto run_script = [&](bool greedy, bool indexed) {
+    SetGreedyJoinOrdering(greedy);
+    SetIndexLookups(indexed);
     GeneratedCase c = MakeCase(seed);
     IncrOptions options;
     options.num_threads = seed % 2 == 0 ? 1 : 2;
     Result<MaterializedView> view =
         MaterializedView::Create(c.program, c.edb, options);
     EXPECT_TRUE(view.ok()) << view.status().ToString();
-    const std::size_t num_extensional = 1 + seed % 3;
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 7);
-    std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate("e" +
-                                  std::to_string(rng() % num_extensional))
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(
-              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 12))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
+    std::vector<std::string> edb_preds;
+    for (std::size_t i = 0; i < 1 + seed % 3; ++i) {
+      edb_preds.push_back("e" + std::to_string(i));
     }
+    std::vector<Database> snapshots;
+    RunCommitScript(&*view, *c.symbols, edb_preds,
+                    seed * 0x9E3779B97F4A7C15ull + 7, 8, 12,
+                    [&](int) { snapshots.push_back(view->db()); });
+    Database ref = view->base();
+    EXPECT_TRUE(EvaluateSemiNaive(c.program, &ref).ok());
+    EXPECT_EQ(view->db(), ref)
+        << "incremental view diverges from from-scratch oracle, greedy="
+        << greedy << " index=" << indexed << " seed=" << seed;
     return snapshots;
   };
 
   const std::vector<Database> reference = run_script(true, true);
   const struct {
-    bool compiled;
-    bool columnar;
+    bool greedy;
+    bool indexed;
     const char* name;
-  } variants[] = {{false, true, "legacy/columnar"},
-                  {true, false, "compiled/rowstore"},
-                  {false, false, "legacy/rowstore"}};
+  } variants[] = {{false, true, "textual order"},
+                  {true, false, "scans"},
+                  {false, false, "textual order + scans"}};
   for (const auto& v : variants) {
-    std::vector<Database> got = run_script(v.compiled, v.columnar);
+    std::vector<Database> got = run_script(v.greedy, v.indexed);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], reference[i])
@@ -493,10 +504,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialEngineTest,
 // worst-case-optimal multiway shape, so these cases exercise the
 // multiway executor on every seed instead of relying on the planted
 // generator to stumble into a cyclic body. Every knob combination --
-// multiway x left-deep x columnar x {sequential, parallel x4,
-// incremental commit scripts} -- must reach bit-identical fixpoints and
-// (within an engine) identical substitution counts wherever no
-// first-witness exit applies.
+// multiway x left-deep (x greedy ordering x index lookups on the
+// incremental path) x {sequential, parallel x4, incremental commit
+// scripts} -- must reach bit-identical fixpoints and (within an engine)
+// identical substitution counts wherever no first-witness exit applies.
 // ---------------------------------------------------------------------------
 
 struct CyclicCase {
@@ -548,18 +559,17 @@ class DifferentialEngineMultiwayTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DifferentialEngineMultiwayTest, MultiwayAndLeftDeepShapesAgree) {
-  // Fixpoint + substitutions agreement across multiway on/off x columnar
-  // on/off, for sequential semi-naive and the parallel engine at 4
-  // threads. Each rule gets a full-enumeration twin (see
-  // AddFullEnumerationTwins): the twins count every complete body match,
-  // which no plan shape changes, so their per-rule substitutions must be
-  // bit-identical within each engine. The original rules may stop at one
-  // witness per head row on the multiway plan, so theirs may only fall.
-  KnobMatrixGuard guard;
+  // Fixpoint + substitutions agreement across multiway on/off, for
+  // sequential semi-naive and the parallel engine at 4 threads. Each rule
+  // gets a full-enumeration twin (see AddFullEnumerationTwins): the twins
+  // count every complete body match, which no plan shape changes, so
+  // their per-rule substitutions must be bit-identical within each
+  // engine. The original rules may stop at one witness per head row on
+  // the multiway plan, so theirs may only fall.
+  KnobGuard guard;
   const std::uint64_t seed = GetParam();
 
-  // Reference: the left-deep shape (multiway off) on the default
-  // columnar backend.
+  // Reference: the left-deep shape (multiway off).
   SetMultiwayJoins(false);
   CyclicCase ref_case = MakeCyclicCase(seed);
   AddFullEnumerationTwins(&ref_case.program);
@@ -587,102 +597,73 @@ TEST_P(DifferentialEngineMultiwayTest, MultiwayAndLeftDeepShapesAgree) {
     }
   };
 
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    // Regenerate under this backend: relations choose their storage at
-    // construction, and the generator is seed-deterministic.
-    CyclicCase c = MakeCyclicCase(seed);
-    AddFullEnumerationTwins(&c.program);
-    for (bool multiway : {true, false}) {
-      SetMultiwayJoins(multiway);
-      const std::string config =
-          std::string("multiway=") + (multiway ? "1" : "0") +
-          " columnar=" + (columnar ? "1" : "0") +
-          " seed=" + std::to_string(seed);
+  for (bool multiway : {true, false}) {
+    SetMultiwayJoins(multiway);
+    const std::string config = std::string("multiway=") +
+                               (multiway ? "1" : "0") +
+                               " seed=" + std::to_string(seed);
 
-      Database seq = c.edb;
-      Result<EvalStats> seq_stats = EvaluateSemiNaive(c.program, &seq);
-      ASSERT_TRUE(seq_stats.ok())
-          << config << ": " << seq_stats.status().ToString();
-      EXPECT_EQ(seq, reference) << "semi-naive diverges, " << config;
-      expect_substitutions(*seq_stats, *ref_stats, "semi-naive " + config);
+    Database seq = ref_case.edb;
+    Result<EvalStats> seq_stats = EvaluateSemiNaive(ref_case.program, &seq);
+    ASSERT_TRUE(seq_stats.ok())
+        << config << ": " << seq_stats.status().ToString();
+    EXPECT_EQ(seq, reference) << "semi-naive diverges, " << config;
+    expect_substitutions(*seq_stats, *ref_stats, "semi-naive " + config);
 
-      Database par = c.edb;
-      Result<EvalStats> par_stats =
-          EvaluateSemiNaiveParallel(c.program, &par, 4);
-      ASSERT_TRUE(par_stats.ok())
-          << config << ": " << par_stats.status().ToString();
-      EXPECT_EQ(par, reference) << "parallel x4 diverges, " << config;
-      expect_substitutions(*par_stats, *par_ref_stats,
-                           "parallel x4 " + config);
-    }
+    Database par = ref_case.edb;
+    Result<EvalStats> par_stats =
+        EvaluateSemiNaiveParallel(ref_case.program, &par, 4);
+    ASSERT_TRUE(par_stats.ok())
+        << config << ": " << par_stats.status().ToString();
+    EXPECT_EQ(par, reference) << "parallel x4 diverges, " << config;
+    expect_substitutions(*par_stats, *par_ref_stats, "parallel x4 " + config);
   }
 }
 
 TEST_P(DifferentialEngineMultiwayTest, MultiwayIncrementalCommitScriptsAgree) {
   // The incremental commit path over a cyclic program: the same random
-  // insert/retract script replayed under every (multiway, storage)
-  // combination must produce identical view snapshots after every
+  // insert/retract script replayed under every plan shape, crossed with
+  // greedy ordering and index lookups (whose ablation also disables the
+  // multiway shape), must produce identical view snapshots after every
   // commit, and each final view must equal a from-scratch fixpoint of
   // its final base (so all variants cannot agree on a wrong answer).
-  KnobMatrixGuard guard;
+  KnobGuard guard;
   const std::uint64_t seed = GetParam();
 
-  auto run_script = [&](bool multiway, bool columnar) {
+  auto run_script = [&](bool multiway, bool greedy, bool indexed) {
     SetMultiwayJoins(multiway);
-    SetColumnarStorage(columnar);
+    SetGreedyJoinOrdering(greedy);
+    SetIndexLookups(indexed);
     CyclicCase c = MakeCyclicCase(seed);
     IncrOptions options;
     options.num_threads = seed % 2 == 0 ? 1 : 4;
     Result<MaterializedView> view =
         MaterializedView::Create(c.program, c.edb, options);
     EXPECT_TRUE(view.ok()) << view.status().ToString();
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 13);
     std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate(c.edb_preds[rng() % c.edb_preds.size()])
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(
-              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 16)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 16))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
-    }
+    RunCommitScript(&*view, *c.symbols, c.edb_preds,
+                    seed * 0x9E3779B97F4A7C15ull + 13, 8, 16,
+                    [&](int) { snapshots.push_back(view->db()); });
     Database ref = view->base();
     EXPECT_TRUE(EvaluateSemiNaive(c.program, &ref).ok());
     EXPECT_EQ(view->db(), ref)
         << "incremental view diverges from from-scratch oracle, multiway="
-        << multiway << " columnar=" << columnar << " seed=" << seed;
+        << multiway << " greedy=" << greedy << " index=" << indexed
+        << " seed=" << seed;
     return snapshots;
   };
 
-  const std::vector<Database> reference = run_script(false, true);
+  const std::vector<Database> reference = run_script(false, true, true);
   const struct {
     bool multiway;
-    bool columnar;
+    bool greedy;
+    bool indexed;
     const char* name;
-  } variants[] = {{true, true, "multiway/columnar"},
-                  {true, false, "multiway/rowstore"},
-                  {false, false, "left-deep/rowstore"}};
+  } variants[] = {{true, true, true, "multiway"},
+                  {true, false, true, "multiway/textual order"},
+                  {true, true, false, "multiway/scans"}};
   for (const auto& v : variants) {
-    std::vector<Database> got = run_script(v.multiway, v.columnar);
+    std::vector<Database> got = run_script(v.multiway, v.greedy, v.indexed);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], reference[i])
@@ -693,120 +674,63 @@ TEST_P(DifferentialEngineMultiwayTest, MultiwayIncrementalCommitScriptsAgree) {
 }
 
 TEST_P(DifferentialEngineMultiwayTest, BytecodeVmAgreesAcrossPlanShapes) {
-  // The bytecode axis crossed with plan shape: the VM lowers both the
-  // left-deep batch schedule and the leapfrog multiway schedule, and on
-  // each it must be invisible -- same fixpoint, bit-identical MatchStats
-  // -- against the struct interpreter under the same knobs, sequentially
-  // and at 4 threads, on both storage backends.
-  KnobMatrixGuard guard;
+  // The VM lowers both the left-deep schedule and the leapfrog multiway
+  // schedule. Against Execute on every plan of the saturated cyclic case
+  // (ExpectVmAgreesWithExecute): exact rows, order and MatchStats on
+  // left-deep plans, the same row set with no more substitutions on
+  // multiway ones -- with multiway joins on and off, and at both shapes
+  // the sequential and 4-thread fixpoints must agree.
+  KnobGuard guard;
   const std::uint64_t seed = GetParam();
-
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    CyclicCase c = MakeCyclicCase(seed);
-    for (bool multiway : {true, false}) {
-      SetMultiwayJoins(multiway);
-
-      struct RunResult {
-        Database db;
-        EvalStats seq;
-        EvalStats par;
-      };
-      auto run_both = [&](bool bytecode) {
-        SetBytecodeExecution(bytecode);
-        Database seq_db = c.edb;
-        Result<EvalStats> seq = EvaluateSemiNaive(c.program, &seq_db);
-        EXPECT_TRUE(seq.ok()) << seq.status().ToString();
-        Database par_db = c.edb;
-        Result<EvalStats> par =
-            EvaluateSemiNaiveParallel(c.program, &par_db, 4);
-        EXPECT_TRUE(par.ok()) << par.status().ToString();
-        EXPECT_EQ(par_db, seq_db);
-        return RunResult{std::move(seq_db), *seq, *par};
-      };
-
-      RunResult vm = run_both(true);
-      RunResult structs = run_both(false);
-      const std::string config =
-          std::string("multiway=") + (multiway ? "1" : "0") +
-          " columnar=" + (columnar ? "1" : "0") +
-          " seed=" + std::to_string(seed);
-      EXPECT_EQ(vm.db, structs.db)
-          << "bytecode fixpoint diverges, " << config;
-      EXPECT_EQ(vm.seq.match.substitutions, structs.seq.match.substitutions)
-          << config;
-      EXPECT_EQ(vm.seq.match.index_lookups, structs.seq.match.index_lookups)
-          << config;
-      EXPECT_EQ(vm.seq.match.tuples_scanned,
-                structs.seq.match.tuples_scanned)
-          << config;
-      EXPECT_EQ(vm.par.match.substitutions, structs.par.match.substitutions)
-          << "parallel, " << config;
-      EXPECT_EQ(vm.par.match.index_lookups, structs.par.match.index_lookups)
-          << "parallel, " << config;
-      EXPECT_EQ(vm.par.match.tuples_scanned,
-                structs.par.match.tuples_scanned)
-          << "parallel, " << config;
+  CyclicCase c = MakeCyclicCase(seed);
+  for (bool multiway : {true, false}) {
+    SetMultiwayJoins(multiway);
+    const std::string config = std::string("multiway=") +
+                               (multiway ? "1" : "0") +
+                               " seed=" + std::to_string(seed);
+    Database seq = c.edb;
+    ASSERT_TRUE(EvaluateSemiNaive(c.program, &seq).ok()) << config;
+    Database par = c.edb;
+    ASSERT_TRUE(EvaluateSemiNaiveParallel(c.program, &par, 4).ok())
+        << config;
+    EXPECT_EQ(par, seq) << "parallel x4 diverges, " << config;
+    const std::size_t left_deep =
+        ExpectVmAgreesWithExecute(c.program, seq, config);
+    if (!multiway) {
+      EXPECT_GT(left_deep, 0u) << config;
     }
   }
 }
 
 TEST_P(DifferentialEngineMultiwayTest,
        BytecodeIncrementalCommitScriptsAgree) {
-  // The same random commit script replayed with the VM on vs off, under
-  // both plan shapes: identical snapshots after every commit.
-  KnobMatrixGuard guard;
+  // The same random commit script replayed under both plan shapes: after
+  // every commit the view must equal a from-scratch naive fixpoint of its
+  // base, and the VM must agree with Execute on every plan over it.
+  KnobGuard guard;
   const std::uint64_t seed = GetParam();
 
-  auto run_script = [&](bool bytecode, bool multiway) {
-    SetBytecodeExecution(bytecode);
+  for (bool multiway : {true, false}) {
     SetMultiwayJoins(multiway);
     CyclicCase c = MakeCyclicCase(seed);
     IncrOptions options;
     options.num_threads = seed % 2 == 0 ? 1 : 4;
     Result<MaterializedView> view =
         MaterializedView::Create(c.program, c.edb, options);
-    EXPECT_TRUE(view.ok()) << view.status().ToString();
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 31);
-    std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate(c.edb_preds[rng() % c.edb_preds.size()])
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(
-              txn.Retract(pred, Tuple(rows[rng() % rows.size()])).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 16)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 16))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
-    }
-    return snapshots;
-  };
-
-  for (bool multiway : {true, false}) {
-    const std::vector<Database> vm = run_script(true, multiway);
-    const std::vector<Database> structs = run_script(false, multiway);
-    ASSERT_EQ(vm.size(), structs.size());
-    for (std::size_t i = 0; i < vm.size(); ++i) {
-      EXPECT_EQ(vm[i], structs[i])
-          << "bytecode incremental commit path diverges on seed " << seed
-          << ", multiway=" << multiway << ", batch " << i;
-    }
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    RunCommitScript(
+        &*view, *c.symbols, c.edb_preds, seed * 0x9E3779B97F4A7C15ull + 31,
+        8, 16, [&](int batch) {
+          const std::string config =
+              std::string("multiway=") + (multiway ? "1" : "0") +
+              " seed=" + std::to_string(seed) +
+              " batch=" + std::to_string(batch);
+          Database ref = view->base();
+          EXPECT_TRUE(EvaluateNaive(c.program, &ref).ok()) << config;
+          EXPECT_EQ(view->db(), ref)
+              << "incremental view diverges from naive oracle, " << config;
+          ExpectVmAgreesWithExecute(c.program, view->db(), config);
+        });
   }
 }
 

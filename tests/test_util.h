@@ -2,13 +2,16 @@
 #define DATALOG_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "ast/parser.h"
 #include "ast/program.h"
 #include "ast/tgd.h"
+#include "eval/compiled_rule.h"
 #include "eval/database.h"
+#include "eval/rule_matcher.h"
 #include "gtest/gtest.h"
 
 namespace datalog {
@@ -17,6 +20,21 @@ namespace testing {
 inline std::shared_ptr<SymbolTable> MakeSymbols() {
   return std::make_shared<SymbolTable>();
 }
+
+/// Resets the process-wide ablation knobs (greedy join ordering, index
+/// lookups, multiway joins) to their defaults on destruction, so a test
+/// that flips them cannot leak a disabled knob into later tests, even
+/// when an assertion returns early.
+struct KnobGuard {
+  KnobGuard() = default;
+  KnobGuard(const KnobGuard&) = delete;
+  KnobGuard& operator=(const KnobGuard&) = delete;
+  ~KnobGuard() {
+    SetGreedyJoinOrdering(true);
+    SetIndexLookups(true);
+    SetMultiwayJoins(true);
+  }
+};
 
 /// Parses a program, failing the test on parse errors.
 inline Program ParseProgramOrDie(std::shared_ptr<SymbolTable> symbols,
@@ -87,6 +105,77 @@ inline void AddFullEnumerationTwins(Program* program) {
     std::vector<Literal> body = rule.body();
     program->AddRule(Rule(Atom(twin, std::move(args)), std::move(body)));
   }
+}
+
+/// One application of a compiled plan: the distinct head rows in the
+/// order they were first derived, and the work counters.
+struct PlanRun {
+  std::vector<Tuple> rows;
+  MatchStats stats;
+};
+
+inline std::vector<Tuple> RowsOf(const Relation& rel) {
+  std::vector<Tuple> rows;
+  for (RowRef row : rel.rows()) rows.emplace_back(row);
+  return rows;
+}
+
+/// CompiledRule::Apply into an empty relation: the bytecode VM whenever
+/// the plan was lowered.
+inline PlanRun ApplyPlan(const CompiledRule& plan, const Database& full,
+                         const DeltaRanges* ranges) {
+  Relation out(full.symbols()->PredicateArity(plan.head_predicate()));
+  PlanRun run;
+  plan.Apply(full, ranges, &out, &run.stats);
+  run.rows = RowsOf(out);
+  return run;
+}
+
+/// The reference executor for the VM: Execute's depth-first enumeration
+/// of the same plan, filtered by NegationHolds, with each match's
+/// InstantiateHeadFromFrame row inserted in order.
+inline PlanRun ExecutePlan(const CompiledRule& plan, const Database& full,
+                           const DeltaRanges* ranges) {
+  Relation out(full.symbols()->PredicateArity(plan.head_predicate()));
+  PlanRun run;
+  MatchFrame frame(plan);
+  Tuple scratch;
+  plan.Execute(full, ranges, &frame, &run.stats, [&](const MatchFrame& f) {
+    if (plan.NegationHolds(full, f, &scratch)) {
+      out.Insert(plan.InstantiateHeadFromFrame(f));
+    }
+    return true;
+  });
+  run.rows = RowsOf(out);
+  return run;
+}
+
+/// Expects two runs of one left-deep plan to agree exactly: the same rows
+/// in the same order, and the same three counters.
+inline void ExpectSameRun(const PlanRun& got, const PlanRun& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.rows, want.rows) << where;
+  EXPECT_EQ(got.stats.substitutions, want.stats.substitutions) << where;
+  EXPECT_EQ(got.stats.index_lookups, want.stats.index_lookups) << where;
+  EXPECT_EQ(got.stats.tuples_scanned, want.stats.tuples_scanned) << where;
+}
+
+/// The VM-vs-Execute check through the engines' entry point: one
+/// ApplyRule call (which compiles the plan and runs the VM) against
+/// Execute on the plan compiled from the same relation sizes, which must
+/// be a lowered left-deep plan.
+inline void ExpectApplyRuleMatchesExecute(const Rule& rule,
+                                          const Database& db,
+                                          const std::string& where) {
+  const CompiledRule plan = CompiledRule::Compile(
+      rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
+  ASSERT_FALSE(plan.bytecode_program().empty()) << where;
+  ASSERT_EQ(plan.shape(), PlanShape::kLeftDeep) << where;
+  Database out(db.symbols());
+  PlanRun vm;
+  ApplyRule(rule, db, &out, &vm.stats);
+  vm.rows = RowsOf(out.relation(rule.head().predicate()));
+  ExpectSameRun(vm, ExecutePlan(plan, db, nullptr), where);
 }
 
 }  // namespace testing

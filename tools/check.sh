@@ -3,12 +3,11 @@
 # ThreadSanitizer and runs the evaluation-engine suites (the ones that
 # exercise the parallel evaluator's frozen-snapshot contract; eval_test
 # includes the storage-conformance suite that runs every relation
-# invariant against both the columnar and row-store backends, and
-# integration_test includes the differential fuzzer whose knob matrix
-# crosses multiway x left-deep x columnar x compiled x bytecode x
-# {sequential, parallel, incremental}),
-# then repeats the incremental-maintenance fuzzer and the parser suites
-# (ast_test) under ASan+UBSan. Also
+# invariant, and integration_test includes the differential fuzzer whose
+# knob matrix crosses greedy ordering x index lookups x multiway x
+# {sequential, parallel, incremental} and checks the bytecode VM against
+# Execute), then repeats the incremental-maintenance fuzzer and the
+# parser suites (ast_test) under ASan+UBSan. Also
 # smoke-tests the observability layer: the CLI's --trace/--metrics
 # output must be valid JSON, runs a deterministic work-counter
 # regression gate (eval.tuples_scanned / eval.index_lookups on a fixed
@@ -140,21 +139,14 @@ run_work_counter_gate() {
       >> "${tmp}/clq_facts.dl"
   done
 
-  # Each case runs twice: once on the default bytecode VM and once with
-  # --no-bytecode (the struct interpreter), as `<case>` and
-  # `<case>_struct` rows. The two executors promise identical counters,
-  # so the paired rows also pin that parity in CI.
-  local case_name row_name flag
+  local case_name
   : > "${tmp}/measured.txt"
   for case_name in tc sg sel tri clq; do
-    for flag in "" "--no-bytecode"; do
-      row_name="${case_name}${flag:+_struct}"
-      # shellcheck disable=SC2086
-      "${build_dir}/tools/datalog-opt" eval ${flag} "${tmp}/${case_name}.dl" \
-        "${tmp}/${case_name}_facts.dl" \
-        --metrics="${tmp}/${row_name}_m.json" > /dev/null
-      python3 - "${row_name}" "${tmp}/${row_name}_m.json" \
-        >> "${tmp}/measured.txt" <<'PYEOF'
+    "${build_dir}/tools/datalog-opt" eval "${tmp}/${case_name}.dl" \
+      "${tmp}/${case_name}_facts.dl" \
+      --metrics="${tmp}/${case_name}_m.json" > /dev/null
+    python3 - "${case_name}" "${tmp}/${case_name}_m.json" \
+      >> "${tmp}/measured.txt" <<'PYEOF'
 import json, sys
 name, path = sys.argv[1], sys.argv[2]
 counters = {"eval.tuples_scanned": 0, "eval.index_lookups": 0}
@@ -164,7 +156,6 @@ with open(path) as f:
             counters[m["name"]] += m["value"]
 print(name, counters["eval.tuples_scanned"], counters["eval.index_lookups"])
 PYEOF
-    done
   done
 
   python3 - "${ROOT}/tools/work_counters.baseline" "${tmp}/measured.txt" <<'PYEOF'
@@ -265,9 +256,9 @@ if [ "${SANITIZE}" = "thread" ] && [ "${DATALOG_CHECK_INCR_ASAN:-1}" = "1" ]; th
   # The parser suites, whose tokens are views into the caller's text.
   ./tests/ast_test
   # *Multiway* adds the worst-case-optimal join matrix (cyclic bodies,
-  # multiway x left-deep x columnar) to the ASan pass; its id-space
-  # scratch buffers and sorted-key caches churn on every replan.
-  # *Bytecode* adds the VM differential matrix plus the validator fuzzer
+  # multiway x left-deep) to the ASan pass; its id-space scratch buffers
+  # and sorted-key caches churn on every replan. *Bytecode* adds the
+  # VM-vs-Execute differential checks plus the validator fuzzer
   # (BytecodeFuzzTest), whose whole point is running hostile instruction
   # streams and mutated encodings under ASan/UBSan.
   ./tests/integration_test --gtest_filter='*Incremental*:*Multiway*:*Bytecode*'

@@ -81,10 +81,7 @@ int Usage() {
       "  --trace FILE              write a Chrome trace-event JSON of the\n"
       "                            run (load at chrome://tracing)\n"
       "  --metrics FILE            write flat metrics JSON (counters from\n"
-      "                            every engine and optimizer pass)\n"
-      "  --no-bytecode             execute compiled join plans with the\n"
-      "                            struct interpreter instead of the\n"
-      "                            bytecode VM (docs/bytecode_vm.md)\n");
+      "                            every engine and optimizer pass)\n");
   return 2;
 }
 
@@ -792,14 +789,6 @@ int Main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--hints") == 0) {
       use_hints = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-bytecode") == 0) {
-      // Ablation knob: run compiled plans through the struct
-      // interpreter instead of the bytecode VM (docs/bytecode_vm.md).
-      // The work-counter gate in tools/check.sh uses this to pin both
-      // executors' counters independently.
-      SetBytecodeExecution(false);
       continue;
     }
     if (std::strcmp(argv[i], "--threads") == 0 ||
