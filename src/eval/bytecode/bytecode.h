@@ -227,10 +227,13 @@ using DispatchCounts = std::array<std::uint64_t, kNumOps>;
 /// arity contradicts the program, a delta step has no ranges, or a
 /// hand-written program is malformed), in which case CompiledRule::Apply
 /// falls back to Execute. When `dispatch` is non-null every executed
-/// instruction is tallied per opcode.
+/// instruction is tallied per opcode. The preparation (step sources,
+/// index views, multiway root lists) adds its wall time to
+/// `sinks.index_ns`, the enumeration to `sinks.derive_ns`.
 bool Derive(const Program& program, const Database& full,
             const DeltaRanges* ranges, MatchStats* stats,
-            IdRowBuffer* derived, DispatchCounts* dispatch = nullptr);
+            IdRowBuffer* derived, DispatchCounts* dispatch = nullptr,
+            const PhaseSinks& sinks = {});
 
 /// Derive, then one batch insert of the derived rows into `out` (which
 /// may alias `full`); `new_facts` receives how many were new. Also

@@ -7,6 +7,7 @@
 
 #include "eval/bytecode/bytecode.h"
 #include "eval/database.h"
+#include "eval/eval_stats.h"
 #include "eval/relation.h"
 #include "obs/metrics.h"
 #include "util/interning.h"
@@ -130,12 +131,19 @@ struct MwProbeRt {
   // Union columns cover the whole atom: seeks look the full row up in
   // the dedup table instead of a union index (which is never built).
   bool union_full_row = false;
+  // The variable's id column when the probe's candidates are distinct by
+  // construction -- one variable column, and union columns covering the
+  // atom, so the rows of one posting list differ only there. Elected,
+  // such a probe is iterated in place: no projection, sort or dedup.
+  const std::uint32_t* in_place = nullptr;
   const std::vector<std::uint32_t>* root = nullptr;
 };
 
 // Per-multiway-step scratch: election keys, union membership keys,
 // per-probe candidate lists, the winner's materialized projection, and
-// the iteration cursor.
+// the iteration cursor. `iter` holds candidate ids, or -- when
+// `in_place` is set -- the winner's row ids, whose candidate is
+// in_place[row].
 struct MwStepRt {
   std::vector<MwProbeRt> probes;
   std::vector<std::vector<std::uint32_t>> keys;
@@ -143,16 +151,25 @@ struct MwStepRt {
   std::vector<std::vector<std::uint32_t>> proj;
   std::vector<std::span<const std::uint32_t>> lists;
   std::span<const std::uint32_t> iter;
+  const std::uint32_t* in_place = nullptr;
   std::size_t pos = 0;
   std::size_t smallest = 0;
+
+  std::uint32_t Candidate(std::size_t i) const {
+    return in_place != nullptr ? in_place[iter[i]] : iter[i];
+  }
 };
 
 template <bool kCount>
 bool DeriveImpl(const Program& p, const Database& full,
                 const DeltaRanges* ranges, MatchStats* stats,
-                IdRowBuffer* derived_rows, DispatchCounts* dispatch) {
+                IdRowBuffer* derived_rows, DispatchCounts* dispatch,
+                const PhaseSinks& sinks) {
   if (p.code.empty() || p.shape > 1) return false;
   if (p.const_ids.size() != p.const_pool.size()) return false;  // unresolved
+  // Everything up to the multiway roots is the index phase; the machine
+  // state and the dispatch loop are the derive phase.
+  PhaseTimer timer(sinks.index_ns);
 
   // ---- Guards (no counter bumps, no side effects) -----------------------
   std::vector<const Relation*> negs;
@@ -244,27 +261,39 @@ bool DeriveImpl(const Program& p, const Database& full,
         const ProbeDesc& probe = ms.probes[pi];
         if (probe.atom >= nsteps || probe.var_cols.empty()) return false;
         if (probe.unconditional != probe.bound_cols.empty()) return false;
-        const StepRt& at = srt[probe.atom];
-        const Relation& rel = *at.rel;
-        MwProbeRt& prt = mr.probes[pi];
         // Pre-size the key scratch so a hand-written program that skips
         // the open op still finds correctly-sized buffers.
         mr.keys[pi].assign(probe.key_template_ids.size(), 0);
         mr.ukeys[pi].assign(probe.union_template_ids.size(), 0);
-        if (!probe.unconditional) {
-          if (probe.bound_cols.size() == 1) {
-            prt.single = rel.PrepareSingleIndex(probe.bound_cols[0]);
-          } else {
-            prt.multi = rel.PrepareIndex(probe.bound_cols);
-          }
-          prt.union_full_row =
-              static_cast<int>(probe.union_cols.size()) == rel.arity() &&
-              probe.union_template_ids.size() == probe.union_cols.size();
-          if (!prt.union_full_row) {
-            prt.union_index = rel.PrepareIndex(probe.union_cols);
-          }
-          continue;
+        if (probe.unconditional) continue;
+        const Relation& rel = *srt[probe.atom].rel;
+        MwProbeRt& prt = mr.probes[pi];
+        if (probe.bound_cols.size() == 1) {
+          prt.single = rel.PrepareSingleIndex(probe.bound_cols[0]);
+        } else {
+          prt.multi = rel.PrepareIndex(probe.bound_cols);
         }
+        prt.union_full_row =
+            static_cast<int>(probe.union_cols.size()) == rel.arity() &&
+            probe.union_template_ids.size() == probe.union_cols.size();
+        if (!prt.union_full_row) {
+          prt.union_index = rel.PrepareIndex(probe.union_cols);
+        } else if (probe.var_cols.size() == 1) {
+          prt.in_place = rel.column(probe.var_cols[0]).data();
+        }
+      }
+    }
+    // Roots after every index is prepared: a root over the whole
+    // relation reads its ids off the single-column index on its column
+    // when this plan probes that index (Relation::SortedKeys).
+    for (std::size_t s = 0; s < p.mw_steps.size(); ++s) {
+      const MwStepDesc& ms = p.mw_steps[s];
+      for (std::size_t pi = 0; pi < ms.probes.size(); ++pi) {
+        const ProbeDesc& probe = ms.probes[pi];
+        if (!probe.unconditional) continue;
+        const StepRt& at = srt[probe.atom];
+        const Relation& rel = *at.rel;
+        MwProbeRt& prt = mrt[s].probes[pi];
         if (!at.old_only && probe.var_cols.size() == 1) {
           prt.root = &rel.SortedKeys(probe.var_cols[0], at.rows);
           continue;
@@ -277,6 +306,7 @@ bool DeriveImpl(const Program& p, const Database& full,
       }
     }
   }
+  timer.Switch(sinks.derive_ns);
 
   // ---- Mutable machine state --------------------------------------------
   const std::uint32_t dict_size = ValueDictionary::Global().size();
@@ -314,8 +344,9 @@ bool DeriveImpl(const Program& p, const Database& full,
   };
 
   // Multiway open: elect the smallest candidate list among the step's
-  // probes, materialize only the winner's projection, fill the union
-  // membership keys of the losers.
+  // probes, take the winner's candidates -- its sorted root, its posting
+  // segment in place, or else its materialized projection -- and fill the
+  // union membership keys of the losers.
   auto seek_open = [&](std::uint32_t s) {
     const MwStepDesc& ms = p.mw_steps[s];
     MwStepRt& mr = mrt[s];
@@ -349,9 +380,11 @@ bool DeriveImpl(const Program& p, const Database& full,
       }
     }
     const ProbeDesc& sp = ms.probes[smallest];
-    if (sp.unconditional) {
-      mr.iter = mr.lists[smallest];
-    } else {
+    mr.iter = mr.lists[smallest];
+    mr.in_place = mr.probes[smallest].in_place;
+    if (!sp.unconditional && mr.in_place == nullptr) {
+      // Candidates may repeat (a column the step leaves free) or need a
+      // row-local check (a repeated variable): project, sort, dedup.
       const StepRt& at = srt[sp.atom];
       const Relation& rel = *at.rel;
       const IdVector& c0 = rel.column(sp.var_cols[0]);
@@ -580,7 +613,7 @@ vm_dispatch:
     const MwStepDesc& ms = p.mw_steps[ip->a];
     for (;;) {
       if (mr.pos >= mr.iter.size()) VM_JUMP(ip->t);
-      const std::uint32_t id = mr.iter[mr.pos++];
+      const std::uint32_t id = mr.Candidate(mr.pos++);
       ++local.tuples_scanned;
       if (!seek_accept(mr, ms, id)) continue;
       slots[ms.slot] = id;
@@ -650,7 +683,8 @@ vm_dispatch:
     seek_open(ip->a);
     MwStepRt& mr = mrt[ip->a];
     const MwStepDesc& ms = p.mw_steps[ip->a];
-    for (std::uint32_t id : mr.iter) {
+    for (std::size_t i = 0; i < mr.iter.size(); ++i) {
+      const std::uint32_t id = mr.Candidate(i);
       ++local.tuples_scanned;
       if (!seek_accept(mr, ms, id)) continue;
       slots[ms.slot] = id;
@@ -689,12 +723,15 @@ vm_done:
 
 bool Derive(const Program& program, const Database& full,
             const DeltaRanges* ranges, MatchStats* stats,
-            IdRowBuffer* derived, DispatchCounts* dispatch) {
+            IdRowBuffer* derived, DispatchCounts* dispatch,
+            const PhaseSinks& sinks) {
   if (dispatch != nullptr) {
     dispatch->fill(0);
-    return DeriveImpl<true>(program, full, ranges, stats, derived, dispatch);
+    return DeriveImpl<true>(program, full, ranges, stats, derived, dispatch,
+                            sinks);
   }
-  return DeriveImpl<false>(program, full, ranges, stats, derived, nullptr);
+  return DeriveImpl<false>(program, full, ranges, stats, derived, nullptr,
+                           sinks);
 }
 
 bool Run(const Program& program, const Database& full,

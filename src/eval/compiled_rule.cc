@@ -371,21 +371,25 @@ void CompiledRule::EnsureIndexes(const Database& full,
   // shape is kMultiway): pre-built so the parallel fan-out stays
   // read-only on the multiway path too. The left-deep loop above runs
   // for multiway plans as well, because Apply falls back to Execute if
-  // the VM declines the databases.
-  for (const MultiwayStep& mw_step : mw_steps_) {
-    for (const MultiwayProbe& probe : mw_step.probes) {
-      const CompiledAtomStep& step = steps_[probe.atom];
-      const AtomRows src =
-          ResolveAtomRows(full, ranges, step.source, step.predicate);
-      const Relation& rel = *src.rel;
-      if (src.rows.empty() || rel.arity() != step.arity) continue;
-      if (probe.unconditional) {
-        if (step.source != AtomSource::kOld && probe.var_cols.size() == 1) {
-          rel.EnsureSortedKeys(probe.var_cols[0], src.rows);
+  // the VM declines the databases. Indexes go first, as in the VM, so a
+  // whole-relation root can read its ids off an index the plan probes.
+  for (const bool roots : {false, true}) {
+    for (const MultiwayStep& mw_step : mw_steps_) {
+      for (const MultiwayProbe& probe : mw_step.probes) {
+        if (probe.unconditional != roots) continue;
+        const CompiledAtomStep& step = steps_[probe.atom];
+        const AtomRows src =
+            ResolveAtomRows(full, ranges, step.source, step.predicate);
+        const Relation& rel = *src.rel;
+        if (src.rows.empty() || rel.arity() != step.arity) continue;
+        if (probe.unconditional) {
+          if (step.source != AtomSource::kOld && probe.var_cols.size() == 1) {
+            rel.EnsureSortedKeys(probe.var_cols[0], src.rows);
+          }
+          // Old-snapshot and repeated-variable roots are collected from
+          // the rows at Apply time: reads only, nothing to pre-build.
+          continue;
         }
-        // Old-snapshot and repeated-variable roots are collected from
-        // the rows at Apply time: reads only, nothing to pre-build.
-      } else {
         rel.EnsureIndex(probe.bound_cols);
         // Membership seeks for probes that are not the iteration source
         // go through the index on bound-plus-variable columns -- unless
@@ -415,14 +419,17 @@ Tuple CompiledRule::InstantiateHeadFromFrame(const MatchFrame& frame) const {
 }
 
 bool CompiledRule::Derive(const Database& full, const DeltaRanges* ranges,
-                          MatchStats* stats, IdRowBuffer* derived) const {
+                          MatchStats* stats, IdRowBuffer* derived,
+                          const PhaseSinks& sinks) const {
   if (!MetricsRegistry::Get().enabled()) {
-    return bytecode::Derive(bc_, full, ranges, stats, derived);
+    return bytecode::Derive(bc_, full, ranges, stats, derived,
+                            /*dispatch=*/nullptr, sinks);
   }
   bytecode::DispatchCounts counts;
-  if (!bytecode::Derive(bc_, full, ranges, stats, derived, &counts)) {
+  if (!bytecode::Derive(bc_, full, ranges, stats, derived, &counts, sinks)) {
     return false;
   }
+  PhaseTimer timer(sinks.derive_ns);
   bytecode::PublishDispatchCounts(counts);
   return true;
 }
@@ -435,25 +442,21 @@ std::size_t CompiledRule::Apply(const Database& full,
   // batch afterwards: `out` may be a relation of `full`, and inserting
   // while the enumeration reads the same relation would invalidate it.
   IdRowBuffer derived;
-  std::vector<Tuple> derived_tuples;
-  bool derived_ids;
-  {
-    PhaseTimer timer(sinks.derive_ns);
-    derived_ids = !bc_.empty() && Derive(full, ranges, stats, &derived);
-    if (!derived_ids) {
-      MatchFrame frame(*this);
-      Tuple scratch;
-      Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
-        if (!NegationHolds(full, f, &scratch)) return true;
-        derived_tuples.push_back(InstantiateHeadFromFrame(f));
-        return true;
-      });
-    }
-  }
-  if (derived_ids) {
+  if (!bc_.empty() && Derive(full, ranges, stats, &derived, sinks)) {
     if (derived.count == 0) return 0;
     PhaseTimer timer(sinks.insert_ns);
     return out->InsertIdRows(derived);
+  }
+  std::vector<Tuple> derived_tuples;
+  {
+    PhaseTimer timer(sinks.derive_ns);
+    MatchFrame frame(*this);
+    Tuple scratch;
+    Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
+      if (!NegationHolds(full, f, &scratch)) return true;
+      derived_tuples.push_back(InstantiateHeadFromFrame(f));
+      return true;
+    });
   }
   PhaseTimer timer(sinks.insert_ns);
   std::size_t new_facts = 0;

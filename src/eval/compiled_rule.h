@@ -200,8 +200,9 @@ class CompiledRule {
   /// compare the two); a multiway plan has its own counters.
   ///
   /// The head rows go to `out` in one batch insert after the
-  /// enumeration (Relation::InsertIdRows from the VM). The enumeration's
-  /// wall time goes to `sinks.derive_ns` and the insert's to
+  /// enumeration (Relation::InsertIdRows from the VM). The VM's
+  /// preparation adds its wall time to `sinks.index_ns`, the enumeration
+  /// (Execute's included) to `sinks.derive_ns` and the insert to
   /// `sinks.insert_ns` (null sinks read no clock).
   std::size_t Apply(const Database& full, const DeltaRanges* ranges,
                     Relation* out, MatchStats* stats,
@@ -301,10 +302,12 @@ class CompiledRule {
   void BuildSchedules(const Database& full, const DeltaRanges* ranges);
 
   /// Runs the lowered program with the VM, deriving the head rows into
-  /// `derived`. False -- before bumping any counter -- when the VM
-  /// declines the databases (Apply then falls back to Execute).
+  /// `derived` and timing its phases into `sinks.index_ns` and
+  /// `sinks.derive_ns`. False -- before bumping any counter -- when the
+  /// VM declines the databases (Apply then falls back to Execute).
   bool Derive(const Database& full, const DeltaRanges* ranges,
-              MatchStats* stats, IdRowBuffer* derived) const;
+              MatchStats* stats, IdRowBuffer* derived,
+              const PhaseSinks& sinks) const;
 
   /// Builds the multiway variable order, its first-witness exit depth and
   /// the per-step probe schedules (called by BuildSchedules, after the

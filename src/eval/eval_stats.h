@@ -44,19 +44,20 @@ struct EvalStats {
   std::uint64_t merge_ns = 0;           // single-threaded round-barrier merge
 
   // Phase split of each rule application, read from the clock only while
-  // the MetricsRegistry is enabled (zero otherwise), once per rule
-  // application -- never per row. Nanoseconds, like the parallel timers
+  // the MetricsRegistry is enabled (zero otherwise), at the application's
+  // phase boundaries -- never per row. Nanoseconds, like the parallel timers
   // above; never part of MatchStats, which the differential suites
-  // compare bit for bit. What a fixpoint spends outside the three is
+  // compare bit for bit. What a fixpoint spends outside the four is
   // round bookkeeping.
   std::uint64_t plan_ns = 0;    // fetching the plan: planning, >= 4x replan
+  std::uint64_t index_ns = 0;   // the VM's step sources, index views, roots
   std::uint64_t derive_ns = 0;  // probe, enumerate, head emit
   std::uint64_t insert_ns = 0;  // batch-inserting derived head rows
 
   /// Sinks into this struct's phase timers when `timed`, null otherwise.
   PhaseSinks Sinks(bool timed) {
     if (!timed) return {};
-    return {&plan_ns, &derive_ns, &insert_ns};
+    return {&plan_ns, &index_ns, &derive_ns, &insert_ns};
   }
 
   void Add(const EvalStats& other) {
@@ -69,6 +70,7 @@ struct EvalStats {
     parallel_match_ns += other.parallel_match_ns;
     merge_ns += other.merge_ns;
     plan_ns += other.plan_ns;
+    index_ns += other.index_ns;
     derive_ns += other.derive_ns;
     insert_ns += other.insert_ns;
     match.Add(other.match);
@@ -87,22 +89,36 @@ struct EvalStats {
 /// pays one branch per timed phase.
 class PhaseTimer {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit PhaseTimer(std::uint64_t* sink) : sink_(sink) {
-    if (sink_ != nullptr) start_ = std::chrono::steady_clock::now();
+    if (sink_ != nullptr) start_ = Clock::now();
   }
   ~PhaseTimer() {
-    if (sink_ == nullptr) return;
-    *sink_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
+    if (sink_ != nullptr) AddUntil(Clock::now());
   }
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
+  /// Ends the current phase and times the next one into `sink`, with one
+  /// clock read at the boundary. Does nothing on an untimed PhaseTimer.
+  void Switch(std::uint64_t* sink) {
+    if (sink_ == nullptr) return;
+    const Clock::time_point now = Clock::now();
+    AddUntil(now);
+    sink_ = sink;
+    start_ = now;
+  }
+
  private:
+  void AddUntil(Clock::time_point end) {
+    *sink_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
+            .count());
+  }
+
   std::uint64_t* sink_;
-  std::chrono::steady_clock::time_point start_;
+  Clock::time_point start_;
 };
 
 }  // namespace datalog

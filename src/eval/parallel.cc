@@ -56,7 +56,8 @@ struct PassTask {
   const DeltaRanges* ranges;  // the round's ranges, cut to this shard
   Relation out;               // task-local derivation buffer
   MatchStats match;           // task-local join counters
-  std::uint64_t derive_ns = 0;  // task-local phase timers (metrics only)
+  std::uint64_t index_ns = 0;  // task-local phase timers (metrics only)
+  std::uint64_t derive_ns = 0;
   std::uint64_t insert_ns = 0;
   // Compiled plan resolved during prep; shared read-only across all
   // shards of the pass.
@@ -188,6 +189,7 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
         TraceSpan task_span("parallel/task");
         PhaseSinks sinks;
         if (timed) {
+          sinks.index_ns = &task.index_ns;
           sinks.derive_ns = &task.derive_ns;
           sinks.insert_ns = &task.insert_ns;
         }
@@ -211,6 +213,7 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     const std::uint64_t facts_before_merge = stats.facts_derived;
     for (const PassTask& task : tasks) {
       stats.match.Add(task.match);
+      stats.index_ns += task.index_ns;
       stats.derive_ns += task.derive_ns;
       stats.insert_ns += task.insert_ns;
       stats.per_rule[task.rule_index].substitutions +=

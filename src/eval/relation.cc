@@ -335,8 +335,22 @@ const std::vector<std::uint32_t>& Relation::SortedKeys(int column,
       // Appended (or erased-and-compacted) rows since the last build: a
       // merge of the new ids is no cheaper than re-sorting the column, so
       // rebuild from scratch. The fixpoint engines ask once per round per
-      // root probe, on relations that grow by whole deltas.
-      CollectSortedKeys({column}, rows, &cache.keys);
+      // root probe, on relations that grow by whole deltas. A current
+      // single-column index already holds the distinct ids as its keys,
+      // so only those are sorted; its keys never have an empty posting
+      // list (EraseAll empties the whole map).
+      const auto index = single_indexes_.find(column);
+      if (index != single_indexes_.end() &&
+          index->second.built_up_to == num_rows_) {
+        cache.keys.clear();
+        cache.keys.reserve(index->second.map.size());
+        for (const auto& entry : index->second.map) {
+          cache.keys.push_back(entry.first);
+        }
+        std::sort(cache.keys.begin(), cache.keys.end());
+      } else {
+        CollectSortedKeys({column}, rows, &cache.keys);
+      }
       cache.built_up_to = num_rows_;
     }
     return cache.keys;

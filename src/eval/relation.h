@@ -373,10 +373,14 @@ class Relation {
   /// parallel shard of it -- is computed once and kept until a span is
   /// asked for at a larger relation size, i.e. in a later round. An
   /// enumeration reads one span per column, so dropping those never
-  /// pulls a list from under a reader. Same thread-safety contract as
-  /// Lookup: write-free when cached, so EnsureSortedKeys before a
-  /// parallel fan-out makes it a pure read. EraseAll drops every cached
-  /// list.
+  /// pulls a list from under a reader. The whole relation's list is
+  /// sorted from the keys of the single-column index on `column` when
+  /// that index covers every row (PrepareSingleIndex or EnsureIndex since
+  /// the last append), and collected from the rows otherwise; partial
+  /// spans always read the rows, and no index is ever built here. Same
+  /// thread-safety contract as Lookup: write-free when cached, so
+  /// EnsureSortedKeys before a parallel fan-out makes it a pure read.
+  /// EraseAll drops every cached list.
   const std::vector<std::uint32_t>& SortedKeys(int column,
                                                RowSpan rows) const;
   void EnsureSortedKeys(int column, RowSpan rows) const {

@@ -106,13 +106,14 @@ std::size_t PlanningSize(const Database& full, const DeltaRanges* ranges,
                          AtomSource source, PredicateId pred);
 
 /// Where a rule application adds the wall time of its phases: planning
-/// (CompiledRuleCache::Get, including the >= 4x replan), deriving head
-/// rows (probe, enumerate, head emit, and the index and sorted-key
-/// preparation inside), and inserting them. A null sink skips its clock
-/// reads; the engines fill the sinks only while the MetricsRegistry is
-/// enabled (see EvalStats).
+/// (CompiledRuleCache::Get, including the >= 4x replan), the VM's
+/// preparation (step sources, index views, multiway root lists),
+/// deriving head rows (probe, enumerate, head emit), and inserting them.
+/// A null sink skips its clock reads; the engines fill the sinks only
+/// while the MetricsRegistry is enabled (see EvalStats).
 struct PhaseSinks {
   std::uint64_t* plan_ns = nullptr;
+  std::uint64_t* index_ns = nullptr;
   std::uint64_t* derive_ns = nullptr;
   std::uint64_t* insert_ns = nullptr;
 };

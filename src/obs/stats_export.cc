@@ -20,6 +20,7 @@ void RecordEvalStats(std::string_view engine, const EvalStats& stats) {
   registry.Add("eval.index_lookups", labels, stats.match.index_lookups);
   registry.Add("eval.tuples_scanned", labels, stats.match.tuples_scanned);
   registry.Add("eval.plan_ns", labels, stats.plan_ns);
+  registry.Add("eval.index_ns", labels, stats.index_ns);
   registry.Add("eval.derive_ns", labels, stats.derive_ns);
   registry.Add("eval.insert_ns", labels, stats.insert_ns);
   if (stats.parallel_rounds != 0 || stats.parallel_tasks != 0) {

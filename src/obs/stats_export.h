@@ -19,6 +19,8 @@ struct CommitStats;  // incr/materialized_view.h
 ///   eval.substitutions{engine=E}      == stats.match.substitutions
 ///   eval.index_lookups{engine=E}      == stats.match.index_lookups
 ///   eval.tuples_scanned{engine=E}     == stats.match.tuples_scanned
+///   eval.plan_ns/index_ns/derive_ns/insert_ns{engine=E}  (wall-clock
+///                                     phase split, NOT deterministic)
 ///   eval.parallel_rounds/parallel_tasks{engine=E}   (parallel engines)
 ///   eval.index_build_ns/parallel_match_ns/merge_ns  (wall-clock, NOT
 ///                                                    deterministic)

@@ -2,7 +2,8 @@
 // shape against the left-deep executors: identical derived sets on every
 // cyclic workload shape, identical substitution counts wherever no
 // first-witness exit applies (and one witness per head row where it
-// does), the first-witness variable order, deterministic
+// does), the first-witness variable order, candidates read in place in
+// row order and materialized where they may repeat, deterministic
 // counters within a shape, drift-driven shape flips that never change
 // the fixpoint, and the knob interactions (multiway requires index
 // lookups; SetIndexLookups(false) must fall back to left-deep).
@@ -10,11 +11,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "eval/compiled_rule.h"
 #include "eval/hypergraph.h"
+#include "eval/naive.h"
 #include "eval/parallel.h"
 #include "eval/seminaive.h"
 #include "eval/stratified.h"
@@ -44,6 +49,51 @@ Database MakeCyclicDb(const std::shared_ptr<SymbolTable>& symbols,
     AddCyclicFacts(options, symbols->InternPredicate("e", 2).value(), &db);
   }
   return db;
+}
+
+enum class RowOrder { kDescending, kShuffled };
+
+/// A copy of `db`, whose only relation is `pred`, with the rows inserted
+/// in descending dictionary-id order or in a seeded shuffle: posting
+/// lists then run against id order, as the in-place candidates do.
+Database Reordered(const Database& db, PredicateId pred, RowOrder order,
+                   std::uint64_t seed) {
+  const Relation& rel = db.relation(pred);
+  std::vector<std::size_t> rows(rel.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  if (order == RowOrder::kDescending) {
+    std::sort(rows.begin(), rows.end(), [&](std::size_t a, std::size_t b) {
+      for (int c = 0; c < rel.arity(); ++c) {
+        if (rel.column(c)[a] != rel.column(c)[b]) {
+          return rel.column(c)[a] > rel.column(c)[b];
+        }
+      }
+      return false;
+    });
+  } else {
+    std::mt19937_64 rng(seed);
+    std::shuffle(rows.begin(), rows.end(), rng);
+  }
+  Database out(db.symbols());
+  for (std::size_t r : rows) out.AddFact(pred, Tuple(rel.row(r)));
+  return out;
+}
+
+/// Runs `program` over a copy of `edb` under one plan-shape setting.
+Database RunSemiNaive(const Program& program, const Database& edb,
+                      bool multiway, EvalStats* stats) {
+  SetMultiwayJoins(multiway);
+  Database d(edb.symbols());
+  d.UnionWith(edb);
+  *stats = EvaluateSemiNaive(program, &d).value();
+  return d;
+}
+
+Database RunNaive(const Program& program, const Database& edb) {
+  Database d(edb.symbols());
+  d.UnionWith(edb);
+  EvaluateNaive(program, &d).value();
+  return d;
 }
 
 TEST(MultiwayConformanceTest, MultiwayJoinsDefaultOn) {
@@ -213,6 +263,143 @@ TEST(MultiwayConformanceTest, FirstWitnessExitFindsOneWitnessPerHeadRow) {
   }
   // The graphs have heads with several witnesses, so the exit saved work.
   EXPECT_LT(multiway_substitutions, left_deep_substitutions);
+}
+
+/// A bound edge atom offers distinct candidates by construction, so the
+/// multiway step reads them in place, in the row order of its posting
+/// list. With the edges inserted in descending id order and shuffled,
+/// the triangle, 4-clique and 4-cycle rules derive the left-deep and
+/// naive fixpoints, and the first-witness exit still finds exactly one
+/// witness per head row.
+TEST(MultiwayConformanceTest, InPlaceCandidatesInRowOrderDeriveTheSameSets) {
+  KnobGuard guard;
+  for (const RowOrder row_order :
+       {RowOrder::kDescending, RowOrder::kShuffled}) {
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      const std::string where = "order " +
+                                std::to_string(static_cast<int>(row_order)) +
+                                ", seed " + std::to_string(seed);
+      CyclicOptions options;
+      options.shape = CyclicShape::kClique;
+      options.num_nodes = 20 + seed;
+      options.num_edges = 3 * options.num_nodes;
+      options.num_hubs = 1 + seed % 2;
+      options.seed = 31 + seed;
+      auto symbols = MakeSymbols();
+      const PredicateId e = symbols->InternPredicate("e", 2).value();
+      Database generated(symbols);
+      AddCyclicFacts(options, e, &generated);
+      const Database edb = Reordered(generated, e, row_order, seed);
+      const IdVector& sources = edb.relation(e).column(0);
+      ASSERT_FALSE(std::is_sorted(sources.begin(), sources.end())) << where;
+
+      CyclicOptions triangle = options;
+      triangle.shape = CyclicShape::kTriangle;
+      CyclicOptions cycle = options;
+      cycle.shape = CyclicShape::kKCycle;
+      cycle.cycle_length = 4;
+      const Program program = ParseProgramOrDie(
+          symbols, CyclicProgramText(triangle) + CyclicProgramText(options) +
+                       CyclicProgramText(cycle));
+
+      EvalStats left_deep;
+      const Database expected = RunSemiNaive(program, edb, false, &left_deep);
+      EvalStats stats;
+      EXPECT_EQ(RunSemiNaive(program, edb, true, &stats), expected) << where;
+      EXPECT_EQ(RunNaive(program, edb), expected) << where;
+      // tri keeps every variable and clq and cyc exit at their first
+      // witness: one substitution per head row either way.
+      EXPECT_EQ(stats.match.substitutions, stats.facts_derived) << where;
+      EXPECT_GT(stats.facts_derived, 0u) << where;
+    }
+  }
+}
+
+/// Winners whose candidates may repeat or fail a row-local check are
+/// still projected, sorted and deduplicated: g's posting list for a bound
+/// x repeats y across a column bound only later (w), and s's rows must
+/// agree in both y columns. Every variable is in the head, so a repeated
+/// candidate would show as extra substitutions, and an unchecked one as
+/// an extra head row.
+TEST(MultiwayConformanceTest, MaterializedWinnersKeepCandidatesDistinct) {
+  KnobGuard guard;
+  auto symbols = MakeSymbols();
+  std::string facts;
+  // A complete digraph on 1..6: out- and in-degree 5, so g's and s's
+  // posting lists of two or three rows win every election they enter.
+  for (int a = 1; a <= 6; ++a) {
+    for (int b = 1; b <= 6; ++b) {
+      if (a != b) {
+        facts += "e(" + std::to_string(a) + ", " + std::to_string(b) + ").\n";
+      }
+    }
+  }
+  facts +=
+      "g(1, 2, 10). g(1, 2, 11). g(1, 3, 10). g(2, 3, 12). g(2, 3, 13).\n"
+      "g(4, 5, 10). g(4, 5, 12).\n"
+      "s(1, 2, 2). s(1, 3, 4). s(2, 4, 4). s(2, 5, 6). s(3, 1, 2).\n";
+  const Database edb = ParseDatabaseOrDie(symbols, facts);
+  const char* const rules[] = {
+      "h(x, y, z, w) :- e(x, y), e(y, z), e(z, x), g(x, y, w).",
+      "r(x, y, z) :- e(x, y), e(y, z), e(z, x), s(x, y, y).",
+  };
+  for (const char* text : rules) {
+    SetMultiwayJoins(true);
+    const CompiledRule plan =
+        CompiledRule::Compile(ParseRuleOrDie(symbols, text), std::size_t(-1),
+                              /*use_old=*/false, edb, nullptr);
+    ASSERT_EQ(plan.shape(), PlanShape::kMultiway) << text;
+
+    const Program program = ParseProgramOrDie(symbols, text);
+    EvalStats left_deep;
+    const Database expected = RunSemiNaive(program, edb, false, &left_deep);
+    EvalStats stats;
+    EXPECT_EQ(RunSemiNaive(program, edb, true, &stats), expected) << text;
+    EXPECT_EQ(stats.match.substitutions, left_deep.match.substitutions)
+        << text;
+    EXPECT_EQ(stats.match.substitutions, stats.facts_derived) << text;
+    EXPECT_GT(stats.facts_derived, 0u) << text;
+  }
+}
+
+/// A recursive cyclic rule over several semi-naive rounds: its multiway
+/// passes elect delta-range and old-snapshot postings and read them in
+/// place, over edges inserted in shuffled order. The fixpoint equals the
+/// left-deep, naive and parallel ones.
+TEST(MultiwayConformanceTest, InPlaceCandidatesAcrossSemiNaiveRounds) {
+  KnobGuard guard;
+  auto symbols = MakeSymbols();
+  const PredicateId e = symbols->InternPredicate("e", 2).value();
+  const PredicateId f = symbols->InternPredicate("f", 2).value();
+  Database generated(symbols);
+  // A 16-node chain with chords; f(z, x) admits most backward pairs.
+  for (int i = 1; i < 16; ++i) {
+    generated.AddFact(e, {Value::Int(i), Value::Int(i + 1)});
+    if (i % 4 == 0) generated.AddFact(e, {Value::Int(i), Value::Int(i + 3)});
+  }
+  Database edb = Reordered(generated, e, RowOrder::kShuffled, 5);
+  for (int z = 1; z <= 19; ++z) {
+    for (int x = 1; x < z; ++x) {
+      if ((z - x) % 5 != 0) edb.AddFact(f, {Value::Int(z), Value::Int(x)});
+    }
+  }
+  const Program program = ParseProgramOrDie(
+      symbols,
+      "r(x, y) :- e(x, y).\n"
+      "r(x, z) :- r(x, y), r(y, z), f(z, x).\n");
+
+  EvalStats left_deep;
+  const Database expected = RunSemiNaive(program, edb, false, &left_deep);
+  EvalStats stats;
+  EXPECT_EQ(RunSemiNaive(program, edb, true, &stats), expected);
+  EXPECT_GE(stats.iterations, 3);
+  EXPECT_EQ(RunNaive(program, edb), expected);
+  Database par(symbols);
+  par.UnionWith(edb);
+  EvaluateSemiNaiveParallel(program, &par, /*num_threads=*/2).value();
+  EXPECT_EQ(par, expected);
+  const PredicateId r = symbols->LookupPredicate("r").value();
+  EXPECT_GT(expected.relation(r).size(), edb.relation(e).size());
 }
 
 /// The first-witness variable order: variables the head or a negated

@@ -612,6 +612,60 @@ TEST(RelationConformanceTest, SpanReadsAfterAppendsExtendTheIndexes) {
   }
 }
 
+TEST(RelationConformanceTest, WholeRelationSortedKeysAgreeWithOrWithoutIndex) {
+  // SortedKeys over the whole relation sorts the keys of a current
+  // single-column index, and collects from the rows otherwise. Three
+  // relations take the same rows: one indexes every column before each
+  // read, one was indexed once and then went stale, one never is.
+  for (int arity = 1; arity <= 3; ++arity) {
+    std::mt19937 rng(200 + static_cast<unsigned>(arity));
+    std::uniform_int_distribution<std::int64_t> value(0, 40);
+    Relation indexed(arity);
+    Relation stale(arity);
+    Relation plain(arity);
+    const std::vector<Relation*> rels = {&indexed, &stale, &plain};
+    auto insert = [&](std::size_t count) {
+      for (std::size_t i = 0; i < count; ++i) {
+        Tuple row;
+        for (int c = 0; c < arity; ++c) row.push_back(Value::Int(value(rng)));
+        for (Relation* rel : rels) rel->Insert(row);
+      }
+    };
+    auto erase_every_third = [&]() {
+      std::vector<Tuple> doomed;
+      for (std::size_t i = 0; i < indexed.size(); i += 3) {
+        doomed.emplace_back(indexed.row(i));
+      }
+      for (Relation* rel : rels) rel->EraseAll(doomed);
+    };
+    auto expect_agree = [&](const std::string& when) {
+      for (int c = 0; c < arity; ++c) {
+        indexed.PrepareSingleIndex(c);
+        for (std::size_t k = 0; k < rels.size(); ++k) {
+          std::vector<std::uint32_t> expected;
+          rels[k]->CollectSortedKeys({c}, rels[k]->AllRows(), &expected);
+          EXPECT_EQ(rels[k]->SortedKeys(c, rels[k]->AllRows()), expected)
+              << "arity " << arity << ", relation " << k << ", column " << c
+              << ", " << when;
+        }
+      }
+    };
+
+    insert(30);
+    for (int c = 0; c < arity; ++c) stale.PrepareSingleIndex(c);
+    expect_agree("first rows");
+    insert(25);
+    expect_agree("after appends");
+    const std::size_t full = indexed.size();
+    erase_every_third();
+    while (indexed.size() < full) insert(1);
+    ASSERT_EQ(indexed.size(), full);
+    expect_agree("after EraseAll and regrowth to the same size");
+    erase_every_third();
+    expect_agree("after EraseAll");
+  }
+}
+
 /// The dedup contract in reference form: the distinct rows in
 /// first-occurrence order, each mapped to its row id.
 struct ReferenceSet {

@@ -8,7 +8,8 @@
 //  3. The MetricsRegistry counters published by RecordEvalStats equal the
 //     EvalStats an engine returned, bit for bit -- including the parallel
 //     engine at 4 threads, the per-rule breakdown, and the per-rule-
-//     application phase timers (plan_ns, derive_ns, insert_ns) -- and its
+//     application phase timers (plan_ns, index_ns, derive_ns,
+//     insert_ns) -- and its
 //     storage.cache.* gauges equal the block cache's counts.
 
 #include <cstring>
@@ -206,6 +207,7 @@ TEST_F(TraceInvariantTest, DisabledTracerEmitsNothing) {
     ASSERT_TRUE(stats.ok()) << engine.name;
     // With metrics off the phase timers never read the clock.
     EXPECT_EQ(stats->plan_ns, 0u) << engine.name;
+    EXPECT_EQ(stats->index_ns, 0u) << engine.name;
     EXPECT_EQ(stats->derive_ns, 0u) << engine.name;
     EXPECT_EQ(stats->insert_ns, 0u) << engine.name;
   }
@@ -251,15 +253,18 @@ TEST_F(TraceInvariantTest, MetricsEqualEvalStatsBitForBit) {
     EXPECT_EQ(m.Value("eval.parallel_tasks", labels), stats->parallel_tasks)
         << engine.name;
     // The phase timers are wall clock, so only their export is exact;
-    // but with metrics on every engine fetches plans, derives and
-    // inserts derived heads.
+    // but with metrics on every engine fetches plans, prepares the VM's
+    // sources, derives and inserts derived heads.
     EXPECT_EQ(m.Value("eval.plan_ns", labels), stats->plan_ns)
+        << engine.name;
+    EXPECT_EQ(m.Value("eval.index_ns", labels), stats->index_ns)
         << engine.name;
     EXPECT_EQ(m.Value("eval.derive_ns", labels), stats->derive_ns)
         << engine.name;
     EXPECT_EQ(m.Value("eval.insert_ns", labels), stats->insert_ns)
         << engine.name;
     EXPECT_GT(stats->plan_ns, 0u) << engine.name;
+    EXPECT_GT(stats->index_ns, 0u) << engine.name;
     EXPECT_GT(stats->derive_ns, 0u) << engine.name;
     EXPECT_GT(stats->insert_ns, 0u) << engine.name;
     for (std::size_t i = 0; i < stats->per_rule.size(); ++i) {
