@@ -55,7 +55,6 @@
 #include "eval/seminaive.h"       // IWYU pragma: export
 #include "eval/stratified.h"      // IWYU pragma: export
 #include "eval/topdown.h"         // IWYU pragma: export
-#include "incr/delta_join.h"      // IWYU pragma: export
 #include "incr/materialized_view.h"  // IWYU pragma: export
 #include "incr/script.h"          // IWYU pragma: export
 #include "obs/metrics.h"          // IWYU pragma: export

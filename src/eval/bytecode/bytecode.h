@@ -109,10 +109,9 @@ struct Insn {
 /// arrays).
 inline constexpr std::uint32_t kPatched = 0xFFFFFFFFu;
 
-/// One body atom of the lowered plan: the serializable subset of
-/// CompiledAtomStep plus the resolved id arrays the VM reads. Constant
-/// key positions reference the program's constant pool so a decoded
-/// program re-interns them into the decoding process's dictionary.
+/// One body atom of the lowered plan: the subset of CompiledAtomStep the
+/// VM reads, with constant key positions as references into the
+/// program's constant pool, plus their resolved id arrays.
 struct StepDesc {
   std::uint32_t predicate = 0;
   std::uint32_t arity = 0;
@@ -124,7 +123,7 @@ struct StepDesc {
   // CompiledAtomStep::id_checks / writes.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> id_checks;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> writes;
-  // Resolved from key_template by ResolveConstants (not serialized).
+  // Resolved from key_template by ResolveConstants.
   std::vector<std::uint32_t> key_template_ids;
 };
 
@@ -132,7 +131,7 @@ struct StepDesc {
 struct TermDesc {
   bool is_constant = false;
   std::uint32_t index = 0;  // pool index (constant) or slot
-  std::uint32_t id = 0;     // resolved constant id (not serialized)
+  std::uint32_t id = 0;     // resolved constant id
 };
 
 struct NegDesc {
@@ -140,8 +139,8 @@ struct NegDesc {
   std::vector<TermDesc> terms;
 };
 
-/// Serializable mirror of MultiwayProbe (see eval/compiled_rule.h), with
-/// constants as pool references.
+/// Mirror of MultiwayProbe (see eval/compiled_rule.h), with constants as
+/// pool references.
 struct ProbeDesc {
   std::uint32_t atom = 0;  // index into Program::steps
   std::vector<int> var_cols;
@@ -153,7 +152,7 @@ struct ProbeDesc {
   std::vector<std::uint32_t> union_template;  // pool refs; kPatched holes
   std::vector<std::pair<std::uint32_t, std::uint32_t>> union_key_fill;
   std::vector<std::uint32_t> union_var_positions;
-  // Resolved by ResolveConstants (not serialized).
+  // Resolved by ResolveConstants.
   std::vector<std::uint32_t> key_template_ids;
   std::vector<std::uint32_t> union_template_ids;
 };
@@ -163,17 +162,10 @@ struct MwStepDesc {
   std::vector<ProbeDesc> probes;
 };
 
-inline constexpr std::uint32_t kBytecodeMagic = 0x43424c44u;  // "DLBC"
-inline constexpr std::uint32_t kBytecodeVersion = 1;
-
 /// A lowered join plan: self-contained (constant pool, step and probe
-/// descriptor tables, code) so it can be serialized, shipped, validated
-/// and executed without the CompiledRule it came from. Symbol-kind
-/// constants reference SymbolTable ids, so cross-process transport
-/// additionally requires the processes to share a symbol table (the
-/// server's workers do; see docs/bytecode_vm.md).
+/// descriptor tables, code) so it can be validated and executed without
+/// the CompiledRule it came from.
 struct Program {
-  std::uint32_t version = kBytecodeVersion;
   std::uint8_t shape = 0;  // 0 = left-deep, 1 = multiway
   bool use_index = true;   // knob snapshot at lowering time
   std::uint32_t num_slots = 0;
@@ -184,15 +176,15 @@ struct Program {
   std::vector<NegDesc> negated;
   std::vector<MwStepDesc> mw_steps;
   std::vector<Insn> code;
-  // Pool constants interned into this process's dictionary; parallel to
-  // const_pool. Rebuilt by ResolveConstants, never serialized.
+  // Pool constants interned into the global dictionary; parallel to
+  // const_pool. Rebuilt by ResolveConstants.
   std::vector<std::uint32_t> const_ids;
 
   bool empty() const { return code.empty(); }
 
   /// Interns the constant pool into the global ValueDictionary and
   /// fills every resolved id array (const_ids, key_template_ids, term
-  /// ids). Must run after construction or Decode, before Run.
+  /// ids). Must run after construction, before Run.
   void ResolveConstants();
 };
 
@@ -206,16 +198,9 @@ Program Lower(const CompiledRule& plan);
 /// key columns, probe shapes), loop nesting via a row-validity dataflow
 /// over the control-flow graph. A program that validates executes
 /// without undefined behavior on any database; lowered programs always
-/// validate. Returns false and fills `error` (if non-null) on rejection.
+/// validate, which the tests assert on every program they run. Returns
+/// false and fills `error` (if non-null) on rejection.
 bool Validate(const Program& program, std::string* error = nullptr);
-
-/// Versioned binary serialization (format v1, little-endian; see
-/// docs/bytecode_vm.md). Decode checks structural well-formedness and
-/// re-interns the constant pool, but run Validate before executing a
-/// program from an untrusted source.
-std::vector<std::uint8_t> Encode(const Program& program);
-bool Decode(const std::uint8_t* data, std::size_t size, Program* out,
-            std::string* error = nullptr);
 
 /// Per-opcode dispatch tallies for the obs layer (bytecode.dispatch).
 using DispatchCounts = std::array<std::uint64_t, kNumOps>;

@@ -18,7 +18,7 @@ constexpr std::uint32_t kHaltSentinel = 0xFFFFFFFFu;
 
 // Interns plan constants into the program's pool, deduplicating by
 // (kind, payload) so a constant reused across steps, head, and negation
-// serializes once.
+// takes one pool entry.
 class PoolBuilder {
  public:
   explicit PoolBuilder(Program* program) : program_(program) {}

@@ -79,7 +79,6 @@ bool UsesTarget(Op op) {
 }  // namespace
 
 bool Validate(const Program& p, std::string* error) {
-  if (p.version != kBytecodeVersion) return Fail(error, "unknown version");
   if (p.shape > 1) return Fail(error, "unknown plan shape");
   if (p.num_slots > kMaxSlots) return Fail(error, "too many slots");
   if (p.const_pool.size() > kMaxPool) return Fail(error, "pool too large");

@@ -41,9 +41,11 @@ CompiledRule CompiledRule::Compile(const Rule& rule, std::size_t delta_pos,
 
 CompiledRule CompiledRule::CompileAtoms(std::vector<PlannedAtom> atoms,
                                         const Database& full,
-                                        const DeltaRanges* ranges) {
+                                        const DeltaRanges* ranges,
+                                        std::vector<VariableId> bound) {
   CompiledRule plan;
   plan.atoms_ = std::move(atoms);
+  plan.bound_vars_ = std::move(bound);
   plan.BuildSchedules(full, ranges);
   return plan;
 }
@@ -62,7 +64,8 @@ void CompiledRule::BuildSchedules(const Database& full,
   mw_steps_.clear();
   mw_exit_depth_ = 0;
 
-  const std::vector<PlannedAtom> order = PlanJoinOrder(full, ranges, atoms_);
+  const std::vector<PlannedAtom> order =
+      PlanJoinOrder(full, ranges, atoms_, bound_vars_);
 
   std::unordered_map<VariableId, int> slot_of;
   auto slot_for = [&](VariableId v) {
@@ -75,6 +78,10 @@ void CompiledRule::BuildSchedules(const Database& full,
   };
 
   std::unordered_set<VariableId> bound_before;  // by atoms 0..d-1
+  for (VariableId v : bound_vars_) {
+    slot_for(v);
+    bound_before.insert(v);
+  }
   steps_.reserve(order.size());
   for (const PlannedAtom& planned : order) {
     const Atom& atom = planned.atom;
@@ -82,6 +89,8 @@ void CompiledRule::BuildSchedules(const Database& full,
     step.predicate = atom.predicate();
     step.arity = atom.arity();
     step.source = planned.source;
+    step.minus = planned.minus;
+    step.plus = planned.plus;
     step.planned_size =
         PlanningSize(full, ranges, planned.source, atom.predicate());
 
@@ -354,17 +363,24 @@ void CompiledRule::EnsureIndexes(const Database& full,
                                  const DeltaRanges* ranges) const {
   if (!use_index_) return;  // knob off: Execute only scans
   for (const CompiledAtomStep& step : steps_) {
-    const AtomRows src =
-        ResolveAtomRows(full, ranges, step.source, step.predicate);
-    const Relation& rel = *src.rel;
-    if (src.rows.empty() || rel.arity() != step.arity) continue;
     // Only partially bound probes use an index. Fully bound ones --
     // zero-arity atoms and old snapshots included -- look up the unique
     // matching row in the relation's dedup table, and unbound atoms are
     // full scans.
-    if (!step.key_cols.empty() &&
-        static_cast<int>(step.key_cols.size()) != step.arity) {
-      rel.EnsureIndex(step.key_cols);
+    if (step.key_cols.empty() ||
+        static_cast<int>(step.key_cols.size()) == step.arity) {
+      continue;
+    }
+    const AtomRows src =
+        ResolveAtomRows(full, ranges, step.source, step.predicate);
+    if (!src.rows.empty() && src.rel->arity() == step.arity) {
+      src.rel->EnsureIndex(step.key_cols);
+    }
+    if (step.plus != nullptr) {
+      const Relation& plus = step.plus->relation(step.predicate);
+      if (!plus.empty() && plus.arity() == step.arity) {
+        plus.EnsureIndex(step.key_cols);
+      }
     }
   }
   // Multiway probes and root candidate lists (empty unless the plan

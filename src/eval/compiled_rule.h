@@ -43,6 +43,8 @@ struct CompiledAtomStep {
   PredicateId predicate = 0;
   int arity = 0;
   AtomSource source = AtomSource::kFull;
+  const Database* minus = nullptr;  // PlannedAtom's parts; null when none
+  const Database* plus = nullptr;
   std::vector<int> key_cols;  // strictly increasing bound columns
   Tuple key_template;         // constants filled, bound positions patched
   std::vector<KeyFill> key_fill;
@@ -118,16 +120,22 @@ struct MatchFrame {
   void Reset(const CompiledRule& plan);
 
   /// Loop-invariant per-depth source state, resolved once per Execute
-  /// instead of once per visit: the relation pointer (a hash lookup in
-  /// Database), the rows the atom reads, whether the depth can match at
-  /// all, and -- for indexed probes -- a direct view of the index,
-  /// skipping the per-probe index-map find inside Relation::Lookup.
-  struct DepthSource {
+  /// instead of once per visit: for the rows the atom's source gives and
+  /// for its plus part, the relation pointer (a hash lookup in Database),
+  /// the rows read -- empty when the part cannot match at all -- and, for
+  /// indexed probes, a direct view of the index, skipping the per-probe
+  /// index-map find inside Relation::Lookup; and the minus part's
+  /// relation, null when it has no rows.
+  struct DepthPart {
     const Relation* rel = nullptr;
     RowSpan rows;
-    bool dead = false;
     Relation::SingleIndexView single_index;
     Relation::MultiIndexView multi_index;
+  };
+  struct DepthSource {
+    DepthPart main;
+    DepthPart plus;
+    const Relation* minus = nullptr;
   };
 
   std::vector<Value> slots;
@@ -158,10 +166,14 @@ class CompiledRule {
                               const DeltaRanges* ranges);
 
   /// Compiles a bare atom list (the MatchAtoms adapter): no head, no
-  /// negated literals.
+  /// negated literals, never lowered, always left-deep. The variables of
+  /// `bound` are bound before the first atom; they take the frame's first
+  /// slots in the order given, so a caller writes the i-th one's value
+  /// into MatchFrame::slots[i] before each Execute.
   static CompiledRule CompileAtoms(std::vector<PlannedAtom> atoms,
                                    const Database& full,
-                                   const DeltaRanges* ranges);
+                                   const DeltaRanges* ranges,
+                                   std::vector<VariableId> bound = {});
 
   bool compiled() const { return compiled_; }
 
@@ -177,9 +189,9 @@ class CompiledRule {
 
   /// Pre-builds every index and sorted-key list Apply and Execute can
   /// probe -- for delta steps, those of the relation the delta range
-  /// reads (the full one, normally) -- making a subsequent Execute/Apply
-  /// over the same ranges read-only on the relations (frozen-snapshot
-  /// contract).
+  /// reads (the full one, normally), and those of each plus part --
+  /// making a subsequent Execute/Apply over the same ranges read-only on
+  /// the relations (frozen-snapshot contract).
   void EnsureIndexes(const Database& full, const DeltaRanges* ranges) const;
 
   /// Enumerates body matches -- every atom reading its rows as
@@ -210,8 +222,10 @@ class CompiledRule {
 
   /// Enumerates every complete match into `sink` (called with the frame;
   /// return false to stop early), depth first over the left-deep
-  /// schedule in value space. The reference for the VM's counters on
-  /// left-deep plans, row for row.
+  /// schedule in value space. At each depth the atom reads its source's
+  /// rows, skipping those in its minus part, then its plus part's rows;
+  /// each part that has rows costs one index lookup. The reference for
+  /// the VM's counters on left-deep plans, row for row.
   template <typename Sink>
   void Execute(const Database& full, const DeltaRanges* ranges,
                MatchFrame* frame, MatchStats* stats, Sink&& sink) const {
@@ -220,33 +234,26 @@ class CompiledRule {
       sink(*frame);
       return;
     }
-    // Resolve each depth's relation, rows, and viability once: all three
-    // are invariant for the whole enumeration (no insert happens while
+    // Resolve each depth's relations, rows, and viability once: they are
+    // invariant for the whole enumeration (no insert happens while
     // matching), and resolving them per visit would cost a hash lookup
     // per parent row per depth. A dead depth still lets shallower depths
     // run -- and count.
     for (std::size_t d = 0; d < steps_.size(); ++d) {
       const CompiledAtomStep& step = steps_[d];
+      MatchFrame::DepthSource& ds = frame->sources[d];
       const AtomRows src =
           ResolveAtomRows(full, ranges, step.source, step.predicate);
-      const Relation& rel = *src.rel;
-      MatchFrame::DepthSource& ds = frame->sources[d];
-      ds.rel = &rel;
-      ds.rows = src.rows;
-      ds.dead = ds.rows.empty() || rel.arity() != step.arity;
-      // Prepare index views for exactly the probes Step will issue (the
-      // same condition EnsureIndexes pre-builds for): partially bound
-      // indexed probes. Fully bound atoms -- zero-arity ones included --
-      // are one dedup-table lookup (Relation::FindRow) and need no view.
-      const bool probes_index = use_index_ && !step.key_cols.empty() &&
-                                static_cast<int>(step.key_cols.size()) !=
-                                    step.arity;
-      if (!ds.dead && probes_index) {
-        if (step.key_cols.size() == 1) {
-          ds.single_index = rel.PrepareSingleIndex(step.key_cols[0]);
-        } else {
-          ds.multi_index = rel.PrepareIndex(step.key_cols);
-        }
+      PreparePart(step, *src.rel, src.rows, &ds.main);
+      ds.plus = MatchFrame::DepthPart();
+      if (step.plus != nullptr) {
+        const Relation& plus = step.plus->relation(step.predicate);
+        PreparePart(step, plus, plus.AllRows(), &ds.plus);
+      }
+      ds.minus = nullptr;
+      if (step.minus != nullptr) {
+        const Relation& minus = step.minus->relation(step.predicate);
+        if (!minus.empty()) ds.minus = &minus;
       }
     }
     Step(0, *frame, stats, sink);
@@ -334,6 +341,29 @@ class CompiledRule {
     }
   }
 
+  /// Points `part` at `rows` of `rel` -- none when the relation's arity
+  /// is not the atom's -- and prepares index views for exactly the
+  /// probes ReadPart will issue (the same condition EnsureIndexes
+  /// pre-builds for): partially bound indexed probes. Fully bound atoms
+  /// -- zero-arity ones included -- are one dedup-table lookup
+  /// (Relation::FindRow) and need no view. A part without rows gets no
+  /// view either, so the shared empty relation a database hands out for
+  /// an absent predicate is never indexed.
+  void PreparePart(const CompiledAtomStep& step, const Relation& rel,
+                   RowSpan rows, MatchFrame::DepthPart* part) const {
+    part->rel = &rel;
+    part->rows = rel.arity() == step.arity ? rows : RowSpan{};
+    if (part->rows.empty() || !use_index_ || step.key_cols.empty() ||
+        static_cast<int>(step.key_cols.size()) == step.arity) {
+      return;
+    }
+    if (step.key_cols.size() == 1) {
+      part->single_index = rel.PrepareSingleIndex(step.key_cols[0]);
+    } else {
+      part->multi_index = rel.PrepareIndex(step.key_cols);
+    }
+  }
+
   template <typename Sink>
   bool Step(std::size_t depth, MatchFrame& frame, MatchStats* stats,
             Sink& sink) const {
@@ -342,33 +372,46 @@ class CompiledRule {
       return sink(frame);
     }
     const MatchFrame::DepthSource& ds = frame.sources[depth];
-    if (ds.dead) {
-      // Empty relation, arity mismatch, or an exhausted old snapshot: no
-      // matches, and no counter bump.
-      return true;
-    }
     const CompiledAtomStep& step = steps_[depth];
-    const Relation& rel = *ds.rel;
-    if (stats != nullptr) ++stats->index_lookups;
-
     Tuple& key = frame.keys[depth];
     for (const CompiledAtomStep::KeyFill& kf : step.key_fill) {
       key[static_cast<std::size_t>(kf.key_index)] =
           frame.slots[static_cast<std::size_t>(kf.slot)];
     }
+    return ReadPart(depth, ds.main, ds.minus, frame, stats, sink) &&
+           ReadPart(depth, ds.plus, nullptr, frame, stats, sink);
+  }
+
+  /// Matches depth `depth`'s atom against one part's rows, skipping rows
+  /// of `minus` (null: none), and recurses on each match.
+  template <typename Sink>
+  bool ReadPart(std::size_t depth, const MatchFrame::DepthPart& part,
+                const Relation* minus, MatchFrame& frame, MatchStats* stats,
+                Sink& sink) const {
+    if (part.rows.empty()) {
+      // Empty relation, arity mismatch, an exhausted old snapshot, or no
+      // such part: no matches, and no counter bump.
+      return true;
+    }
+    const CompiledAtomStep& step = steps_[depth];
+    const Relation& rel = *part.rel;
+    const Tuple& key = frame.keys[depth];
+    if (stats != nullptr) ++stats->index_lookups;
 
     if (use_index_ &&
         static_cast<int>(step.key_cols.size()) == step.arity) {
       // Fully bound: membership test, one dedup-table lookup of the
-      // unique matching row, which must lie in the atom's rows.
+      // unique matching row, which must lie in the part's rows.
       if (stats != nullptr) ++stats->tuples_scanned;
-      if (rel.FindRowIn(key, ds.rows) != Relation::kNoRow) {
+      if (rel.FindRowIn(key, part.rows) != Relation::kNoRow &&
+          (minus == nullptr || !minus->Contains(key))) {
         return Step(depth + 1, frame, stats, sink);
       }
       return true;
     }
 
     auto try_row = [&](RowRef row) -> bool {
+      if (minus != nullptr && minus->Contains(row)) return true;
       for (const CompiledAtomStep::SlotRef& w : step.writes) {
         frame.slots[static_cast<std::size_t>(w.slot)] =
             row[static_cast<std::size_t>(w.col)];
@@ -383,7 +426,7 @@ class CompiledRule {
     };
 
     if (step.key_cols.empty()) {
-      for (std::size_t i = ds.rows.begin; i < ds.rows.end; ++i) {
+      for (std::size_t i = part.rows.begin; i < part.rows.end; ++i) {
         if (stats != nullptr) ++stats->tuples_scanned;
         if (!try_row(rel.row(i))) return false;
       }
@@ -391,7 +434,7 @@ class CompiledRule {
     }
 
     if (!use_index_) {
-      for (std::size_t i = ds.rows.begin; i < ds.rows.end; ++i) {
+      for (std::size_t i = part.rows.begin; i < part.rows.end; ++i) {
         const RowRef row = rel.row(i);
         if (stats != nullptr) ++stats->tuples_scanned;
         bool matches = true;
@@ -407,9 +450,9 @@ class CompiledRule {
     }
 
     const std::vector<std::uint32_t>& row_ids =
-        step.key_cols.size() == 1 ? ds.single_index.Find(key[0])
-                                  : ds.multi_index.Find(key);
-    for (std::uint32_t row_id : rel.PostingsIn(row_ids, ds.rows)) {
+        step.key_cols.size() == 1 ? part.single_index.Find(key[0])
+                                  : part.multi_index.Find(key);
+    for (std::uint32_t row_id : rel.PostingsIn(row_ids, part.rows)) {
       if (stats != nullptr) ++stats->tuples_scanned;
       if (!try_row(rel.row(row_id))) return false;
     }
@@ -434,6 +477,7 @@ class CompiledRule {
   bool lowerable_ = false;
   bytecode::Program bc_;  // rebuilt by BuildSchedules; empty if unlowered
   std::vector<PlannedAtom> atoms_;  // original order; Replan re-sorts
+  std::vector<VariableId> bound_vars_;  // bound before the first atom
   std::vector<CompiledAtomStep> steps_;
   int num_slots_ = 0;
   std::vector<std::pair<VariableId, int>> var_slots_;

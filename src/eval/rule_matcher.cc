@@ -165,7 +165,8 @@ bool DeltaPassReadsRows(const Rule& rule, const Database& full,
 /// and smaller relations first).
 std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
                                        const DeltaRanges* ranges,
-                                       const std::vector<PlannedAtom>& atoms) {
+                                       const std::vector<PlannedAtom>& atoms,
+                                       const std::vector<VariableId>& bound) {
   // An installed hint overrides the greedy planner when it is a valid
   // permutation of the body; anything malformed falls through, so hints
   // affect join order only, never results.
@@ -204,6 +205,7 @@ std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
     }
     bound_vars[static_cast<std::size_t>(v)] = true;
   };
+  for (VariableId v : bound) mark_bound(v);
 
   for (std::size_t step = 0; step < atoms.size(); ++step) {
     double best_cost = std::numeric_limits<double>::infinity();

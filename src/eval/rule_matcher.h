@@ -39,9 +39,9 @@ enum class AtomSource { kFull, kDelta, kOld };
 /// reads rows [begin, end) of the delta relation -- the full relation
 /// itself, so a round reads the facts it found last round in place,
 /// unless the ranges were made by Whole over a separate delta database
-/// (the incremental view's first insertion round, whose Δ⁺ need not be
-/// a row suffix of the view). Predicates never set have no old and no
-/// delta rows. Cheap to copy: the parallel engine hands each shard of a
+/// (the incremental view's passes, whose deltas need not be row
+/// suffixes of the view). Predicates never set have no old and no delta
+/// rows. Cheap to copy: the parallel engine hands each shard of a
 /// delta range its own copy.
 class DeltaRanges {
  public:
@@ -118,10 +118,20 @@ struct PhaseSinks {
   std::uint64_t* insert_ns = nullptr;
 };
 
-/// A body atom together with its source.
+/// A body atom together with its source. An atom may also carry a
+/// `minus` and a `plus` database: it then reads its source's rows that
+/// are not in minus, then every row plus holds for its predicate.
+/// The incremental view reads a predicate's state before or after a
+/// commit this way without copying relations (docs/incremental_eval.md);
+/// two atoms of one predicate may carry different parts. `plus` must be
+/// disjoint from the rest, so that each tuple is read once. Only
+/// CompiledRule::CompileAtoms plans carry parts, and those are never
+/// lowered to bytecode.
 struct PlannedAtom {
   Atom atom;
   AtomSource source = AtomSource::kFull;
+  const Database* minus = nullptr;  // may be null
+  const Database* plus = nullptr;   // may be null
 };
 
 /// A substitution from variables to constants, built up during matching
@@ -186,12 +196,12 @@ std::uint64_t JoinOrderHintsVersion();
 class CompiledRuleCache;  // eval/compiled_rule.h
 
 /// Enumerates every binding that instantiates all `atoms` to facts of the
-/// indicated sources. Atoms are matched in a greedily chosen order
-/// (most-bound / smallest-relation first) by CompiledRule::Execute, and a
-/// Binding is materialized per complete match. The callback returns
-/// false to stop the enumeration early.
+/// indicated sources (minus and plus parts included). Atoms are matched
+/// in a greedily chosen order (most-bound / smallest-relation first) by
+/// CompiledRule::Execute, and a Binding is materialized per complete
+/// match. The callback returns false to stop the enumeration early.
 ///
-/// `ranges` may be null when every atom uses AtomSource::kFull.
+/// `ranges` may be null when no atom uses AtomSource::kDelta or kOld.
 void MatchAtoms(const Database& full, const DeltaRanges* ranges,
                 const std::vector<PlannedAtom>& atoms,
                 const std::function<bool(const Binding&)>& callback,
@@ -216,15 +226,17 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
 bool DeltaPassReadsRows(const Rule& rule, const Database& full,
                         const DeltaRanges& ranges, std::size_t delta_pos);
 
-/// The join order the matcher will use for `atoms`: greedy most-bound /
-/// smallest-relation first (sized by PlanningSize), or the given order
-/// when greedy planning is disabled. Deterministic given the relation
-/// sizes, which is what lets the parallel evaluator pre-build exactly the
-/// indexes a pass will probe before fanning out (see
+/// The join order the matcher will use for `atoms`, given that the
+/// variables of `bound` are bound before the first atom: greedy
+/// most-bound / smallest-relation first (sized by PlanningSize), or the
+/// given order when greedy planning is disabled. Deterministic given the
+/// relation sizes, which is what lets the parallel evaluator pre-build
+/// exactly the indexes a pass will probe before fanning out (see
 /// docs/parallel_eval.md).
-std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
-                                       const DeltaRanges* ranges,
-                                       const std::vector<PlannedAtom>& atoms);
+std::vector<PlannedAtom> PlanJoinOrder(
+    const Database& full, const DeltaRanges* ranges,
+    const std::vector<PlannedAtom>& atoms,
+    const std::vector<VariableId>& bound = {});
 
 /// Instantiates `atom` under `binding`; every variable must be bound.
 Tuple InstantiateHead(const Atom& atom, const Binding& binding);

@@ -14,7 +14,6 @@
 #include "eval/parallel.h"
 #include "eval/rule_matcher.h"
 #include "eval/seminaive.h"
-#include "incr/delta_join.h"
 #include "obs/stats_export.h"
 #include "obs/trace.h"
 
@@ -30,19 +29,97 @@ std::vector<Tuple> TuplesOf(const Relation& rel) {
   return tuples;
 }
 
-/// Unifies a ground tuple with a rule head, extending `binding`. Fails on
-/// a constant mismatch or an inconsistent repeated variable.
-bool BindHead(const Atom& head, const Tuple& fact, Binding* binding) {
+/// The distinct variables of `head`, in order of first occurrence.
+std::vector<VariableId> HeadVariables(const Atom& head) {
+  std::vector<VariableId> vars;
+  for (const Term& t : head.args()) {
+    if (t.is_variable() &&
+        std::find(vars.begin(), vars.end(), t.var()) == vars.end()) {
+      vars.push_back(t.var());
+    }
+  }
+  return vars;
+}
+
+/// Unifies a ground tuple with a rule head, writing the value of
+/// `head_vars[i]` into frame slot i (where CompileAtoms put the variables
+/// bound before the first atom). Fails on a constant mismatch or an
+/// inconsistent repeated variable.
+bool BindHead(const Atom& head, const std::vector<VariableId>& head_vars,
+              const Tuple& fact, MatchFrame* frame) {
+  std::size_t written = 0;  // slots [0, written) hold their variables
   for (std::size_t i = 0; i < fact.size(); ++i) {
     const Term& t = head.args()[i];
     if (t.is_constant()) {
       if (t.value() != fact[i]) return false;
-    } else {
-      auto [it, inserted] = binding->emplace(t.var(), fact[i]);
-      if (!inserted && it->second != fact[i]) return false;
+      continue;
+    }
+    const auto slot = static_cast<std::size_t>(
+        std::find(head_vars.begin(), head_vars.end(), t.var()) -
+        head_vars.begin());
+    if (slot == written) {
+      frame->slots[slot] = fact[i];
+      ++written;
+    } else if (frame->slots[slot] != fact[i]) {
+      return false;
     }
   }
   return true;
+}
+
+/// One rule's DRed rederivation check for a sweep: its positive body
+/// compiled with the head's variables (in first-occurrence order) bound
+/// before the first atom.
+struct RederivePlan {
+  const Rule* rule;
+  std::vector<VariableId> head_vars;
+  CompiledRule plan;
+};
+
+/// The rederivation plans of `rules`, whose atoms over an SCC predicate
+/// (`scc_preds`) read the survivors: `view` minus `over` plus
+/// `rederived`. Lower predicates are final already and read `view`.
+std::vector<RederivePlan> PlanRederive(
+    const std::vector<Rule>& rules, const std::vector<PredicateId>& scc_preds,
+    const Database& view, const Database& over, const Database& rederived) {
+  std::vector<RederivePlan> plans;
+  for (const Rule& rule : rules) {
+    if (rule.IsFact()) continue;
+    std::vector<PlannedAtom> atoms =
+        BuildDeltaPassAtoms(rule, rule.body().size(), /*use_old=*/false);
+    for (PlannedAtom& atom : atoms) {
+      if (std::find(scc_preds.begin(), scc_preds.end(),
+                    atom.atom.predicate()) != scc_preds.end()) {
+        atom.minus = &over;
+        atom.plus = &rederived;
+      }
+    }
+    RederivePlan rp{&rule, HeadVariables(rule.head()), CompiledRule()};
+    rp.plan = CompiledRule::CompileAtoms(std::move(atoms), view,
+                                         /*ranges=*/nullptr, rp.head_vars);
+    plans.push_back(std::move(rp));
+  }
+  return plans;
+}
+
+/// DRed rederivation: true if `fact` has a derivation over `view` via
+/// one of `plans`. Read-only on the databases once the plans'
+/// EnsureIndexes ran, so a sweep's checks can run concurrently.
+bool CanRederive(const std::vector<RederivePlan>& plans, const Database& view,
+                 PredicateId pred, const Tuple& fact, MatchStats* stats) {
+  for (const RederivePlan& rp : plans) {
+    if (rp.rule->head().predicate() != pred) continue;
+    MatchFrame frame(rp.plan);
+    if (!BindHead(rp.rule->head(), rp.head_vars, fact, &frame)) continue;
+    bool found = false;
+    rp.plan.Execute(view, /*ranges=*/nullptr, &frame, stats,
+                    [&found](const MatchFrame&) {
+                      found = true;
+                      return false;  // one derivation suffices
+                    });
+    if (found) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -162,11 +239,10 @@ void MaterializedView::InitializeCounts(const SccPlan& plan) {
   for (RowRef t : program_facts_.relation(p).rows()) ++counts[Tuple(t)];
   for (const Rule& rule : plan.rules) {
     if (rule.IsFact()) continue;
-    std::vector<Atom> atoms = rule.PositiveBodyAtoms();
-    std::vector<AtomSourceSpec> specs(atoms.size(),
-                                      AtomSourceSpec{&db_, nullptr, nullptr});
-    EnumerateDeltaJoin(
-        atoms, specs, {},
+    MatchAtoms(
+        db_, /*ranges=*/nullptr,
+        BuildDeltaPassAtoms(rule, /*delta_pos=*/rule.body().size(),
+                            /*use_old=*/false),
         [&](const Binding& b) {
           ++counts[InstantiateHead(rule.head(), b)];
           return true;
@@ -257,27 +333,26 @@ void MaterializedView::UpdateCounting(const SccPlan& plan,
   // derivations gained, enumerated in the new state. Each changed
   // derivation is counted exactly once, at its first delta position.
   auto run_passes = [&](const Database& delta, bool deletion) {
+    const DeltaRanges ranges = DeltaRanges::Whole(delta, /*use_old=*/false);
     for (const Rule& rule : plan.rules) {
       if (rule.IsFact()) continue;
-      std::vector<Atom> atoms = rule.PositiveBodyAtoms();
+      const std::vector<Atom> atoms = rule.PositiveBodyAtoms();
       for (std::size_t q = 0; q < atoms.size(); ++q) {
         if (delta.relation(atoms[q].predicate()).empty()) continue;
         ++stats->rule_applications;
-        std::vector<AtomSourceSpec> specs(atoms.size());
+        std::vector<PlannedAtom> planned(atoms.size());
         for (std::size_t j = 0; j < atoms.size(); ++j) {
+          planned[j].atom = atoms[j];
           if (j == q) {
-            specs[j] = {&delta, nullptr, nullptr};
-          } else if (j < q) {
-            specs[j] = {&db_, &delta_plus_, nullptr};
-          } else if (deletion) {
-            specs[j] = {&db_, &delta_plus_, &delta_minus_};
+            planned[j].source = AtomSource::kDelta;
           } else {
-            specs[j] = {&db_, nullptr, nullptr};
+            if (j < q || deletion) planned[j].minus = &delta_plus_;
+            if (j > q && deletion) planned[j].plus = &delta_minus_;
           }
         }
         const std::int64_t sign = deletion ? -1 : +1;
-        EnumerateDeltaJoin(
-            atoms, specs, {},
+        MatchAtoms(
+            db_, &ranges, planned,
             [&](const Binding& b) {
               delta_counts[InstantiateHead(rule.head(), b)] += sign;
               return true;
@@ -319,37 +394,6 @@ void MaterializedView::UpdateCounting(const SccPlan& plan,
   db_.EraseFacts(p, removed);
 }
 
-bool MaterializedView::CanRederive(const SccPlan& plan, PredicateId pred,
-                                   const Tuple& fact, const Database& over,
-                                   const Database& rederived,
-                                   MatchStats* stats,
-                                   bool fixed_order) const {
-  for (const Rule& rule : plan.rules) {
-    if (rule.IsFact() || rule.head().predicate() != pred) continue;
-    Binding binding;
-    if (!BindHead(rule.head(), fact, &binding)) continue;
-    std::vector<Atom> atoms = rule.PositiveBodyAtoms();
-    std::vector<AtomSourceSpec> specs(atoms.size());
-    for (std::size_t j = 0; j < atoms.size(); ++j) {
-      // Same-SCC positions see the survivors (view minus overdeleted
-      // plus already-rederived); lower positions are final already.
-      specs[j] = InScc(plan, atoms[j].predicate())
-                     ? AtomSourceSpec{&db_, &over, &rederived}
-                     : AtomSourceSpec{&db_, nullptr, nullptr};
-    }
-    bool found = false;
-    EnumerateDeltaJoin(
-        atoms, specs, binding,
-        [&found](const Binding&) {
-          found = true;
-          return false;  // one derivation suffices
-        },
-        stats, fixed_order);
-    if (found) return true;
-  }
-  return false;
-}
-
 void MaterializedView::UpdateDRed(const SccPlan& plan,
                                   const Database& base_plus,
                                   const Database& base_minus,
@@ -372,25 +416,26 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
   }
   while (!round.empty()) {
     Database next(symbols_);
+    const DeltaRanges ranges = DeltaRanges::Whole(round, /*use_old=*/false);
     for (const Rule& rule : plan.rules) {
       if (rule.IsFact()) continue;
-      std::vector<Atom> atoms = rule.PositiveBodyAtoms();
+      const std::vector<Atom> atoms = rule.PositiveBodyAtoms();
       PredicateId head_pred = rule.head().predicate();
       for (std::size_t q = 0; q < atoms.size(); ++q) {
         if (round.relation(atoms[q].predicate()).empty()) continue;
         ++stats->rule_applications;
-        std::vector<AtomSourceSpec> specs(atoms.size());
+        std::vector<PlannedAtom> planned(atoms.size());
         for (std::size_t j = 0; j < atoms.size(); ++j) {
+          planned[j].atom = atoms[j];
           if (j == q) {
-            specs[j] = {&round, nullptr, nullptr};
-          } else if (InScc(plan, atoms[j].predicate())) {
-            specs[j] = {&db_, nullptr, nullptr};
-          } else {
-            specs[j] = {&db_, &delta_plus_, &delta_minus_};
+            planned[j].source = AtomSource::kDelta;
+          } else if (!InScc(plan, atoms[j].predicate())) {
+            planned[j].minus = &delta_plus_;
+            planned[j].plus = &delta_minus_;
           }
         }
-        EnumerateDeltaJoin(
-            atoms, specs, {},
+        MatchAtoms(
+            db_, &ranges, planned,
             [&](const Binding& b) {
               Tuple t = InstantiateHead(rule.head(), b);
               if (db_.Contains(head_pred, t) &&
@@ -408,10 +453,11 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
   stats->overdeleted += over.NumFacts();
 
   // --- Rederivation: an overdeleted fact survives if some rule still
-  // derives it from surviving facts. Sweeps run until a fixpoint; with a
-  // worker pool each sweep checks its candidates concurrently against a
-  // frozen snapshot (indexes pre-built, rederived set copied), mirroring
-  // the parallel evaluator's round structure.
+  // derives it from surviving facts. Sweeps run until a fixpoint, each
+  // with one plan per rule, compiled with the head's variables bound;
+  // with a worker pool each sweep checks its candidates concurrently
+  // against a frozen snapshot (the plans' indexes pre-built, rederived
+  // set copied), mirroring the parallel evaluator's round structure.
   Database rederived(symbols_);
   bool progress = true;
   while (progress && rederived.NumFacts() < over.NumFacts()) {
@@ -428,32 +474,19 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
     if (pool_ != nullptr && candidates.size() > 1) {
       Database frozen(symbols_);
       frozen.UnionWith(rederived);
-      // Pre-build every index a fixed-order enumeration can probe so the
-      // concurrent checks are pure reads on the shared relations.
-      for (const Rule& rule : plan.rules) {
-        if (rule.IsFact()) continue;
-        std::vector<Atom> atoms = rule.PositiveBodyAtoms();
-        std::vector<VariableId> head_vars;
-        rule.head().AppendVariables(&head_vars);
-        for (const auto& [i, cols] : PlannedIndexColumns(atoms, head_vars)) {
-          if (cols.empty() ||
-              static_cast<int>(cols.size()) == atoms[i].arity()) {
-            continue;  // full scan or pure membership test: no index
-          }
-          const Relation& full_rel = db_.relation(atoms[i].predicate());
-          if (!full_rel.empty()) full_rel.EnsureIndex(cols);
-          const Relation& frozen_rel = frozen.relation(atoms[i].predicate());
-          if (!frozen_rel.empty()) frozen_rel.EnsureIndex(cols);
-        }
+      const std::vector<RederivePlan> plans =
+          PlanRederive(plan.rules, plan.preds, db_, over, frozen);
+      // Pre-build every index the plans can probe so the concurrent
+      // checks are pure reads on the shared relations.
+      for (const RederivePlan& rp : plans) {
+        rp.plan.EnsureIndexes(db_, /*ranges=*/nullptr);
       }
       std::vector<char> ok(candidates.size(), 0);
       std::vector<MatchStats> task_stats(candidates.size());
       for (std::size_t i = 0; i < candidates.size(); ++i) {
-        pool_->Submit([this, &plan, &candidates, &over, &frozen, &ok,
-                       &task_stats, i] {
-          ok[i] = CanRederive(plan, candidates[i].first, candidates[i].second,
-                              over, frozen, &task_stats[i],
-                              /*fixed_order=*/true)
+        pool_->Submit([this, &plans, &candidates, &ok, &task_stats, i] {
+          ok[i] = CanRederive(plans, db_, candidates[i].first,
+                              candidates[i].second, &task_stats[i])
                       ? 1
                       : 0;
         });
@@ -467,9 +500,10 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
         }
       }
     } else {
+      const std::vector<RederivePlan> plans =
+          PlanRederive(plan.rules, plan.preds, db_, over, rederived);
       for (const auto& [pred, tuple] : candidates) {
-        if (CanRederive(plan, pred, tuple, over, rederived, &stats->match,
-                        /*fixed_order=*/false)) {
+        if (CanRederive(plans, db_, pred, tuple, &stats->match)) {
           rederived.AddFact(pred, tuple);
           progress = true;
         }

@@ -134,12 +134,6 @@ class MaterializedView {
                   const Database& base_minus, CommitStats* stats);
   void UpdateRecompute(const SccPlan& plan, CommitStats* stats);
 
-  /// DRed rederivation: true if `fact` has a derivation from surviving
-  /// facts (view minus `over` plus `rederived`) via some rule of `plan`.
-  bool CanRederive(const SccPlan& plan, PredicateId pred, const Tuple& fact,
-                   const Database& over, const Database& rederived,
-                   MatchStats* stats, bool fixed_order) const;
-
   /// True if `fact` persists independently of any derivation: it is an
   /// asserted base fact or a program fact.
   bool IsPinned(PredicateId pred, const Tuple& fact) const;

@@ -1,14 +1,15 @@
 // The bytecode layer's own contract tests: lowered programs always
-// validate; the versioned binary encoding round-trips; and a decoded
-// program is executable -- same MatchStats, same derived facts, same
-// insertion order -- as the in-memory program it was serialized from,
-// on a corpus of representative plan shapes and on generator-driven
-// random programs (the "shippable plans" property the server workers
-// rely on; see docs/bytecode_vm.md).
+// validate, and a lowered program's run agrees with Execute on the plan
+// it came from -- on a left-deep plan the same MatchStats, the same
+// derived facts and the same insertion order; on a multiway plan the
+// same facts with no more substitutions -- on a corpus of
+// representative plan shapes and on generator-driven random programs
+// (see docs/bytecode_vm.md).
 
 #include "eval/bytecode/bytecode.h"
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,61 +23,51 @@
 namespace datalog {
 namespace {
 
+using testing::ExecutePlan;
+using testing::ExpectSameRun;
 using testing::KnobGuard;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseProgramOrDie;
 using testing::ParseRuleOrDie;
+using testing::PlanRun;
+using testing::RowsOf;
 
-/// Runs `program` against (full, ranges) into a fresh copy of
-/// `out_base`, returning the stats, the new-fact count, and the result.
-struct RunOutcome {
-  bool ok = false;
-  MatchStats stats;
-  std::size_t new_facts = 0;
-  Database out;
-};
-
-RunOutcome RunProgram(const bytecode::Program& program, const Database& full,
-                      const DeltaRanges* ranges, const Database& out_base) {
-  RunOutcome r{false, MatchStats{}, 0, Database(out_base.symbols())};
-  r.out.UnionWith(out_base);
-  r.ok = bytecode::Run(program, full, ranges, &r.out, &r.stats,
-                       &r.new_facts);
-  return r;
-}
-
-void ExpectRoundTripExecutes(const CompiledRule& plan, const Database& full,
-                             const DeltaRanges* ranges,
-                             const std::string& label) {
-  const bytecode::Program& original = plan.bytecode_program();
-  ASSERT_FALSE(original.empty()) << label;
+/// Validates the plan's lowered program, runs it with the VM into an
+/// empty database, and holds the run to Execute on the same plan: a
+/// left-deep plan must derive the same rows in the same order with the
+/// same counters; a multiway plan, which has its own probe counters and
+/// may stop at one witness per head row, the same row set with no more
+/// substitutions.
+void ExpectLoweredRunMatchesExecute(const CompiledRule& plan,
+                                    const Database& full,
+                                    const DeltaRanges* ranges,
+                                    const std::string& label) {
+  const bytecode::Program& program = plan.bytecode_program();
+  ASSERT_FALSE(program.empty()) << label;
 
   std::string error;
-  EXPECT_TRUE(bytecode::Validate(original, &error))
+  EXPECT_TRUE(bytecode::Validate(program, &error))
       << label << ": lowered program rejected: " << error;
 
-  const std::vector<std::uint8_t> bytes = bytecode::Encode(original);
-  bytecode::Program decoded;
-  ASSERT_TRUE(bytecode::Decode(bytes.data(), bytes.size(), &decoded, &error))
-      << label << ": " << error;
-  EXPECT_TRUE(bytecode::Validate(decoded, &error))
-      << label << ": decoded program rejected: " << error;
+  Database out(full.symbols());
+  PlanRun vm;
+  std::size_t new_facts = 0;
+  ASSERT_TRUE(
+      bytecode::Run(program, full, ranges, &out, &vm.stats, &new_facts))
+      << label;
+  vm.rows = RowsOf(out.relation(plan.head_predicate()));
+  EXPECT_EQ(new_facts, vm.rows.size()) << label;
 
-  // Re-encoding the decoded program must reproduce the bytes exactly
-  // (the format has a canonical encoding).
-  EXPECT_EQ(bytecode::Encode(decoded), bytes) << label;
-
-  RunOutcome a = RunProgram(original, full, ranges, full);
-  RunOutcome b = RunProgram(decoded, full, ranges, full);
-  ASSERT_TRUE(a.ok) << label;
-  ASSERT_TRUE(b.ok) << label;
-  EXPECT_EQ(a.new_facts, b.new_facts) << label;
-  EXPECT_EQ(a.stats.substitutions, b.stats.substitutions) << label;
-  EXPECT_EQ(a.stats.index_lookups, b.stats.index_lookups) << label;
-  EXPECT_EQ(a.stats.tuples_scanned, b.stats.tuples_scanned) << label;
-  EXPECT_EQ(a.out, b.out) << label << ": decoded program derived different "
-                          << "facts than the in-memory program";
+  const PlanRun ref = ExecutePlan(plan, full, ranges);
+  if (plan.shape() == PlanShape::kLeftDeep) {
+    ExpectSameRun(vm, ref, label);
+    return;
+  }
+  EXPECT_EQ(std::set<Tuple>(vm.rows.begin(), vm.rows.end()),
+            std::set<Tuple>(ref.rows.begin(), ref.rows.end()))
+      << label;
+  EXPECT_LE(vm.stats.substitutions, ref.stats.substitutions) << label;
 }
 
 TEST(BytecodeTest, RoundTripOnCorpusPlanShapes) {
@@ -124,7 +115,7 @@ TEST(BytecodeTest, RoundTripOnCorpusPlanShapes) {
         CompiledRule::Compile(rule, c.delta_pos, c.use_old, db, d);
     ASSERT_TRUE(plan.compiled()) << c.label;
     plan.EnsureIndexes(db, d);
-    ExpectRoundTripExecutes(plan, db, d, c.label);
+    ExpectLoweredRunMatchesExecute(plan, db, d, c.label);
   }
 }
 
@@ -141,13 +132,13 @@ TEST(BytecodeTest, RoundTripOnMultiwayTriangle) {
   ASSERT_EQ(plan.bytecode_program().shape, 1)
       << "triangle should lower to the multiway shape";
   plan.EnsureIndexes(db, nullptr);
-  ExpectRoundTripExecutes(plan, db, nullptr, "triangle");
+  ExpectLoweredRunMatchesExecute(plan, db, nullptr, "triangle");
 }
 
 TEST(BytecodeTest, RoundTripOnTwentyRandomSeeds) {
   // Generator-driven property: saturate a planted program, then for each
-  // of its rules compile the full-join variant and check the serialize /
-  // deserialize / execute loop. 20 seeds x several rules each.
+  // of its rules compile the full-join variant, validate its lowered
+  // program and run it against Execute. 20 seeds x several rules each.
   KnobGuard guard;
   std::size_t lowered = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
@@ -185,44 +176,13 @@ TEST(BytecodeTest, RoundTripOnTwentyRandomSeeds) {
       if (!plan.compiled() || plan.bytecode_program().empty()) continue;
       plan.EnsureIndexes(db, nullptr);
       ++lowered;
-      ExpectRoundTripExecutes(plan, db, nullptr,
+      ExpectLoweredRunMatchesExecute(plan, db, nullptr,
                               "seed " + std::to_string(seed));
     }
   }
   // The generator must actually exercise the lowering; if this drops to
   // zero the property above is vacuous.
   EXPECT_GE(lowered, 20u);
-}
-
-TEST(BytecodeTest, DecodeRejectsMalformedHeaders) {
-  KnobGuard guard;
-  auto symbols = MakeSymbols();
-  Database db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
-  Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- a(x, y), g(y, z).");
-  CompiledRule plan = CompiledRule::Compile(
-      rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
-  std::vector<std::uint8_t> bytes = bytecode::Encode(plan.bytecode_program());
-  ASSERT_GE(bytes.size(), 8u);
-
-  bytecode::Program out;
-  // Truncations at every prefix length must be rejected, never crash.
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(bytecode::Decode(bytes.data(), len, &out));
-  }
-  // Trailing garbage.
-  std::vector<std::uint8_t> padded = bytes;
-  padded.push_back(0);
-  EXPECT_FALSE(bytecode::Decode(padded.data(), padded.size(), &out));
-  // Bad magic.
-  std::vector<std::uint8_t> bad = bytes;
-  bad[0] ^= 0xFF;
-  EXPECT_FALSE(bytecode::Decode(bad.data(), bad.size(), &out));
-  // Unsupported version.
-  bad = bytes;
-  bad[4] = 0xEE;
-  std::string error;
-  EXPECT_FALSE(bytecode::Decode(bad.data(), bad.size(), &out, &error));
-  EXPECT_FALSE(error.empty());
 }
 
 TEST(BytecodeTest, ValidatorRejectsCorruptedPrograms) {

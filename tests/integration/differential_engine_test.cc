@@ -65,7 +65,8 @@ void ForEachPlan(const Program& program, const Database& db, Check check) {
 }
 
 /// The VM (Apply) against Execute on every lowered plan of `program` over
-/// `db` (ForEachPlan). A left-deep plan must derive the same rows in the
+/// `db` (ForEachPlan). Every program the VM runs must pass
+/// bytecode::Validate. A left-deep plan must derive the same rows in the
 /// same order with bit-identical MatchStats; a multiway plan, which has
 /// its own probe counters and may stop at one witness per head row, the
 /// same row set with at most Execute's substitutions. Returns how many
@@ -79,6 +80,9 @@ std::size_t ExpectVmAgreesWithExecute(const Program& program,
                   const std::string& label) {
                 if (plan.bytecode_program().empty()) return;
                 const std::string where = label + ", " + config;
+                std::string error;
+                EXPECT_TRUE(bytecode::Validate(plan.bytecode_program(), &error))
+                    << where << ": lowered program rejected: " << error;
                 const PlanRun vm = ApplyPlan(plan, db, ranges);
                 const PlanRun ref = ExecutePlan(plan, db, ranges);
                 if (plan.shape() == PlanShape::kLeftDeep) {

@@ -11,7 +11,8 @@
 # smoke-tests the observability layer: the CLI's --trace/--metrics
 # output must be valid JSON, runs a deterministic work-counter
 # regression gate (eval.tuples_scanned / eval.index_lookups on a fixed
-# corpus must stay at or below tools/work_counters.baseline), and runs
+# corpus, and incr.* on a fixed commit script, must stay at or below
+# tools/work_counters.baseline), and runs
 # the datalog lint gate (tools/lint.sh: `datalog-opt check` over every
 # checked-in .dl program must report no error diagnostics).
 #
@@ -69,11 +70,11 @@ validate_obs_json() {
 
 # Deterministic work-counter regression gate. Join-order plans are
 # resolved once per (rule, delta position) against whole-round sizes, so
-# eval.tuples_scanned / eval.index_lookups are exactly reproducible on a
-# fixed corpus; any increase over the checked-in baseline
-# (tools/work_counters.baseline) is a planner or matcher regression, not
-# noise. Regenerate the baseline by pasting this gate's "measured" output
-# after a deliberate change.
+# eval.tuples_scanned / eval.index_lookups -- and incr.* for the commit
+# path's case -- are exactly reproducible on a fixed corpus; any increase
+# over the checked-in baseline (tools/work_counters.baseline) is a
+# planner or matcher regression, not noise. Regenerate the baseline by
+# pasting this gate's "measured" output after a deliberate change.
 run_work_counter_gate() {
   local build_dir="$1"
   if ! command -v python3 >/dev/null 2>&1; then
@@ -139,22 +140,41 @@ run_work_counter_gate() {
       >> "${tmp}/clq_facts.dl"
   done
 
+  # incr: the commit path. One DRed SCC (path) and one counting SCC
+  # (tri, a cyclic body) over the tri case's ring plus hub, driven through
+  # three commits of insertions and retractions and one query; the
+  # counters are the commits' join work (incr.*).
+  printf 'path(x, y) :- e(x, y).\npath(x, z) :- path(x, y), e(y, z).\n' \
+    > "${tmp}/incr.dl"
+  printf 'tri(x, y, z) :- e(x, y), e(y, z), e(z, x).\n' >> "${tmp}/incr.dl"
+  cp "${tmp}/tri_facts.dl" "${tmp}/incr_facts.dl"
+  printf '+e(3, 1).\n+e(5, 7).\ncommit\n-e(0, 4).\n-e(12, 13).\ncommit\n' \
+    > "${tmp}/incr_script.txt"
+  printf -- '-e(5, 7).\n+e(12, 13).\ncommit\n?tri(1, y, z)\n' \
+    >> "${tmp}/incr_script.txt"
+
   local case_name
   : > "${tmp}/measured.txt"
-  for case_name in tc sg sel tri clq; do
-    "${build_dir}/tools/datalog-opt" eval "${tmp}/${case_name}.dl" \
-      "${tmp}/${case_name}_facts.dl" \
+  for case_name in tc sg sel tri clq incr; do
+    local command=eval prefix=eval
+    local args=("${tmp}/${case_name}.dl" "${tmp}/${case_name}_facts.dl")
+    if [ "${case_name}" = incr ]; then
+      command=incr prefix=incr
+      args+=("${tmp}/incr_script.txt")
+    fi
+    "${build_dir}/tools/datalog-opt" "${command}" "${args[@]}" \
       --metrics="${tmp}/${case_name}_m.json" > /dev/null
-    python3 - "${case_name}" "${tmp}/${case_name}_m.json" \
+    python3 - "${case_name}" "${tmp}/${case_name}_m.json" "${prefix}" \
       >> "${tmp}/measured.txt" <<'PYEOF'
 import json, sys
-name, path = sys.argv[1], sys.argv[2]
-counters = {"eval.tuples_scanned": 0, "eval.index_lookups": 0}
+name, path, prefix = sys.argv[1], sys.argv[2], sys.argv[3]
+scanned, lookups = prefix + ".tuples_scanned", prefix + ".index_lookups"
+counters = {scanned: 0, lookups: 0}
 with open(path) as f:
     for m in json.load(f)["metrics"]:
         if m["name"] in counters:
             counters[m["name"]] += m["value"]
-print(name, counters["eval.tuples_scanned"], counters["eval.index_lookups"])
+print(name, counters[scanned], counters[lookups])
 PYEOF
   done
 
@@ -260,7 +280,7 @@ if [ "${SANITIZE}" = "thread" ] && [ "${DATALOG_CHECK_INCR_ASAN:-1}" = "1" ]; th
   # and sorted-key caches churn on every replan. *Bytecode* adds the
   # VM-vs-Execute differential checks plus the validator fuzzer
   # (BytecodeFuzzTest), whose whole point is running hostile instruction
-  # streams and mutated encodings under ASan/UBSan.
+  # streams and mutated descriptor tables under ASan/UBSan.
   ./tests/integration_test --gtest_filter='*Incremental*:*Multiway*:*Bytecode*'
   ./tests/eval_test --gtest_filter='*Multiway*:*Hypergraph*:*Bytecode*'
   cd "${ROOT}"

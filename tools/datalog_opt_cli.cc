@@ -400,8 +400,8 @@ int CmdIncr(const std::string& program_text, const std::string& facts_text,
         if (!commit()) return 1;  // queries see all preceding updates
         const Atom& query = op.query;
         std::vector<std::string> answers;
-        EnumerateDeltaJoin(
-            {query}, {AtomSourceSpec{&view->db(), nullptr, nullptr}}, {},
+        MatchAtoms(
+            view->db(), /*ranges=*/nullptr, {PlannedAtom{query}},
             [&](const Binding& binding) {
               Tuple tuple = InstantiateHead(query, binding);
               std::string text = symbols->PredicateName(query.predicate());
