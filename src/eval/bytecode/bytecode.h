@@ -206,8 +206,9 @@ bool Validate(const Program& program, std::string* error = nullptr);
 using DispatchCounts = std::array<std::uint64_t, kNumOps>;
 
 /// Executes a validated program up to the emit boundary: enumerates body
-/// matches and appends each instantiated head row to `derived` (cleared
-/// first). Returns false -- before bumping any counter -- when the
+/// matches and appends each instantiated head row to `derived`, after
+/// the rows it already holds (so a reused buffer must be cleared by its
+/// owner). Returns false -- before bumping any counter -- when the
 /// program cannot run against these databases (a negated relation's
 /// arity contradicts the program, a delta step has no ranges, or a
 /// hand-written program is malformed), in which case CompiledRule::Apply

@@ -239,11 +239,7 @@ bool DeriveImpl(const Program& p, const Database& full,
     // Every atom takes part in every intersection, so one dead atom
     // kills every match before any probe happens: derive nothing.
     for (const StepRt& rt : srt) {
-      if (rt.dead) {
-        derived_rows->ids.clear();
-        derived_rows->count = 0;
-        return true;
-      }
+      if (rt.dead) return true;
     }
     mrt.resize(p.mw_steps.size());
     for (std::size_t s = 0; s < p.mw_steps.size(); ++s) {
@@ -317,17 +313,45 @@ bool DeriveImpl(const Program& p, const Database& full,
     keys[d] = p.steps[d].key_template_ids;
   }
   MatchStats local;
-  derived_rows->ids.clear();
-  derived_rows->count = 0;
-  IdVector& derived = derived_rows->ids;
-  std::size_t& derived_count = derived_rows->count;
   std::vector<std::uint32_t> neg_key;
+
+  // ---- Head rows ----------------------------------------------------------
+  // `derived` is inserted only after the run, since the head relation may
+  // belong to `full`. Rows are appended through a cursor: an emitting op
+  // makes room for its candidates (unwritten, see RoomVector), each
+  // accepted row is written at `out`, and the room left over is trimmed
+  // at the end of the run. Each head position reads its id through
+  // head_src: the resolved constant, or the frame slot.
+  RoomVector<std::uint32_t>& derived = derived_rows->ids;
+  const std::size_t first_id = derived.size();  // this run's first id
+  const std::size_t width = p.head.size();
+  std::vector<const std::uint32_t*> head_src(width);
+  for (std::size_t k = 0; k < width; ++k) {
+    const TermDesc& t = p.head[k];
+    head_src[k] = t.is_constant ? &t.id : &slots[t.index];
+  }
+  std::uint32_t* out = derived.data() + first_id;  // the next row's first id
+  std::uint32_t* room_end = out;                   // the end of the room made
+  std::size_t count = 0;
+
+  // Room for `rows` more head rows at the cursor; resizing keeps the rows
+  // written so far. All the capacity becomes room, so the next ops' room
+  // is one compare until the capacity runs out.
+  auto make_room = [&](std::size_t rows) {
+    const std::size_t need = rows * width;
+    if (static_cast<std::size_t>(room_end - out) >= need) return;
+    const std::size_t written = static_cast<std::size_t>(out - derived.data());
+    derived.resize(written + need);
+    derived.resize(derived.capacity());
+    out = derived.data() + written;
+    room_end = derived.data() + derived.size();
+  };
 
   // Emit boundary, shared by kEmit and the fused superinstructions: one
   // substitution per complete match, negated literals probed in id space
-  // against `full`, the head row buffered (`derived` is inserted only
-  // after the run, since the head relation may belong to `full`).
-  auto emit_match = [&]() {
+  // against `full`, and the head row written at the cursor, in room the
+  // op made for it.
+  auto emit_row = [&]() {
     ++local.substitutions;
     for (std::size_t ni = 0; ni < negs.size(); ++ni) {
       const NegDesc& nd = p.negated[ni];
@@ -337,10 +361,9 @@ bool DeriveImpl(const Program& p, const Database& full,
       }
       if (negs[ni]->ContainsIds(neg_key)) return;
     }
-    for (const TermDesc& t : p.head) {
-      derived.push_back(t.is_constant ? t.id : slots[t.index]);
-    }
-    ++derived_count;
+    for (std::size_t k = 0; k < width; ++k) out[k] = *head_src[k];
+    out += width;
+    ++count;
   };
 
   // Multiway open: elect the smallest candidate list among the step's
@@ -597,7 +620,8 @@ vm_dispatch:
   }
 
   VM_CASE(kEmit) {
-    emit_match();
+    make_room(1);
+    emit_row();
     VM_JUMP(ip->t);
   }
 
@@ -630,6 +654,9 @@ vm_dispatch:
       const std::size_t end = rt.rows.end;
       const std::size_t num_keys = rt.key_ptrs.size();
       local.tuples_scanned += rt.rows.size();  // every row in range is scanned
+      // A scan filtered on keys may accept few of its rows: it makes room
+      // per row that passes the keys, not for the whole range.
+      if (num_keys == 0) make_room(rt.rows.size());
       for (std::size_t r = rt.rows.begin; r < end; ++r) {
         bool ok = true;
         for (std::size_t k = 0; k < num_keys; ++k) {
@@ -639,6 +666,7 @@ vm_dispatch:
           }
         }
         if (!ok) continue;
+        if (num_keys != 0) make_room(1);
         for (const auto& [first, repeat] : rt.check_ptrs) {
           if (first[r] != repeat[r]) {
             ok = false;
@@ -647,7 +675,7 @@ vm_dispatch:
         }
         if (!ok) continue;
         for (const auto& [col, slot] : rt.write_ptrs) slots[slot] = col[r];
-        emit_match();
+        emit_row();
       }
     }
     VM_NEXT();
@@ -662,6 +690,7 @@ vm_dispatch:
           rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key),
           rt.rows);
       local.tuples_scanned += list.size();
+      make_room(list.size());
       for (std::uint32_t r : list) {
         bool ok = true;
         for (const auto& [first, repeat] : rt.check_ptrs) {
@@ -672,7 +701,7 @@ vm_dispatch:
         }
         if (!ok) continue;
         for (const auto& [col, slot] : rt.write_ptrs) slots[slot] = col[r];
-        emit_match();
+        emit_row();
       }
     }
     VM_NEXT();
@@ -683,13 +712,15 @@ vm_dispatch:
     seek_open(ip->a);
     MwStepRt& mr = mrt[ip->a];
     const MwStepDesc& ms = p.mw_steps[ip->a];
+    const bool first_only = ip->op == Op::kSeekEmitFirst;
+    make_room(first_only ? 1 : mr.iter.size());
     for (std::size_t i = 0; i < mr.iter.size(); ++i) {
       const std::uint32_t id = mr.Candidate(i);
       ++local.tuples_scanned;
       if (!seek_accept(mr, ms, id)) continue;
       slots[ms.slot] = id;
-      emit_match();
-      if (ip->op == Op::kSeekEmitFirst) VM_JUMP(ip->t);
+      emit_row();
+      if (first_only) VM_JUMP(ip->t);
     }
     VM_NEXT();
   }
@@ -709,12 +740,18 @@ vm_dispatch:
 #endif
 
 vm_done:
+  derived.resize(static_cast<std::size_t>(out - derived.data()));
+  derived_rows->count += count;
   // Reject derived ids the dictionary has never issued before anything
   // resolves them (possible only for hand-written programs reading
-  // never-written slots; lowered programs bind every emitted slot).
-  for (std::uint32_t id : derived) {
-    if (id >= dict_size) return false;
+  // never-written slots or carrying unresolved constants; lowered
+  // programs bind every emitted slot): one branch-free max over this
+  // run's rows, compared once.
+  std::uint32_t max_id = 0;
+  for (std::size_t i = first_id; i < derived.size(); ++i) {
+    max_id = std::max(max_id, derived[i]);
   }
+  if (derived.size() > first_id && max_id >= dict_size) return false;
   if (stats != nullptr) stats->Add(local);
   return true;
 }

@@ -445,19 +445,22 @@ bool CompiledRule::Derive(const Database& full, const DeltaRanges* ranges,
   if (!bytecode::Derive(bc_, full, ranges, stats, derived, &counts, sinks)) {
     return false;
   }
-  PhaseTimer timer(sinks.derive_ns);
+  // Registry work, outside every phase timer: derive_ns times the VM.
   bytecode::PublishDispatchCounts(counts);
   return true;
 }
 
 std::size_t CompiledRule::Apply(const Database& full,
                                 const DeltaRanges* ranges, Relation* out,
-                                MatchStats* stats,
-                                const PhaseSinks& sinks) const {
+                                MatchStats* stats, const PhaseSinks& sinks,
+                                IdRowBuffer* head_rows) const {
   // Both executors derive every head row first and insert them in one
   // batch afterwards: `out` may be a relation of `full`, and inserting
   // while the enumeration reads the same relation would invalidate it.
-  IdRowBuffer derived;
+  IdRowBuffer local;
+  IdRowBuffer& derived = head_rows != nullptr ? *head_rows : local;
+  derived.ids.clear();
+  derived.count = 0;
   if (!bc_.empty() && Derive(full, ranges, stats, &derived, sinks)) {
     if (derived.count == 0) return 0;
     PhaseTimer timer(sinks.insert_ns);

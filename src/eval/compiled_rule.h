@@ -212,13 +212,18 @@ class CompiledRule {
   /// compare the two); a multiway plan has its own counters.
   ///
   /// The head rows go to `out` in one batch insert after the
-  /// enumeration (Relation::InsertIdRows from the VM). The VM's
-  /// preparation adds its wall time to `sinks.index_ns`, the enumeration
-  /// (Execute's included) to `sinks.derive_ns` and the insert to
-  /// `sinks.insert_ns` (null sinks read no clock).
+  /// enumeration (Relation::InsertIdRows from the VM). The VM derives
+  /// them into `head_rows`, which Apply clears first: the evaluation's
+  /// buffer (CompiledRuleCache::head_rows(), or a parallel task's own),
+  /// reused from application to application, or null for one local to
+  /// this call. The VM's preparation adds its wall time to
+  /// `sinks.index_ns`, the enumeration (Execute's included) to
+  /// `sinks.derive_ns` and the insert to `sinks.insert_ns` (null sinks
+  /// read no clock).
   std::size_t Apply(const Database& full, const DeltaRanges* ranges,
                     Relation* out, MatchStats* stats,
-                    const PhaseSinks& sinks = {}) const;
+                    const PhaseSinks& sinks = {},
+                    IdRowBuffer* head_rows = nullptr) const;
 
   /// Enumerates every complete match into `sink` (called with the frame;
   /// return false to stop early), depth first over the left-deep
@@ -310,7 +315,8 @@ class CompiledRule {
 
   /// Runs the lowered program with the VM, deriving the head rows into
   /// `derived` and timing its phases into `sinks.index_ns` and
-  /// `sinks.derive_ns`. False -- before bumping any counter -- when the
+  /// `sinks.derive_ns`; with metrics on, then publishes its dispatch
+  /// tallies, untimed. False -- before bumping any counter -- when the
   /// VM declines the databases (Apply then falls back to Execute).
   bool Derive(const Database& full, const DeltaRanges* ranges,
               MatchStats* stats, IdRowBuffer* derived,
@@ -499,6 +505,11 @@ class CompiledRule {
 /// parallel evaluator resolves all plans during snapshot preparation and
 /// hands workers const pointers). Returned references stay valid for the
 /// cache's lifetime; Get never invalidates other entries.
+///
+/// The cache also owns the head-row buffer its engine's applications
+/// derive into (CompiledRule::Apply), so one fixpoint grows it once
+/// instead of once per application. It lives and dies with the cache,
+/// never with a thread.
 class CompiledRuleCache {
  public:
   const CompiledRule& Get(std::size_t rule_index, const Rule& rule,
@@ -507,8 +518,11 @@ class CompiledRuleCache {
 
   std::size_t size() const { return plans_.size(); }
 
+  IdRowBuffer* head_rows() { return &head_rows_; }
+
  private:
   std::map<std::tuple<std::size_t, std::size_t, bool>, CompiledRule> plans_;
+  IdRowBuffer head_rows_;
 };
 
 }  // namespace datalog

@@ -44,8 +44,8 @@ std::size_t ShardCount(std::size_t rows) {
 }
 
 /// One unit of worker work: apply `rule` with the delta position matched
-/// against one shard of its predicate's delta range, deriving into a
-/// task-local buffer.
+/// against one shard of its predicate's delta range, deriving into
+/// task-local buffers.
 struct PassTask {
   PassTask(std::size_t rule, std::size_t pos, const DeltaRanges* shard,
            int head_arity)
@@ -55,6 +55,7 @@ struct PassTask {
   std::size_t delta_pos;
   const DeltaRanges* ranges;  // the round's ranges, cut to this shard
   Relation out;               // task-local derivation buffer
+  IdRowBuffer head_rows;      // the VM's head rows, before they reach out
   MatchStats match;           // task-local join counters
   std::uint64_t index_ns = 0;  // task-local phase timers (metrics only)
   std::uint64_t derive_ns = 0;
@@ -193,7 +194,8 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
           sinks.derive_ns = &task.derive_ns;
           sinks.insert_ns = &task.insert_ns;
         }
-        task.plan->Apply(frozen, task.ranges, &task.out, &task.match, sinks);
+        task.plan->Apply(frozen, task.ranges, &task.out, &task.match, sinks,
+                         &task.head_rows);
         if (task_span.active()) {
           task_span.Note("rule", task.rule_index);
           task_span.Note("delta_pos", task.delta_pos);

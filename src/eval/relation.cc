@@ -19,8 +19,9 @@ std::vector<std::uint32_t>& IdScratch() {
 
 // Locate and InsertOrFind are inlined into their callers in this file:
 // two out-of-line calls per row measurably slowed the batch insert.
+template <std::size_t kKind, typename IdAt>
 [[gnu::always_inline]] inline std::size_t Relation::RowIdTable::Locate(
-    const Columns& columns, const std::uint32_t* ids, KeyHash kh,
+    const Columns& columns, IdAt id_at, KeyHash kh,
     std::size_t* free_slot) const {
   using group_match::kGroupWidth;
   const std::uint8_t tag = Tag(kh.hash);
@@ -34,7 +35,7 @@ std::vector<std::uint32_t>& IdScratch() {
       const std::size_t slot =
           first + static_cast<std::size_t>(std::countr_zero(hits));
       if (keys_[slot] == kh.key &&
-          (packed_ || RowEquals(columns, rows_[slot], ids))) {
+          (kKind != kHashedKeys || RowEquals(columns, rows_[slot], id_at))) {
         return slot;
       }
     }
@@ -62,12 +63,12 @@ std::size_t Relation::RowIdTable::FreeSlot(std::uint64_t hash) const {
   }
 }
 
+template <std::size_t kKind, typename IdAt>
 [[gnu::always_inline]] inline bool Relation::RowIdTable::InsertOrFind(
-    const Columns& columns, const std::uint32_t* ids, KeyHash kh,
-    std::uint32_t row_id) {
+    const Columns& columns, IdAt id_at, KeyHash kh, std::uint32_t row_id) {
   if (ctrl_.empty()) Grow();
   std::size_t slot = 0;
-  if (Locate(columns, ids, kh, &slot) != kNoSlot) return false;
+  if (Locate<kKind>(columns, id_at, kh, &slot) != kNoSlot) return false;
   if (Full()) {
     Grow();
     slot = FreeSlot(kh.hash);
@@ -88,9 +89,13 @@ void Relation::RowIdTable::InsertDistinct(const Columns& columns,
 std::uint32_t Relation::RowIdTable::Find(const Columns& columns,
                                          const std::uint32_t* ids) const {
   if (size_ == 0) return kNoRow;
-  std::size_t free_slot = 0;
-  const std::size_t slot = Locate(columns, ids, KeyHashOf(ids), &free_slot);
-  return slot == kNoSlot ? kNoRow : rows_[slot];
+  return VisitKeyKind([&]<std::size_t kKind>(KeyKind<kKind>) {
+    const auto id_at = [ids](std::size_t c) { return ids[c]; };
+    std::size_t free_slot = 0;
+    const std::size_t slot =
+        Locate<kKind>(columns, id_at, KeyHashAs<kKind>(id_at), &free_slot);
+    return slot == kNoSlot ? kNoRow : rows_[slot];
+  });
 }
 
 void Relation::RowIdTable::Grow() {
@@ -140,23 +145,61 @@ void Relation::CheckWidth(std::size_t width) const {
   }
 }
 
-bool Relation::InsertIdsUnchecked(const std::uint32_t* ids) {
-  if (!id_table_.InsertOrFind(columns_, ids, id_table_.KeyHashOf(ids),
-                              static_cast<std::uint32_t>(num_rows_))) {
-    return false;
+template <std::size_t kKind, typename RowIds>
+std::size_t Relation::InsertRowsAs(std::size_t count, RowIds row_ids) {
+  // A batch may be mostly duplicates or mostly new, so the first
+  // kYieldPrefix rows go in unreserved and the rest is reserved for at
+  // their yield, doubled when the relation held rows before the batch
+  // (see the header). Each row is hashed once, kAhead rows before its
+  // probe, when its home group is prefetched (a table growth in between
+  // only wastes those few prefetches).
+  constexpr std::size_t kAhead = 8;
+  const std::size_t width =
+      kKind == RowIdTable::kHashedKeys ? columns_.size() : kKind;
+  const std::size_t headroom = num_rows_ == 0 ? 1 : 2;
+  RowIdTable::KeyHash ahead[kAhead] = {};
+  for (std::size_t r = 0; r < count && r < kAhead; ++r) {
+    ahead[r] = id_table_.KeyHashAs<kKind>(row_ids(r));
+    id_table_.Prefetch(ahead[r].hash);
   }
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(ids[c]);
+  std::size_t added = 0;
+  for (std::size_t r = 0; r < count; ++r) {
+    if (r == kYieldPrefix && added != 0) {
+      // added <= kYieldPrefix, so this is at most headroom times the
+      // rows left.
+      const std::size_t expected =
+          headroom * (count - kYieldPrefix) * added / kYieldPrefix;
+      id_table_.Reserve(expected);
+      ReserveRows(expected);
+    }
+    const RowIdTable::KeyHash kh = ahead[r % kAhead];
+    if (r + kAhead < count) {
+      ahead[r % kAhead] = id_table_.KeyHashAs<kKind>(row_ids(r + kAhead));
+      id_table_.Prefetch(ahead[r % kAhead].hash);
+    }
+    const auto id_at = row_ids(r);
+    if (!id_table_.InsertOrFind<kKind>(
+            columns_, id_at, kh, static_cast<std::uint32_t>(num_rows_))) {
+      continue;
+    }
+    for (std::size_t c = 0; c < width; ++c) columns_[c].push_back(id_at(c));
+    ++num_rows_;
+    ++added;
   }
-  ++num_rows_;
-  return true;
+  return added;
 }
 
 bool Relation::Insert(Tuple tuple) {
   CheckWidth(tuple.size());
   std::vector<std::uint32_t>& ids = IdScratch();
   ValueDictionary::Global().InternRow(tuple, &ids);
-  return InsertIdsUnchecked(ids.data());
+  const std::uint32_t* row = ids.data();
+  return id_table_.VisitKeyKind([&]<std::size_t kKind>(
+                                    RowIdTable::KeyKind<kKind>) {
+    return InsertRowsAs<kKind>(1, [row](std::size_t) {
+             return [row](std::size_t c) { return row[c]; };
+           }) != 0;
+  });
 }
 
 std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
@@ -167,43 +210,15 @@ std::size_t Relation::InsertIdRows(const IdRowBuffer& rows) {
         std::to_string(rows.count) + " rows of arity " +
         std::to_string(arity_));
   }
-  // A batch of derived rows may be mostly duplicates or mostly new, so
-  // the first kYieldPrefix rows go in unreserved and the rest is
-  // reserved for at their yield (see the header). Each row is hashed
-  // once, kAhead rows before its probe, when its home group is
-  // prefetched (a table growth in between only wastes those few
-  // prefetches).
-  constexpr std::size_t kAhead = 8;
-  RowIdTable::KeyHash ahead[kAhead] = {};
   const std::uint32_t* ids = rows.ids.data();
-  for (std::size_t r = 0; r < rows.count && r < kAhead; ++r) {
-    ahead[r] = id_table_.KeyHashOf(ids + r * width);
-    id_table_.Prefetch(ahead[r].hash);
-  }
-  std::size_t added = 0;
-  for (std::size_t r = 0; r < rows.count; ++r) {
-    if (r == kYieldPrefix && added != 0) {
-      // added <= kYieldPrefix, so this is at most the rows left.
-      const std::size_t expected =
-          (rows.count - kYieldPrefix) * added / kYieldPrefix;
-      id_table_.Reserve(expected);
-      ReserveRows(expected);
-    }
-    const RowIdTable::KeyHash kh = ahead[r % kAhead];
-    if (r + kAhead < rows.count) {
-      ahead[r % kAhead] = id_table_.KeyHashOf(ids + (r + kAhead) * width);
-      id_table_.Prefetch(ahead[r % kAhead].hash);
-    }
-    const std::uint32_t* row = ids + r * width;
-    if (!id_table_.InsertOrFind(columns_, row, kh,
-                                static_cast<std::uint32_t>(num_rows_))) {
-      continue;
-    }
-    for (std::size_t c = 0; c < width; ++c) columns_[c].push_back(row[c]);
-    ++num_rows_;
-    ++added;
-  }
-  return added;
+  return id_table_.VisitKeyKind([&]<std::size_t kKind>(
+                                    RowIdTable::KeyKind<kKind>) {
+    // Packed kinds step through the buffer at a compile-time width.
+    const std::size_t stride = kKind == RowIdTable::kHashedKeys ? width : kKind;
+    return InsertRowsAs<kKind>(rows.count, [ids, stride](std::size_t r) {
+      return [row = ids + r * stride](std::size_t c) { return row[c]; };
+    });
+  });
 }
 
 void Relation::ReserveRows(std::size_t additional) {
@@ -231,17 +246,13 @@ std::size_t Relation::AddRowRange(const Relation& src, std::size_t begin,
     CopyIntoEmpty(src);
     return end;
   }
-  ReserveRows(end - begin);
-  std::vector<std::uint32_t>& ids = IdScratch();
-  ids.resize(columns_.size());
-  std::size_t added = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      ids[c] = src.columns_[c][i];
-    }
-    if (InsertIdsUnchecked(ids.data())) ++added;
-  }
-  return added;
+  const std::vector<IdVector>& from = src.columns_;
+  return id_table_.VisitKeyKind([&]<std::size_t kKind>(
+                                    RowIdTable::KeyKind<kKind>) {
+    return InsertRowsAs<kKind>(end - begin, [&from, begin](std::size_t r) {
+      return [&from, row = begin + r](std::size_t c) { return from[c][row]; };
+    });
+  });
 }
 
 void Relation::CopyIntoEmpty(const Relation& src) {

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <map>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -19,17 +20,18 @@
 namespace datalog {
 
 /// A run of dictionary ids whose buffer is recycled through the block
-/// cache (util/block_cache.h): the type of a relation's id columns and
-/// of an IdRowBuffer's ids.
+/// cache (util/block_cache.h): the type of a relation's id columns.
 using IdVector = BlockVector<std::uint32_t>;
 
 /// Rows of dictionary ids buffered for one batch insert: `count` rows of
 /// the target relation's arity, laid out row-major in `ids`. The count is
 /// explicit because zero-arity rows take no ids. The bytecode VM derives
 /// each rule application's head rows into one of these before inserting
-/// them.
+/// them: it resizes `ids` to make room for a segment's candidate rows,
+/// which leaves the room unwritten (RoomVector), writes the rows it
+/// accepts, and trims the rest away.
 struct IdRowBuffer {
-  IdVector ids;
+  RoomVector<std::uint32_t> ids;
   std::size_t count = 0;
 };
 
@@ -152,11 +154,16 @@ class Relation {
   /// fact loading: only the id columns and the dedup table are written,
   /// no Value is touched. Once the batch's first kYieldPrefix rows are
   /// in, the dedup table and the columns are reserved once for the rest
-  /// of the batch at the share of new rows those rows showed: a
-  /// mostly-duplicate batch reserves next to nothing, a mostly-new one
-  /// stops doubling mid-batch. A prefix that misleads over-reserves by
-  /// at most the batch's remaining rows, and nothing is kept past the
-  /// batch. Batches of at most kYieldPrefix rows reserve nothing.
+  /// of the batch at the share of new rows those rows showed -- twice
+  /// that when the relation held rows before the batch, because a
+  /// relation that grows round by round gets its next round's batch
+  /// soon: a mostly-duplicate batch reserves next to nothing, a
+  /// mostly-new one stops doubling mid-batch, and a growing relation
+  /// skips one doubling of the next round. A load into an empty
+  /// relation reserves for its own batch only. A prefix that misleads
+  /// over-reserves by at most twice the batch's remaining rows, and
+  /// nothing is kept past the batch. Batches of at most kYieldPrefix
+  /// rows reserve nothing.
   std::size_t InsertIdRows(const IdRowBuffer& rows);
 
   /// Appends rows [begin, end) of `src` (same arity) in order; returns
@@ -165,7 +172,8 @@ class Relation {
   /// The copy stays in id space, and a whole relation copied into an
   /// EMPTY one -- an EDB copy, a parallel task's derivations merged into
   /// a relation that had none -- takes the columns and the dedup table
-  /// verbatim, without a single equality probe.
+  /// verbatim, without a single equality probe. Any other copy runs
+  /// InsertIdRows' row loop, reservation included.
   std::size_t AddRowRange(const Relation& src, std::size_t begin,
                           std::size_t end);
 
@@ -433,24 +441,53 @@ class Relation {
       std::uint64_t hash;
     };
 
-    /// The key word and hash of the row `ids` (width_ ids).
-    KeyHash KeyHashOf(const std::uint32_t* ids) const {
-      if (packed_) {
-        const std::uint64_t key = Pack(ids);
-        return {key, Mix(key)};
+    /// The key kinds the row loops are compiled for: packed rows of 0, 1
+    /// or 2 ids, whose kind is their width, and hashed rows of any wider
+    /// width (kHashedKeys).
+    static constexpr std::size_t kHashedKeys = 3;
+    template <std::size_t kKind>
+    using KeyKind = std::integral_constant<std::size_t, kKind>;
+    /// Calls `f` with the table's KeyKind: the one switch from the
+    /// table's width to a row loop compiled for it.
+    template <typename F>
+    decltype(auto) VisitKeyKind(F&& f) const {
+      switch (packed_ ? width_ : kHashedKeys) {
+        case 0:
+          return f(KeyKind<0>());
+        case 1:
+          return f(KeyKind<1>());
+        case 2:
+          return f(KeyKind<2>());
+        default:
+          return f(KeyKind<kHashedKeys>());
       }
-      const std::uint64_t hash =
-          HashRow([ids](std::size_t c) { return ids[c]; });
-      return {hash, hash};
     }
 
-    /// Records `ids` (about to become row `row_id` of `columns`) unless
-    /// an equal row is already present; returns true if inserted. `kh`
-    /// is KeyHashOf(ids). The caller appends to `columns` after a true
-    /// return; probing only ever dereferences rows below `row_id`.
-    /// Inline, and defined in relation.cc: only that file calls it.
-    inline bool InsertOrFind(const Columns& columns,
-                             const std::uint32_t* ids, KeyHash kh,
+    /// The key word and hash of the row whose column c holds id_at(c),
+    /// for a table of kind kKind.
+    template <std::size_t kKind, typename IdAt>
+    KeyHash KeyHashAs(IdAt id_at) const {
+      if constexpr (kKind == kHashedKeys) {
+        const std::uint64_t hash = HashRow(id_at);
+        return {hash, hash};
+      } else {
+        std::uint64_t key = 0;
+        if constexpr (kKind == 1) key = id_at(0);
+        if constexpr (kKind == 2) {
+          key = (std::uint64_t{id_at(0)} << 32) | id_at(1);
+        }
+        return {key, Mix(key)};
+      }
+    }
+
+    /// Records the row whose column c holds id_at(c) (about to become
+    /// row `row_id` of `columns`) unless an equal row is already present;
+    /// returns true if inserted. `kh` is KeyHashAs<kKind>(id_at). The
+    /// caller appends to `columns` after a true return; probing only
+    /// ever dereferences rows below `row_id`. Inline, and defined in
+    /// relation.cc: only that file calls it.
+    template <std::size_t kKind, typename IdAt>
+    inline bool InsertOrFind(const Columns& columns, IdAt id_at, KeyHash kh,
                              std::uint32_t row_id);
     /// Pulls the home group's control bytes and key words of a row with
     /// this hash into cache (no-op before the first insert allocates the
@@ -491,11 +528,6 @@ class Relation {
       x ^= x >> 33;
       return x;
     }
-    std::uint64_t Pack(const std::uint32_t* ids) const {
-      if (width_ == 0) return 0;
-      if (width_ == 1) return ids[0];
-      return (static_cast<std::uint64_t>(ids[0]) << 32) | ids[1];
-    }
     template <typename IdAt>
     std::uint64_t HashRow(IdAt id_at) const {
       std::size_t seed = width_;
@@ -513,14 +545,10 @@ class Relation {
       return packed_ ? Mix(key) : key;
     }
     KeyHash StoredKeyHash(const Columns& columns, std::uint32_t row) const {
-      if (packed_) {
-        std::uint32_t ids[2] = {0, 0};
-        for (std::size_t c = 0; c < width_; ++c) ids[c] = columns[c][row];
-        return KeyHashOf(ids);
-      }
-      const std::uint64_t hash = HashRow(
-          [&columns, row](std::size_t c) { return columns[c][row]; });
-      return {hash, hash};
+      return VisitKeyKind([&]<std::size_t kKind>(KeyKind<kKind>) {
+        return KeyHashAs<kKind>(
+            [&columns, row](std::size_t c) { return columns[c][row]; });
+      });
     }
     static std::uint8_t Tag(std::uint64_t hash) {
       return static_cast<std::uint8_t>(hash & 0x7F);
@@ -533,19 +561,21 @@ class Relation {
     std::size_t HomeGroup(std::uint64_t hash) const {
       return static_cast<std::size_t>(hash >> 7) & GroupMask();
     }
+    template <typename IdAt>
     bool RowEquals(const Columns& columns, std::uint32_t row,
-                   const std::uint32_t* ids) const {
+                   IdAt id_at) const {
       for (std::size_t c = 0; c < width_; ++c) {
-        if (columns[c][row] != ids[c]) return false;
+        if (columns[c][row] != id_at(c)) return false;
       }
       return true;
     }
     /// Walks the probe path of `kh`: returns the slot holding the row
-    /// equal to `ids`, or kNoSlot with `*free_slot` set to the first free
-    /// slot of the first group that has one (where `ids` would go).
-    /// Inline, and defined in relation.cc: only that file calls it.
-    inline std::size_t Locate(const Columns& columns,
-                              const std::uint32_t* ids, KeyHash kh,
+    /// equal to id_at's, or kNoSlot with `*free_slot` set to the first
+    /// free slot of the first group that has one (where the row would
+    /// go). Packed kinds compare key words alone. Inline, and defined in
+    /// relation.cc: only that file calls it.
+    template <std::size_t kKind, typename IdAt>
+    inline std::size_t Locate(const Columns& columns, IdAt id_at, KeyHash kh,
                               std::size_t* free_slot) const;
     /// The first free slot on the probe path of `hash`.
     std::size_t FreeSlot(std::uint64_t hash) const;
@@ -568,9 +598,13 @@ class Relation {
     std::size_t size_ = 0;
   };
 
-  /// Rows InsertIdRows inserts before it reserves for the rest of the
-  /// batch: enough to read a yield from, and few enough that the rows
-  /// reserved for are most of any batch large enough to grow a table.
+  /// Rows a batch inserts before it reserves for the rest of the batch
+  /// (see InsertIdRows): enough to read a yield from, and few enough
+  /// that the rows reserved for are most of any batch large enough to
+  /// grow a table. The reservation is the remaining rows times the
+  /// prefix's share of new rows, doubled for a relation that already
+  /// held rows, so a misleading prefix over-reserves by up to twice the
+  /// rows left.
   static constexpr std::size_t kYieldPrefix = 256;
   /// Pre-sizes the id columns for `additional` more rows about to be
   /// appended, growing at least geometrically. The dedup table is sized
@@ -581,8 +615,15 @@ class Relation {
       const std::vector<std::uint32_t>& postings, RowSpan rows);
   /// Width check shared by the insert entries.
   void CheckWidth(std::size_t width) const;
-  /// Insert of arity() ids at `ids` (width already checked).
-  bool InsertIdsUnchecked(const std::uint32_t* ids);
+  /// The row loop of every insert entry, compiled once per key kind
+  /// (called through RowIdTable::VisitKeyKind, so kKind is the table's
+  /// kind): inserts `count` rows in order, row r's column c holding
+  /// row_ids(r)(c), and returns how many were new. Reserves after
+  /// kYieldPrefix rows as InsertIdRows says, and prefetches each row's
+  /// home group a few rows ahead of its probe. Defined in relation.cc:
+  /// only that file calls it.
+  template <std::size_t kKind, typename RowIds>
+  std::size_t InsertRowsAs(std::size_t count, RowIds row_ids);
   /// Bulk id-space copy of every row of `src` into this empty relation
   /// (see AddRowRange).
   void CopyIntoEmpty(const Relation& src);

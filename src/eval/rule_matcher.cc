@@ -94,7 +94,7 @@ std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
       PhaseTimer timer(sinks.plan_ns);
       plan = &cache->Get(rule_index, rule, delta_pos, use_old, full, ranges);
     }
-    return plan->Apply(full, ranges, out, stats, sinks);
+    return plan->Apply(full, ranges, out, stats, sinks, cache->head_rows());
   }
   CompiledRule plan;
   {

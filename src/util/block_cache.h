@@ -7,6 +7,8 @@
 #include <limits>
 #include <mutex>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace datalog {
@@ -125,6 +127,33 @@ class BlockAllocator {
 /// A vector whose buffer is recycled through the block cache.
 template <typename T>
 using BlockVector = std::vector<T, BlockAllocator<T>>;
+
+/// BlockAllocator whose value-less construct default-initializes, so
+/// resize() on a vector of trivial elements makes room without writing
+/// it: for a buffer whose owner writes every element it keeps and trims
+/// the rest away (the bytecode VM's head rows).
+template <typename T>
+class RoomAllocator : public BlockAllocator<T> {
+ public:
+  RoomAllocator() noexcept = default;
+  template <typename U>
+  RoomAllocator(const RoomAllocator<U>&) noexcept {}  // NOLINT
+
+  template <typename U>
+  void construct(U* p) noexcept(
+      std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A vector recycled through the block cache, like BlockVector, whose
+/// resize() leaves new elements unwritten.
+template <typename T>
+using RoomVector = std::vector<T, RoomAllocator<T>>;
 
 }  // namespace datalog
 

@@ -8,6 +8,7 @@
 
 #include "eval/bytecode/bytecode.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -282,6 +283,155 @@ TEST(BytecodeTest, RunDeclinesGracefullyOnBadDatabases) {
   EXPECT_EQ(stats.substitutions + stats.index_lookups + stats.tuples_scanned,
             0u);
   EXPECT_EQ(foreign.NumFacts(), 0u);
+}
+
+bool HasOp(const bytecode::Program& program, bytecode::Op op) {
+  return std::any_of(program.code.begin(), program.code.end(),
+                     [op](const bytecode::Insn& insn) { return insn.op == op; });
+}
+
+TEST(BytecodeTest, FusedEmitsSkipRowsRejectedMidSegment) {
+  // A fused emit op makes room for its whole segment of candidates and
+  // writes each accepted row through a cursor. In every case below a
+  // segment rejects rows between accepted ones -- by a negated literal,
+  // or by a repeated-variable check -- and the run must still give
+  // Execute's rows in Execute's order. The left-deep ops must also give
+  // its counters; the multiway op has its own probe counters, so only
+  // its substitutions are compared.
+  KnobGuard guard;
+  SetGreedyJoinOrdering(false);  // textual order: the segments below
+  auto symbols = MakeSymbols();
+  Database db = ParseDatabaseOrDie(
+      symbols,
+      "a(1, 1). a(1, 2). a(2, 2). a(2, 3). a(3, 3). a(3, 4).\n"
+      "g(2, 5). g(2, 6). g(2, 7). g(3, 5). g(3, 6). g(3, 7).\n"
+      "c(2, 5, 5). c(2, 5, 6). c(2, 6, 6). c(2, 7, 8). c(2, 8, 8).\n"
+      "b(1, 2). b(1, 6). b(2, 6). b(3, 6). b(2, 4).\n"
+      "e(1, 2). e(1, 3). e(1, 4). e(1, 5). e(2, 3). e(2, 4). e(2, 5).\n"
+      "e(3, 4). e(3, 5).\n"
+      "s(3, 3). s(4, 5). s(5, 5).\n");
+
+  struct Case {
+    const char* label;
+    const char* rule;
+    bool use_index;
+    bytecode::Op op;  // the fused op the innermost depth must lower to
+  };
+  const Case cases[] = {
+      {"loop/negation", "h1(x, y) :- a(x, y), not b(x, y).", true,
+       bytecode::Op::kLoopEmitAll},
+      {"loop/repeated", "h2(x) :- a(x, x).", true,
+       bytecode::Op::kLoopEmitAll},
+      {"filtered-loop/negation", "h3(x, z) :- a(x, y), g(y, z), not b(x, z).",
+       false, bytecode::Op::kLoopEmitAll},
+      {"filtered-loop/repeated", "h4(x, z) :- a(x, y), c(y, z, z).", false,
+       bytecode::Op::kLoopEmitAll},
+      {"probe/negation", "h5(x, z) :- a(x, y), g(y, z), not b(x, z).", true,
+       bytecode::Op::kProbeEmitAll},
+      {"probe/repeated", "h6(x, z) :- a(x, y), c(y, z, z).", true,
+       bytecode::Op::kProbeEmitAll},
+      {"seek/negation",
+       "t1(x, y, z) :- e(x, y), e(y, z), e(x, z), not b(y, z).", true,
+       bytecode::Op::kSeekEmitAll},
+      {"seek/repeated",
+       "t2(x, y, z) :- e(x, y), e(y, z), e(x, z), s(z, z).", true,
+       bytecode::Op::kSeekEmitAll},
+  };
+  for (const Case& c : cases) {
+    SetIndexLookups(c.use_index);
+    Rule rule = ParseRuleOrDie(symbols, c.rule);
+    CompiledRule plan = CompiledRule::Compile(
+        rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
+    ASSERT_TRUE(HasOp(plan.bytecode_program(), c.op)) << c.label;
+    plan.EnsureIndexes(db, nullptr);
+    if (plan.shape() == PlanShape::kLeftDeep) {
+      ExpectLoweredRunMatchesExecute(plan, db, nullptr, c.label);
+      continue;
+    }
+    Database out(symbols);
+    PlanRun vm;
+    std::size_t new_facts = 0;
+    ASSERT_TRUE(bytecode::Run(plan.bytecode_program(), db, nullptr, &out,
+                              &vm.stats, &new_facts))
+        << c.label;
+    vm.rows = RowsOf(out.relation(plan.head_predicate()));
+    const PlanRun ref = ExecutePlan(plan, db, nullptr);
+    EXPECT_EQ(vm.rows, ref.rows) << c.label;
+    EXPECT_EQ(new_facts, ref.rows.size()) << c.label;
+    EXPECT_EQ(vm.stats.substitutions, ref.stats.substitutions) << c.label;
+  }
+}
+
+TEST(BytecodeTest, DeriveRejectsIdsTheDictionaryNeverIssued) {
+  // A validated hand-written program whose head holds a constant id the
+  // dictionary never issued: Derive declines it, and Run inserts
+  // nothing. The bad id is the last id of the one derived row, then the
+  // first, so a check that skips either end of the rows would miss it.
+  KnobGuard guard;
+  auto symbols = MakeSymbols();
+  Database db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
+  Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- a(x, y), g(y, z).");
+  CompiledRule plan = CompiledRule::Compile(
+      rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
+  plan.EnsureIndexes(db, nullptr);
+  ASSERT_FALSE(plan.bytecode_program().empty());
+  const std::uint32_t unissued = ValueDictionary::Global().size() + 7;
+
+  for (const std::size_t position : {std::size_t{1}, std::size_t{0}}) {
+    bytecode::Program p = plan.bytecode_program();
+    const Value constant = Value::Int(1);
+    p.const_pool.push_back(constant);
+    p.const_ids.push_back(ValueDictionary::Global().Intern(constant));
+    bytecode::TermDesc& term = p.head[position];
+    term.is_constant = true;
+    term.index = static_cast<std::uint32_t>(p.const_pool.size() - 1);
+    std::string error;
+    ASSERT_TRUE(bytecode::Validate(p, &error)) << error;
+
+    // The same program with an issued id derives the one row.
+    term.id = p.const_ids.back();
+    IdRowBuffer issued;
+    MatchStats stats;
+    ASSERT_TRUE(bytecode::Derive(p, db, nullptr, &stats, &issued));
+    EXPECT_EQ(issued.count, 1u);
+
+    term.id = unissued;
+    IdRowBuffer rows;
+    EXPECT_FALSE(bytecode::Derive(p, db, nullptr, &stats, &rows))
+        << "position " << position;
+    Database out(symbols);
+    std::size_t new_facts = 0;
+    EXPECT_FALSE(bytecode::Run(p, db, nullptr, &out, &stats, &new_facts))
+        << "position " << position;
+    EXPECT_EQ(out.NumFacts(), 0u) << "position " << position;
+  }
+}
+
+TEST(BytecodeTest, CachedHeadBufferStartsEmptyForEveryApplication) {
+  // The engines' rule applications share their cache's head buffer.
+  // Each application must see only its own rows: a row left over from
+  // the previous application would land in the next rule's head.
+  KnobGuard guard;
+  auto symbols = MakeSymbols();
+  Database db = ParseDatabaseOrDie(
+      symbols, "a(1, 2). a(2, 3). a(3, 4). g(5, 6).");
+  const Rule copy_a = ParseRuleOrDie(symbols, "p(x, y) :- a(x, y).");
+  const Rule copy_g = ParseRuleOrDie(symbols, "q(x, y) :- g(x, y).");
+  const Rule join = ParseRuleOrDie(symbols, "r(x, z) :- a(x, y), a(y, z).");
+  CompiledRuleCache cache;
+  Database out(symbols);
+  EXPECT_EQ(ApplyRule(copy_a, db, &out, nullptr, &cache, 0), 3u);
+  EXPECT_EQ(ApplyRule(copy_g, db, &out, nullptr, &cache, 1), 1u);
+  EXPECT_EQ(ApplyRule(join, db, &out, nullptr, &cache, 2), 2u);
+  EXPECT_EQ(ApplyRule(copy_g, db, &out, nullptr, &cache, 1), 0u);
+  const PredicateId q = symbols->LookupPredicate("q").value();
+  const PredicateId r = symbols->LookupPredicate("r").value();
+  EXPECT_EQ(RowsOf(out.relation(q)),
+            (std::vector<Tuple>{{Value::Int(5), Value::Int(6)}}));
+  EXPECT_EQ(RowsOf(out.relation(r)),
+            (std::vector<Tuple>{{Value::Int(1), Value::Int(3)},
+                                {Value::Int(2), Value::Int(4)}}));
+  EXPECT_EQ(cache.head_rows()->count, 1u);  // the last application's row
 }
 
 }  // namespace

@@ -25,6 +25,13 @@ faults per operation, both from getrusage(RUSAGE_CHILDREN) deltas around
 each run.py call. They cover run.py's up-to-date build check as well as
 the driver, and get no verdict.
 
+With --traced, one `--trace 1` run per side follows the pairs, on the
+first pair's seed and for as long as each pair's runs, base first. The
+script prints every per-layer metric in the base tree's BENCHMARK.json
+side by side from those two runs (op_engine_ms, op_io_ms, setup_*_ms,
+the per-operation counts), so a claim's layer split comes from the same
+batch as its end-to-end figures. They get no verdict either.
+
 The verdicts are informational. The exit status is 1 when any run fails,
 reports "correct": false, or reports a failed operation; 0 otherwise.
 """
@@ -37,14 +44,14 @@ import subprocess
 import sys
 
 
-def run_side(tree, workload, seed, seconds):
+def run_side(tree, workload, seed, seconds, trace=0):
     """Runs perfbench in `tree`; returns its result dict, the run's kernel
     share of CPU time and its minor page faults per operation."""
     env = dict(os.environ)
     env.pop("CARGO_TARGET_DIR", None)  # each tree builds in its own dir
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", str(trace)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE,
                           text=True, check=False)
@@ -100,6 +107,25 @@ def summarize(metric, base, change):
     print("  verdict: " + verdict)
 
 
+def print_layers(layers, base, change):
+    """Prints the traced runs' per-layer metrics side by side."""
+    print("per-layer metrics, one traced run per side (no verdict)")
+    print("  %-26s %-6s %12s %12s %8s" % ("metric", "unit", "base",
+                                         "change", "ratio"))
+    for m in layers:
+        name = m["name"]
+        b = base.get(name, {}).get("value")
+        c = change.get(name, {}).get("value")
+        if b is None or c is None:
+            print("  %-26s %-6s %12s %12s" % (name, m.get("unit", ""),
+                                             "-" if b is None else "%.4g" % b,
+                                             "-" if c is None else "%.4g" % c))
+            continue
+        ratio = "%.3f" % (c / b) if b else "-"
+        print("  %-26s %-6s %12.4g %12.4g %8s" % (name, m.get("unit", ""),
+                                                  b, c, ratio))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent source tree")
@@ -108,12 +134,16 @@ def main():
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--traced", action="store_true",
+                        help="after the pairs, one --trace 1 run per side "
+                        "on the first seed, with per-layer metrics")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
 
     with open(os.path.join(args.base, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    metrics = benchmark["end_to_end"]
     sides = {"base": args.base, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     kernel = {side: [] for side in sides}
@@ -164,6 +194,23 @@ def main():
                  100 * quantile(kernel[side], 0.75),
                  quantile(faults[side], 0.5), quantile(faults[side], 0.25),
                  quantile(faults[side], 0.75)))
+    if args.traced:
+        traced = {}
+        for side in ("base", "change"):
+            try:
+                result, _, _ = run_side(sides[side], args.workload,
+                                        args.first_seed, args.seconds,
+                                        trace=1)
+            except RuntimeError as err:
+                print("perfbench_ab: " + str(err), file=sys.stderr)
+                return 1
+            if not result["correct"] or result["failed"] != 0:
+                bad.append("traced run (seed %d) %s: correct=%s failed=%s"
+                           % (args.first_seed, side, result["correct"],
+                              result["failed"]))
+            traced[side] = result["metrics"]
+        print_layers(benchmark.get("per_layer", []), traced["base"],
+                     traced["change"])
     for line in bad:
         print("FAILED: " + line)
     return 1 if bad else 0
