@@ -12,13 +12,13 @@
 namespace datalog {
 
 void MatchFrame::Reset(const CompiledRule& plan) {
-  slots.assign(static_cast<std::size_t>(plan.num_slots()), Value());
+  slots.assign(static_cast<std::size_t>(plan.num_slots()), 0);
   keys.resize(plan.num_steps());
   sources.assign(plan.num_steps(), DepthSource());
   for (std::size_t d = 0; d < plan.num_steps(); ++d) {
     // Constants are baked into the buffer once; per-probe key_fill
     // patches only the bound-variable positions.
-    keys[d] = plan.steps()[d].key_template;
+    keys[d] = plan.steps()[d].key_template_ids;
   }
 }
 
@@ -94,12 +94,13 @@ void CompiledRule::BuildSchedules(const Database& full,
     step.planned_size =
         PlanningSize(full, ranges, planned.source, atom.predicate());
 
-    std::unordered_set<VariableId> written_here;
+    // Each free variable's first column in this atom: that occurrence
+    // writes the slot, and a repeat checks its column against it.
+    std::unordered_map<VariableId, int> first_col;
     for (int i = 0; i < atom.arity(); ++i) {
       const Term& t = atom.args()[static_cast<std::size_t>(i)];
       if (t.is_constant()) {
         step.key_cols.push_back(i);
-        step.key_template.push_back(t.value());
         step.key_template_ids.push_back(
             ValueDictionary::Global().Intern(t.value()));
         continue;
@@ -107,30 +108,18 @@ void CompiledRule::BuildSchedules(const Database& full,
       const VariableId v = t.var();
       if (bound_before.contains(v)) {
         step.key_cols.push_back(i);
-        step.key_template.push_back(Value());
         step.key_template_ids.push_back(ValueDictionary::kInvalidId);
         step.key_fill.push_back(CompiledAtomStep::KeyFill{
-            static_cast<int>(step.key_template.size()) - 1, slot_for(v)});
-      } else if (written_here.insert(v).second) {
+            static_cast<int>(step.key_template_ids.size()) - 1,
+            slot_for(v)});
+      } else if (auto [it, first] = first_col.emplace(v, i); first) {
         step.writes.push_back(CompiledAtomStep::SlotRef{i, slot_for(v)});
       } else {
-        step.checks.push_back(CompiledAtomStep::SlotRef{i, slot_for(v)});
+        step.id_checks.emplace_back(it->second, i);
       }
     }
     for (const Term& t : atom.args()) {
       if (t.is_variable()) bound_before.insert(t.var());
-    }
-    // Lower each repeated-variable check to a row-local column pair: the
-    // checked slot is always written by this same step (that is what
-    // made it a check instead of a key position), so the VM can compare
-    // the two raw columns of the candidate row directly.
-    for (const CompiledAtomStep::SlotRef& c : step.checks) {
-      for (const CompiledAtomStep::SlotRef& w : step.writes) {
-        if (w.slot == c.slot) {
-          step.id_checks.emplace_back(w.col, c.col);
-          break;
-        }
-      }
     }
     steps_.push_back(std::move(step));
   }
@@ -142,7 +131,7 @@ void CompiledRule::BuildSchedules(const Database& full,
       CompiledTerm ct;
       if (t.is_constant()) {
         ct.is_constant = true;
-        ct.value = t.value();
+        ct.id = ValueDictionary::Global().Intern(t.value());
       } else {
         auto it = slot_of.find(t.var());
         // A variable the positive body never binds keeps slot -1; using
@@ -419,19 +408,25 @@ void CompiledRule::EnsureIndexes(const Database& full,
   }
 }
 
-bool CompiledRule::NegationHolds(const Database& full, const MatchFrame& frame,
-                                 Tuple* scratch) const {
-  for (std::size_t i = 0; i < negated_terms_.size(); ++i) {
-    FillTerms(negated_terms_[i], frame, scratch);
-    if (full.Contains(negated_preds_[i], *scratch)) return false;
-  }
-  return true;
-}
-
-Tuple CompiledRule::InstantiateHeadFromFrame(const MatchFrame& frame) const {
-  Tuple tuple;
-  FillTerms(head_terms_, frame, &tuple);
-  return tuple;
+void CompiledRule::DeriveByExecute(const Database& full,
+                                   const DeltaRanges* ranges,
+                                   MatchStats* stats,
+                                   IdRowBuffer* derived) const {
+  std::vector<const Relation*> negs;
+  negs.reserve(negated_preds_.size());
+  for (PredicateId pred : negated_preds_) negs.push_back(&full.relation(pred));
+  MatchFrame frame(*this);
+  std::vector<std::uint32_t> neg_key;
+  Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
+    for (std::size_t i = 0; i < negs.size(); ++i) {
+      neg_key.clear();
+      AppendTerms(negated_terms_[i], f, &neg_key);
+      if (negs[i]->ContainsIds(neg_key)) return true;
+    }
+    AppendTerms(head_terms_, f, &derived->ids);
+    ++derived->count;
+    return true;
+  });
 }
 
 bool CompiledRule::Derive(const Database& full, const DeltaRanges* ranges,
@@ -461,28 +456,13 @@ std::size_t CompiledRule::Apply(const Database& full,
   IdRowBuffer& derived = head_rows != nullptr ? *head_rows : local;
   derived.ids.clear();
   derived.count = 0;
-  if (!bc_.empty() && Derive(full, ranges, stats, &derived, sinks)) {
-    if (derived.count == 0) return 0;
-    PhaseTimer timer(sinks.insert_ns);
-    return out->InsertIdRows(derived);
-  }
-  std::vector<Tuple> derived_tuples;
-  {
+  if (bc_.empty() || !Derive(full, ranges, stats, &derived, sinks)) {
     PhaseTimer timer(sinks.derive_ns);
-    MatchFrame frame(*this);
-    Tuple scratch;
-    Execute(full, ranges, &frame, stats, [&](const MatchFrame& f) {
-      if (!NegationHolds(full, f, &scratch)) return true;
-      derived_tuples.push_back(InstantiateHeadFromFrame(f));
-      return true;
-    });
+    DeriveByExecute(full, ranges, stats, &derived);
   }
+  if (derived.count == 0) return 0;
   PhaseTimer timer(sinks.insert_ns);
-  std::size_t new_facts = 0;
-  for (Tuple& tuple : derived_tuples) {
-    if (out->Insert(std::move(tuple))) ++new_facts;
-  }
-  return new_facts;
+  return out->InsertIdRows(derived);
 }
 
 const CompiledRule& CompiledRuleCache::Get(std::size_t rule_index,

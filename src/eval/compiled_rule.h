@@ -14,6 +14,7 @@
 #include "eval/database.h"
 #include "eval/hypergraph.h"
 #include "eval/rule_matcher.h"
+#include "util/interning.h"
 
 namespace datalog {
 
@@ -21,23 +22,26 @@ class CompiledRule;
 
 /// One body atom compiled against a fixed join order. Every argument
 /// position is classified once, at compile time:
-///   - constants sit pre-filled in `key_template`,
+///   - constants sit pre-filled, as dictionary ids, in
+///     `key_template_ids`,
 ///   - variables bound by earlier atoms are key positions patched from
-///     the frame per probe (`key_fill`),
+///     the frame per probe (`key_fill`; the template holds kInvalidId
+///     there),
 ///   - the first occurrence of a free variable writes its frame slot
 ///     (`writes`),
-///   - repeated occurrences within the same atom compare against the
-///     slot written moments earlier (`checks`).
+///   - a repeated occurrence within the same atom is a row-local column
+///     pair (`id_checks`: first-occurrence column, repeat column) that
+///     must hold the same id.
 /// The enumeration loop therefore does no per-row classification, no
 /// hash-map binding churn, and no per-probe key allocation.
 struct CompiledAtomStep {
   struct KeyFill {
     int key_index;  // position in the key buffer
-    int slot;       // frame slot providing the value
+    int slot;       // frame slot providing the id
   };
   struct SlotRef {
     int col;   // column of the matched row
-    int slot;  // frame slot written (writes) or compared (checks)
+    int slot;  // frame slot written
   };
 
   PredicateId predicate = 0;
@@ -46,21 +50,11 @@ struct CompiledAtomStep {
   const Database* minus = nullptr;  // PlannedAtom's parts; null when none
   const Database* plus = nullptr;
   std::vector<int> key_cols;  // strictly increasing bound columns
-  Tuple key_template;         // constants filled, bound positions patched
+  std::vector<std::uint32_t> key_template_ids;  // parallel to key_cols
   std::vector<KeyFill> key_fill;
   std::vector<SlotRef> writes;
-  std::vector<SlotRef> checks;
-  std::size_t planned_size = 0;  // source relation size at plan time
-
-  // Id-space mirrors of the schedules above, precomputed at compile time
-  // so the bytecode lowering never touches a Value: `key_template_ids`
-  // is `key_template` with constants interned to dictionary ids (patched
-  // positions hold kInvalidId until key_fill overwrites them per probe),
-  // and `id_checks` lowers each repeated-variable check to a row-local
-  // column pair (first-occurrence column, repeat column) compared
-  // directly on the raw id arrays.
-  std::vector<std::uint32_t> key_template_ids;
   std::vector<std::pair<int, int>> id_checks;
+  std::size_t planned_size = 0;  // source relation size at plan time
 };
 
 /// One (variable, atom) probe of the multiway plan shape: how to compute
@@ -101,17 +95,19 @@ struct MultiwayStep {
   std::vector<MultiwayProbe> probes;
 };
 
-/// A head or negated-literal argument: a constant, or a frame slot. A
-/// negative slot marks a variable the positive body never binds; using it
-/// throws std::out_of_range, like Binding::at would on a match.
+/// A head or negated-literal argument: a constant, interned to its
+/// dictionary id at compile time, or a frame slot. A negative slot marks
+/// a variable the positive body never binds; using it throws
+/// std::out_of_range, like Binding::at would on a match.
 struct CompiledTerm {
   bool is_constant = false;
-  Value value;
+  std::uint32_t id = 0;
   int slot = -1;
 };
 
-/// Per-enumeration mutable state: the flat variable frame plus one
-/// reusable key buffer per join depth. Constructing (or Reset-ing) a
+/// Per-enumeration mutable state: the flat variable frame and one
+/// reusable key buffer per join depth, both of dictionary ids -- the
+/// slot layout of the bytecode VM's frame. Constructing (or Reset-ing) a
 /// frame is the only allocation a compiled enumeration performs; the
 /// inner loop is allocation-free.
 struct MatchFrame {
@@ -138,8 +134,8 @@ struct MatchFrame {
     const Relation* minus = nullptr;
   };
 
-  std::vector<Value> slots;
-  std::vector<Tuple> keys;  // keys[d] belongs to join depth d
+  std::vector<std::uint32_t> slots;
+  std::vector<std::vector<std::uint32_t>> keys;  // keys[d]: join depth d
   std::vector<DepthSource> sources;
 };
 
@@ -168,8 +164,8 @@ class CompiledRule {
   /// Compiles a bare atom list (the MatchAtoms adapter): no head, no
   /// negated literals, never lowered, always left-deep. The variables of
   /// `bound` are bound before the first atom; they take the frame's first
-  /// slots in the order given, so a caller writes the i-th one's value
-  /// into MatchFrame::slots[i] before each Execute.
+  /// slots in the order given, so a caller writes the i-th one's
+  /// dictionary id into MatchFrame::slots[i] before each Execute.
   static CompiledRule CompileAtoms(std::vector<PlannedAtom> atoms,
                                    const Database& full,
                                    const DeltaRanges* ranges,
@@ -197,37 +193,43 @@ class CompiledRule {
   /// Enumerates body matches -- every atom reading its rows as
   /// ResolveAtomRows(full, ranges, ...) says -- and inserts instantiated
   /// heads into `out`, the head predicate's relation (negated literals
-  /// are tested against `full`). Derived tuples are buffered until the
+  /// are tested against `full`). Derived rows are buffered until the
   /// enumeration finishes, so `out` may be `full`'s own relation.
   /// Returns the number of facts new in `out`. Only valid for plans
   /// compiled from a Rule.
   ///
   /// Apply runs the bytecode VM (eval/bytecode) whenever the plan was
-  /// lowered, and Execute otherwise: for plans with an empty body or a
-  /// head or negated variable the positive body never binds, which the
-  /// lowering refuses. On a left-deep plan the VM visits candidate rows
-  /// in exactly the depth-first order Execute does, replicates its
+  /// lowered, and DeriveByExecute otherwise: for plans with an empty body
+  /// or a head or negated variable the positive body never binds, which
+  /// the lowering refuses. On a left-deep plan the VM visits candidate
+  /// rows in exactly the depth-first order Execute does, replicates its
   /// MatchStats bump for bump and derives the same rows in the same
   /// order (tests/eval/compiled_rule_test.cc and the differential suite
   /// compare the two); a multiway plan has its own counters.
   ///
-  /// The head rows go to `out` in one batch insert after the
-  /// enumeration (Relation::InsertIdRows from the VM). The VM derives
-  /// them into `head_rows`, which Apply clears first: the evaluation's
-  /// buffer (CompiledRuleCache::head_rows(), or a parallel task's own),
-  /// reused from application to application, or null for one local to
-  /// this call. The VM's preparation adds its wall time to
-  /// `sinks.index_ns`, the enumeration (Execute's included) to
-  /// `sinks.derive_ns` and the insert to `sinks.insert_ns` (null sinks
-  /// read no clock).
+  /// Either executor derives the head rows into `head_rows`, which Apply
+  /// clears first: the evaluation's buffer (CompiledRuleCache::
+  /// head_rows(), or a parallel task's own), reused from application to
+  /// application, or null for one local to this call. They go to `out`
+  /// in one Relation::InsertIdRows batch after the enumeration. The VM's
+  /// preparation adds its wall time to `sinks.index_ns`, the enumeration
+  /// (Execute's included) to `sinks.derive_ns` and the insert to
+  /// `sinks.insert_ns` (null sinks read no clock).
   std::size_t Apply(const Database& full, const DeltaRanges* ranges,
                     Relation* out, MatchStats* stats,
                     const PhaseSinks& sinks = {},
                     IdRowBuffer* head_rows = nullptr) const;
 
+  /// Execute's derivation, Apply's fallback and the reference for the VM:
+  /// appends to `derived` the head row of every complete match whose
+  /// negated literals are absent from `full`, in enumeration order. Only
+  /// valid for plans compiled from a Rule.
+  void DeriveByExecute(const Database& full, const DeltaRanges* ranges,
+                       MatchStats* stats, IdRowBuffer* derived) const;
+
   /// Enumerates every complete match into `sink` (called with the frame;
   /// return false to stop early), depth first over the left-deep
-  /// schedule in value space. At each depth the atom reads its source's
+  /// schedule in id space. At each depth the atom reads its source's
   /// rows, skipping those in its minus part, then its plus part's rows;
   /// each part that has rows costs one index lookup. The reference for
   /// the VM's counters on left-deep plans, row for row.
@@ -264,12 +266,15 @@ class CompiledRule {
     Step(0, *frame, stats, sink);
   }
 
-  /// Materializes the frame into a Binding (the MatchAtoms adapter).
+  /// Materializes the frame into a Binding (the MatchAtoms adapter),
+  /// resolving each slot's id: the only place a match meets a Value.
   /// Every complete match binds the same variable set, so repeated calls
   /// overwrite in place and allocate only on the first match.
   void FillBinding(const MatchFrame& frame, Binding* binding) const {
+    const ValueDictionary& dict = ValueDictionary::Global();
     for (const auto& [var, slot] : var_slots_) {
-      (*binding)[var] = frame.slots[static_cast<std::size_t>(slot)];
+      (*binding)[var] =
+          dict.Resolve(frame.slots[static_cast<std::size_t>(slot)]);
     }
   }
 
@@ -301,12 +306,6 @@ class CompiledRule {
   /// computed-goto VM in eval/bytecode; see docs/bytecode_vm.md.
   const bytecode::Program& bytecode_program() const { return bc_; }
 
-  /// True if every negated literal is absent from `full` under the frame.
-  bool NegationHolds(const Database& full, const MatchFrame& frame,
-                     Tuple* scratch) const;
-
-  Tuple InstantiateHeadFromFrame(const MatchFrame& frame) const;
-
  private:
   friend struct MatchFrame;
   friend bytecode::Program bytecode::Lower(const CompiledRule& plan);
@@ -333,13 +332,13 @@ class CompiledRule {
       const std::vector<PlannedAtom>& order,
       const std::unordered_map<VariableId, int>& slot_of);
 
-  static void FillTerms(const std::vector<CompiledTerm>& terms,
-                        const MatchFrame& frame, Tuple* out) {
-    out->clear();
-    out->reserve(terms.size());
+  /// Appends the ids `terms` take under `frame` to `out`.
+  template <typename Out>
+  static void AppendTerms(const std::vector<CompiledTerm>& terms,
+                          const MatchFrame& frame, Out* out) {
     for (const CompiledTerm& t : terms) {
       if (t.is_constant) {
-        out->push_back(t.value);
+        out->push_back(t.id);
       } else {
         if (t.slot < 0) throw std::out_of_range("unbound rule variable");
         out->push_back(frame.slots[static_cast<std::size_t>(t.slot)]);
@@ -352,9 +351,9 @@ class CompiledRule {
   /// probes ReadPart will issue (the same condition EnsureIndexes
   /// pre-builds for): partially bound indexed probes. Fully bound atoms
   /// -- zero-arity ones included -- are one dedup-table lookup
-  /// (Relation::FindRow) and need no view. A part without rows gets no
-  /// view either, so the shared empty relation a database hands out for
-  /// an absent predicate is never indexed.
+  /// (Relation::FindRowIdsIn) and need no view. A part without rows gets
+  /// no view either, so the shared empty relation a database hands out
+  /// for an absent predicate is never indexed.
   void PreparePart(const CompiledAtomStep& step, const Relation& rel,
                    RowSpan rows, MatchFrame::DepthPart* part) const {
     part->rel = &rel;
@@ -379,7 +378,7 @@ class CompiledRule {
     }
     const MatchFrame::DepthSource& ds = frame.sources[depth];
     const CompiledAtomStep& step = steps_[depth];
-    Tuple& key = frame.keys[depth];
+    std::vector<std::uint32_t>& key = frame.keys[depth];
     for (const CompiledAtomStep::KeyFill& kf : step.key_fill) {
       key[static_cast<std::size_t>(kf.key_index)] =
           frame.slots[static_cast<std::size_t>(kf.slot)];
@@ -401,7 +400,7 @@ class CompiledRule {
     }
     const CompiledAtomStep& step = steps_[depth];
     const Relation& rel = *part.rel;
-    const Tuple& key = frame.keys[depth];
+    const std::vector<std::uint32_t>& key = frame.keys[depth];
     if (stats != nullptr) ++stats->index_lookups;
 
     if (use_index_ &&
@@ -409,24 +408,23 @@ class CompiledRule {
       // Fully bound: membership test, one dedup-table lookup of the
       // unique matching row, which must lie in the part's rows.
       if (stats != nullptr) ++stats->tuples_scanned;
-      if (rel.FindRowIn(key, part.rows) != Relation::kNoRow &&
-          (minus == nullptr || !minus->Contains(key))) {
+      if (rel.FindRowIdsIn(key.data(), part.rows) != Relation::kNoRow &&
+          (minus == nullptr || !minus->ContainsIds(key))) {
         return Step(depth + 1, frame, stats, sink);
       }
       return true;
     }
 
-    auto try_row = [&](RowRef row) -> bool {
-      if (minus != nullptr && minus->Contains(row)) return true;
-      for (const CompiledAtomStep::SlotRef& w : step.writes) {
-        frame.slots[static_cast<std::size_t>(w.slot)] =
-            row[static_cast<std::size_t>(w.col)];
-      }
-      for (const CompiledAtomStep::SlotRef& c : step.checks) {
-        if (frame.slots[static_cast<std::size_t>(c.slot)] !=
-            row[static_cast<std::size_t>(c.col)]) {
+    auto try_row = [&](std::size_t row) -> bool {
+      if (minus != nullptr && minus->Contains(rel.row(row))) return true;
+      for (const auto& [first_col, repeat_col] : step.id_checks) {
+        if (rel.column(first_col)[row] != rel.column(repeat_col)[row]) {
           return true;  // repeated variable mismatch; keep enumerating
         }
+      }
+      for (const CompiledAtomStep::SlotRef& w : step.writes) {
+        frame.slots[static_cast<std::size_t>(w.slot)] =
+            rel.column(w.col)[row];
       }
       return Step(depth + 1, frame, stats, sink);
     };
@@ -434,33 +432,32 @@ class CompiledRule {
     if (step.key_cols.empty()) {
       for (std::size_t i = part.rows.begin; i < part.rows.end; ++i) {
         if (stats != nullptr) ++stats->tuples_scanned;
-        if (!try_row(rel.row(i))) return false;
+        if (!try_row(i)) return false;
       }
       return true;
     }
 
     if (!use_index_) {
       for (std::size_t i = part.rows.begin; i < part.rows.end; ++i) {
-        const RowRef row = rel.row(i);
         if (stats != nullptr) ++stats->tuples_scanned;
         bool matches = true;
         for (std::size_t k = 0; k < step.key_cols.size(); ++k) {
-          if (row[static_cast<std::size_t>(step.key_cols[k])] != key[k]) {
+          if (rel.column(step.key_cols[k])[i] != key[k]) {
             matches = false;
             break;
           }
         }
-        if (matches && !try_row(row)) return false;
+        if (matches && !try_row(i)) return false;
       }
       return true;
     }
 
     const std::vector<std::uint32_t>& row_ids =
-        step.key_cols.size() == 1 ? part.single_index.Find(key[0])
-                                  : part.multi_index.Find(key);
+        step.key_cols.size() == 1 ? part.single_index.FindId(key[0])
+                                  : part.multi_index.FindIds(key);
     for (std::uint32_t row_id : rel.PostingsIn(row_ids, part.rows)) {
       if (stats != nullptr) ++stats->tuples_scanned;
-      if (!try_row(rel.row(row_id))) return false;
+      if (!try_row(row_id)) return false;
     }
     return true;
   }

@@ -421,29 +421,20 @@ const std::vector<std::uint32_t>& Relation::EmptyRowIds() {
   return *kEmpty;
 }
 
-const std::vector<std::uint32_t>& Relation::SingleIndexView::Find(
-    const Value& key) const {
-  const std::uint32_t id = ValueDictionary::Global().LookupId(key);
-  if (id == ValueDictionary::kInvalidId) return EmptyRowIds();
-  return FindId(id);
-}
-
-const std::vector<std::uint32_t>& Relation::MultiIndexView::Find(
-    const Tuple& key) const {
-  std::vector<std::uint32_t>& ids = IdScratch();
-  if (!ValueDictionary::Global().LookupRow(key, &ids)) return EmptyRowIds();
-  return FindIds(ids);
-}
-
 const std::vector<std::uint32_t>& Relation::Lookup(
     const std::vector<int>& columns, const Tuple& key) const {
   if (columns.size() == 1) return Lookup(columns[0], key[0]);
-  return PrepareIndex(columns).Find(key);
+  const MultiIndexView view = PrepareIndex(columns);
+  std::vector<std::uint32_t>& ids = IdScratch();
+  // A value the dictionary has never seen is in no row.
+  if (!ValueDictionary::Global().LookupRow(key, &ids)) return EmptyRowIds();
+  return view.FindIds(ids);
 }
 
 const std::vector<std::uint32_t>& Relation::Lookup(int column,
                                                    const Value& key) const {
-  return PrepareSingleIndex(column).Find(key);
+  return PrepareSingleIndex(column).FindId(
+      ValueDictionary::Global().LookupId(key));
 }
 
 Relation::SingleIndexView Relation::PrepareSingleIndex(int column) const {

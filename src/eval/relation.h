@@ -192,7 +192,7 @@ class Relation {
   /// probe (ids read straight from `row` when it is itself a relation
   /// row view). Rows are append-only, so a fully bound atom over a row
   /// range (an old snapshot, a delta) matches iff the id lies inside it
-  /// (FindRowIn).
+  /// (FindRowIdsIn).
   std::uint32_t FindRow(RowRef row) const;
   bool Contains(RowRef row) const { return FindRow(row) != kNoRow; }
   bool Contains(const Tuple& tuple) const { return Contains(RowRef(tuple)); }
@@ -202,14 +202,9 @@ class Relation {
     return id_table_.Find(columns_, ids);
   }
 
-  /// FindRow / FindRowIds restricted to `rows`: the matching row's id
-  /// when it lies inside the span, kNoRow otherwise. Rows are
-  /// append-only, so this is how a fully bound atom reads an old
-  /// snapshot or a delta range.
-  std::uint32_t FindRowIn(RowRef row, RowSpan rows) const {
-    const std::uint32_t id = FindRow(row);
-    return rows.contains(id) ? id : kNoRow;
-  }
+  /// FindRowIds restricted to `rows`: the matching row's id when it lies
+  /// inside the span, kNoRow otherwise. Rows are append-only, so this is
+  /// how a fully bound atom reads an old snapshot or a delta range.
   std::uint32_t FindRowIdsIn(const std::uint32_t* ids, RowSpan rows) const {
     const std::uint32_t id = FindRowIds(ids);
     return rows.contains(id) ? id : kNoRow;
@@ -329,13 +324,12 @@ class Relation {
   /// EraseAll empties the underlying maps in place, so a stale view
   /// safely finds nothing instead of dangling. Execute prepares one per
   /// join depth per enumeration, and the bytecode VM one per step (the
-  /// relation is frozen while matching). Find converts a Value key
-  /// through the dictionary; FindId / FindIds probe by id directly.
+  /// relation is frozen while matching). Views probe by dictionary id
+  /// only; an id no stored value has, kInvalidId included, finds nothing.
   class SingleIndexView {
    public:
     SingleIndexView() = default;
     bool valid() const { return map_ != nullptr; }
-    const std::vector<std::uint32_t>& Find(const Value& key) const;
     const std::vector<std::uint32_t>& FindId(std::uint32_t id) const {
       auto it = map_->find(id);
       return it == map_->end() ? EmptyRowIds() : it->second;
@@ -351,7 +345,6 @@ class Relation {
    public:
     MultiIndexView() = default;
     bool valid() const { return map_ != nullptr; }
-    const std::vector<std::uint32_t>& Find(const Tuple& key) const;
     const std::vector<std::uint32_t>& FindIds(
         const std::vector<std::uint32_t>& key) const {
       auto it = map_->find(key);

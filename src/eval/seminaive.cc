@@ -138,38 +138,56 @@ Result<EvalStats> EvaluateSemiNaive(const Program& program, Database* db) {
   return stats;
 }
 
-Result<EvalStats> EvaluateSemiNaiveScc(const Program& program, Database* db) {
-  DATALOG_RETURN_IF_ERROR(ValidatePositiveProgram(program));
-  DependenceGraph graph(program);
-
-  // Group rules by the SCC of their head predicate and order the groups
-  // topologically. Tarjan assigns SMALLER indices to successor
-  // components (for a cross edge u -> v, scc[v] < scc[u]); dependencies
-  // must run first, so the groups are processed in DESCENDING index
-  // order.
-  std::map<int, std::vector<std::size_t>, std::greater<int>> groups;
+std::vector<RuleGroup> SccRuleGroups(const Program& program,
+                                     const DependenceGraph& graph) {
+  std::map<int, std::vector<std::size_t>, std::greater<int>> by_scc;
   for (std::size_t i = 0; i < program.NumRules(); ++i) {
-    groups[graph.SccIndex(program.rules()[i].head().predicate())].push_back(i);
+    by_scc[graph.SccIndex(program.rules()[i].head().predicate())].push_back(i);
   }
+  std::vector<RuleGroup> groups;
+  for (auto& [scc, rules] : by_scc) {
+    groups.push_back(
+        RuleGroup{static_cast<std::uint64_t>(scc), std::move(rules)});
+  }
+  return groups;
+}
 
-  TraceSpan span("eval/scc-semi-naive");
+EvalStats RunRuleGroups(
+    const Program& program, const std::vector<RuleGroup>& groups,
+    const char* span_name, const char* label_note,
+    const std::function<EvalStats(const std::vector<Rule>&)>& fixpoint) {
   EvalStats total;
   total.per_rule.resize(program.NumRules());
-  for (const auto& [scc, rule_indices] : groups) {
-    TraceSpan scc_span("seminaive/scc");
-    scc_span.Note("scc", static_cast<std::uint64_t>(scc));
-    scc_span.Note("rules", rule_indices.size());
+  for (const RuleGroup& group : groups) {
+    TraceSpan group_span(span_name);
+    group_span.Note(label_note, group.label);
+    group_span.Note("rules", group.rules.size());
     std::vector<Rule> rules;
-    for (std::size_t i : rule_indices) rules.push_back(program.rules()[i]);
-    EvalStats group_stats = RunSemiNaiveFixpoint(rules, db);
+    for (std::size_t i : group.rules) rules.push_back(program.rules()[i]);
+    EvalStats group_stats = fixpoint(rules);
+    // Remap the group-local per-rule rows onto program rule positions
+    // before merging, so EvalStats::per_rule stays program-indexed.
     std::vector<RuleStats> remapped(program.NumRules());
     for (std::size_t i = 0; i < group_stats.per_rule.size(); ++i) {
-      remapped[rule_indices[i]] = group_stats.per_rule[i];
+      remapped[group.rules[i]] = group_stats.per_rule[i];
     }
     group_stats.per_rule = std::move(remapped);
-    scc_span.Note("facts", group_stats.facts_derived);
+    group_span.Note("facts", group_stats.facts_derived);
     total.Add(group_stats);
   }
+  return total;
+}
+
+Result<EvalStats> EvaluateSemiNaiveScc(const Program& program, Database* db) {
+  DATALOG_RETURN_IF_ERROR(ValidatePositiveProgram(program));
+  const std::vector<RuleGroup> groups =
+      SccRuleGroups(program, DependenceGraph(program));
+  TraceSpan span("eval/scc-semi-naive");
+  const EvalStats total = RunRuleGroups(
+      program, groups, "seminaive/scc", "scc",
+      [db](const std::vector<Rule>& rules) {
+        return RunSemiNaiveFixpoint(rules, db);
+      });
   span.Note("iterations", static_cast<std::uint64_t>(total.iterations));
   span.Note("facts", total.facts_derived);
   RecordEvalStats("scc-semi-naive", total);

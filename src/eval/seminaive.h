@@ -1,6 +1,8 @@
 #ifndef DATALOG_EVAL_SEMINAIVE_H_
 #define DATALOG_EVAL_SEMINAIVE_H_
 
+#include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +13,8 @@
 #include "util/result.h"
 
 namespace datalog {
+
+class DependenceGraph;
 
 /// Snapshot of per-predicate row counts. Relations are append-only, so the
 /// facts discovered during a round are exactly the rows past the snapshot.
@@ -50,6 +54,30 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db);
 /// on programs with several strata of intentional predicates it does
 /// strictly less bookkeeping (see bench_engine).
 Result<EvalStats> EvaluateSemiNaiveScc(const Program& program, Database* db);
+
+/// One group of rules that a grouped evaluation runs to its own
+/// fixpoint: the program indexes of its rules, in program order, and the
+/// number its trace span notes (an SCC index, or a stratum).
+struct RuleGroup {
+  std::uint64_t label = 0;
+  std::vector<std::size_t> rules;
+};
+
+/// The program's rules grouped by the dependence-graph SCC of their head
+/// predicate, dependencies first. Tarjan assigns SMALLER indices to
+/// successor components (for a cross edge u -> v, scc[v] < scc[u]), so
+/// the groups come in DESCENDING index order.
+std::vector<RuleGroup> SccRuleGroups(const Program& program,
+                                     const DependenceGraph& graph);
+
+/// Runs `fixpoint` over each group's rules in order and sums the stats,
+/// each group's per_rule rows moved to their program indexes. Each group
+/// runs inside a span named `span_name` that notes `label_note` (the
+/// group's label), "rules" and "facts".
+EvalStats RunRuleGroups(
+    const Program& program, const std::vector<RuleGroup>& groups,
+    const char* span_name, const char* label_note,
+    const std::function<EvalStats(const std::vector<Rule>&)>& fixpoint);
 
 }  // namespace datalog
 

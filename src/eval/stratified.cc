@@ -17,34 +17,22 @@ Result<EvalStats> EvaluateStratified(const Program& program, Database* db) {
                            graph.Stratify());
 
   TraceSpan span("eval/stratified");
-  EvalStats total;
-  total.per_rule.resize(program.NumRules());
+  std::vector<RuleGroup> groups;
   for (std::size_t si = 0; si < strata.size(); ++si) {
-    const std::vector<PredicateId>& stratum = strata[si];
-    std::set<PredicateId> preds(stratum.begin(), stratum.end());
-    std::vector<Rule> rules;
-    std::vector<std::size_t> original_index;  // stratum-local -> program
+    const std::set<PredicateId> preds(strata[si].begin(), strata[si].end());
+    RuleGroup group{si, {}};
     for (std::size_t i = 0; i < program.NumRules(); ++i) {
       if (preds.contains(program.rules()[i].head().predicate())) {
-        rules.push_back(program.rules()[i]);
-        original_index.push_back(i);
+        group.rules.push_back(i);
       }
     }
-    if (rules.empty()) continue;
-    TraceSpan stratum_span("stratified/stratum");
-    stratum_span.Note("stratum", si);
-    stratum_span.Note("rules", rules.size());
-    EvalStats stratum_stats = RunSemiNaiveFixpoint(rules, db);
-    // Remap the stratum-local per-rule rows onto program rule positions
-    // before merging, so EvalStats::per_rule stays program-indexed.
-    std::vector<RuleStats> remapped(program.NumRules());
-    for (std::size_t i = 0; i < stratum_stats.per_rule.size(); ++i) {
-      remapped[original_index[i]] = stratum_stats.per_rule[i];
-    }
-    stratum_stats.per_rule = std::move(remapped);
-    stratum_span.Note("facts", stratum_stats.facts_derived);
-    total.Add(stratum_stats);
+    if (!group.rules.empty()) groups.push_back(std::move(group));
   }
+  const EvalStats total = RunRuleGroups(
+      program, groups, "stratified/stratum", "stratum",
+      [db](const std::vector<Rule>& rules) {
+        return RunSemiNaiveFixpoint(rules, db);
+      });
   span.Note("iterations", static_cast<std::uint64_t>(total.iterations));
   span.Note("facts", total.facts_derived);
   RecordEvalStats("stratified", total);

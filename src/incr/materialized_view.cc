@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <set>
 #include <thread>
@@ -41,12 +40,12 @@ std::vector<VariableId> HeadVariables(const Atom& head) {
   return vars;
 }
 
-/// Unifies a ground tuple with a rule head, writing the value of
+/// Unifies a stored row with a rule head, writing the id of
 /// `head_vars[i]` into frame slot i (where CompileAtoms put the variables
 /// bound before the first atom). Fails on a constant mismatch or an
 /// inconsistent repeated variable.
 bool BindHead(const Atom& head, const std::vector<VariableId>& head_vars,
-              const Tuple& fact, MatchFrame* frame) {
+              RowRef fact, MatchFrame* frame) {
   std::size_t written = 0;  // slots [0, written) hold their variables
   for (std::size_t i = 0; i < fact.size(); ++i) {
     const Term& t = head.args()[i];
@@ -58,9 +57,9 @@ bool BindHead(const Atom& head, const std::vector<VariableId>& head_vars,
         std::find(head_vars.begin(), head_vars.end(), t.var()) -
         head_vars.begin());
     if (slot == written) {
-      frame->slots[slot] = fact[i];
+      frame->slots[slot] = fact.id(i);
       ++written;
-    } else if (frame->slots[slot] != fact[i]) {
+    } else if (frame->slots[slot] != fact.id(i)) {
       return false;
     }
   }
@@ -106,7 +105,7 @@ std::vector<RederivePlan> PlanRederive(
 /// one of `plans`. Read-only on the databases once the plans'
 /// EnsureIndexes ran, so a sweep's checks can run concurrently.
 bool CanRederive(const std::vector<RederivePlan>& plans, const Database& view,
-                 PredicateId pred, const Tuple& fact, MatchStats* stats) {
+                 PredicateId pred, RowRef fact, MatchStats* stats) {
   for (const RederivePlan& rp : plans) {
     if (rp.rule->head().predicate() != pred) continue;
     MatchFrame frame(rp.plan);
@@ -189,14 +188,10 @@ Status MaterializedView::Initialize() {
   // SCC, which refines any stratification.
   DATALOG_RETURN_IF_ERROR(graph.Stratify().status());
 
-  // Group rules by the SCC of their head predicate, in topological order
-  // (Tarjan numbers successors lower, so dependencies first means
-  // descending index -- see EvaluateSemiNaiveScc).
-  std::map<int, SccPlan, std::greater<int>> groups;
-  for (const Rule& rule : program_.rules()) {
-    groups[graph.SccIndex(rule.head().predicate())].rules.push_back(rule);
-  }
-  for (auto& [scc, plan] : groups) {
+  // One plan per SCC of head predicates, dependencies first.
+  for (const RuleGroup& group : SccRuleGroups(program_, graph)) {
+    SccPlan plan;
+    for (std::size_t i : group.rules) plan.rules.push_back(program_.rules()[i]);
     std::set<PredicateId> preds;
     bool negated = false;
     bool recursive = false;
@@ -462,12 +457,11 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
   bool progress = true;
   while (progress && rederived.NumFacts() < over.NumFacts()) {
     progress = false;
-    std::vector<std::pair<PredicateId, Tuple>> candidates;
+    // Rows of `over`, which the sweep does not change.
+    std::vector<std::pair<PredicateId, RowRef>> candidates;
     for (PredicateId pred : over.NonEmptyPredicates()) {
       for (RowRef row : over.relation(pred).rows()) {
-        if (!rederived.Contains(pred, row)) {
-          candidates.emplace_back(pred, Tuple(row));
-        }
+        if (!rederived.Contains(pred, row)) candidates.emplace_back(pred, row);
       }
     }
     if (candidates.empty()) break;
@@ -495,16 +489,16 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
       for (const MatchStats& s : task_stats) stats->match.Add(s);
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (ok[i] != 0) {
-          rederived.AddFact(candidates[i].first, candidates[i].second);
+          rederived.AddFact(candidates[i].first, Tuple(candidates[i].second));
           progress = true;
         }
       }
     } else {
       const std::vector<RederivePlan> plans =
           PlanRederive(plan.rules, plan.preds, db_, over, rederived);
-      for (const auto& [pred, tuple] : candidates) {
-        if (CanRederive(plans, db_, pred, tuple, &stats->match)) {
-          rederived.AddFact(pred, tuple);
+      for (const auto& [pred, row] : candidates) {
+        if (CanRederive(plans, db_, pred, row, &stats->match)) {
+          rederived.AddFact(pred, Tuple(row));
           progress = true;
         }
       }

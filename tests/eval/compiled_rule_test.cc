@@ -381,7 +381,7 @@ TEST(CompiledRuleTest, PreBoundVariablesMatchSubstitutedConstants) {
           MatchStats stats;
           MatchFrame frame(plan);
           for (std::size_t i = 0; i < values.size(); ++i) {
-            frame.slots[i] = values[i];
+            frame.slots[i] = ValueDictionary::Global().Intern(values[i]);
           }
           Binding binding;
           plan.Execute(db, nullptr, &frame, &stats, [&](const MatchFrame& f) {
@@ -525,8 +525,8 @@ TEST(CompiledRuleTest, SemiNaiveFixpointMatchesLegacy) {
 }
 
 /// Negated literals are tested against the full database after the
-/// positive part binds: the VM's id-space membership probe must filter
-/// exactly the matches Execute's NegationHolds does.
+/// positive part binds: the VM's membership probe must filter exactly
+/// the matches Execute's does.
 TEST(CompiledRuleTest, NegationAgreesWithLegacy) {
   KnobGuard guard;
   auto symbols = MakeSymbols();

@@ -28,6 +28,20 @@ Tuple T2(std::int64_t a, std::int64_t b) {
   return {Value::Int(a), Value::Int(b)};
 }
 
+/// The dictionary ids of `tuple`'s values, without interning: a value
+/// the dictionary never saw maps to kInvalidId, which no stored row
+/// holds. Index views and FindRowIdsIn probe by id only.
+std::vector<std::uint32_t> Ids(const Tuple& tuple) {
+  std::vector<std::uint32_t> ids;
+  for (const Value& v : tuple) {
+    ids.push_back(ValueDictionary::Global().LookupId(v));
+  }
+  return ids;
+}
+std::uint32_t Id(std::int64_t v) {
+  return ValueDictionary::Global().LookupId(Value::Int(v));
+}
+
 /// A deterministic relation of `n` distinct pairs with repeated first
 /// columns, so single-column indexes have multi-row postings.
 Relation PairRelation(std::int64_t n) {
@@ -181,15 +195,15 @@ TEST(RelationConformanceTest, EraseAllInvalidatesOutstandingViews) {
   rel.Insert(T2(4, 5));
   Relation::SingleIndexView single = rel.PrepareSingleIndex(0);
   Relation::MultiIndexView multi = rel.PrepareIndex({0, 1});
-  ASSERT_EQ(single.Find(Value::Int(1)).size(), 2u);
-  ASSERT_EQ(multi.Find(T2(4, 5)).size(), 1u);
+  ASSERT_EQ(single.FindId(Id(1)).size(), 2u);
+  ASSERT_EQ(multi.FindIds(Ids(T2(4, 5))).size(), 1u);
   EXPECT_EQ(rel.EraseAll({T2(1, 2)}), 1u);
-  EXPECT_TRUE(single.Find(Value::Int(1)).empty());
-  EXPECT_TRUE(single.Find(Value::Int(4)).empty());
-  EXPECT_TRUE(multi.Find(T2(4, 5)).empty());
+  EXPECT_TRUE(single.FindId(Id(1)).empty());
+  EXPECT_TRUE(single.FindId(Id(4)).empty());
+  EXPECT_TRUE(multi.FindIds(Ids(T2(4, 5))).empty());
   // Fresh views see the compacted rows again.
-  EXPECT_EQ(rel.PrepareSingleIndex(0).Find(Value::Int(1)).size(), 1u);
-  EXPECT_EQ(rel.PrepareIndex({0, 1}).Find(T2(4, 5)).size(), 1u);
+  EXPECT_EQ(rel.PrepareSingleIndex(0).FindId(Id(1)).size(), 1u);
+  EXPECT_EQ(rel.PrepareIndex({0, 1}).FindIds(Ids(T2(4, 5))).size(), 1u);
 }
 
 TEST(RelationConformanceTest, PreparedViewsAgreeWithLookup) {
@@ -198,10 +212,14 @@ TEST(RelationConformanceTest, PreparedViewsAgreeWithLookup) {
   rel.Insert(T2(2, 2));
   rel.Insert(T2(1, 4));
   Relation::SingleIndexView single = rel.PrepareSingleIndex(1);
-  EXPECT_EQ(single.Find(Value::Int(2)), rel.Lookup(1, Value::Int(2)));
+  EXPECT_EQ(single.FindId(Id(2)), rel.Lookup(1, Value::Int(2)));
   Relation::MultiIndexView multi = rel.PrepareIndex({0, 1});
-  EXPECT_EQ(multi.Find(T2(1, 4)), rel.Lookup({0, 1}, T2(1, 4)));
-  EXPECT_TRUE(multi.Find(T2(9, 9)).empty());
+  EXPECT_EQ(multi.FindIds(Ids(T2(1, 4))), rel.Lookup({0, 1}, T2(1, 4)));
+  EXPECT_TRUE(multi.FindIds(Ids(T2(9, 9))).empty());
+  // An id no stored value has finds nothing, kInvalidId included.
+  EXPECT_TRUE(single.FindId(ValueDictionary::kInvalidId).empty());
+  EXPECT_TRUE(
+      multi.FindIds({Id(1), ValueDictionary::kInvalidId}).empty());
 }
 
 TEST(RelationConformanceTest, DegenerateEmptyColumnIndexMapsAllRows) {
@@ -211,7 +229,7 @@ TEST(RelationConformanceTest, DegenerateEmptyColumnIndexMapsAllRows) {
   rel.Insert(T2(1, 2));
   rel.Insert(T2(3, 4));
   Relation::MultiIndexView view = rel.PrepareIndex({});
-  const auto& all = view.Find(Tuple{});
+  const auto& all = view.FindIds({});
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0], 0u);
   EXPECT_EQ(all[1], 1u);
@@ -421,7 +439,7 @@ TEST(RelationConformanceTest, RowLookupAgreesWithLimitFilteredIndexScan) {
                             std::size_t{59}, std::size_t{60}}) {
     for (const Tuple& probe : probes) {
       bool reference = false;
-      for (std::uint32_t row_id : all_columns.Find(probe)) {
+      for (std::uint32_t row_id : all_columns.FindIds(Ids(probe))) {
         if (row_id < limit) reference = true;
       }
       EXPECT_EQ(rel.FindRow(probe) < limit, reference)
@@ -505,8 +523,7 @@ void ExpectSpanReadsMatchRows(const Relation& rel,
             expected.push_back(static_cast<std::uint32_t>(i));
           }
         }
-        const auto segment =
-            rel.PostingsIn(view.Find(Value::Int(v)), span);
+        const auto segment = rel.PostingsIn(view.FindId(Id(v)), span);
         EXPECT_EQ(std::vector<std::uint32_t>(segment.begin(), segment.end()),
                   expected)
             << where << " column " << c << " key " << v;
@@ -523,7 +540,8 @@ void ExpectSpanReadsMatchRows(const Relation& rel,
             expected.push_back(static_cast<std::uint32_t>(i));
           }
         }
-        const auto segment = rel.PostingsIn(pair_view.Find(key), span);
+        const auto segment =
+            rel.PostingsIn(pair_view.FindIds(Ids(key)), span);
         EXPECT_EQ(std::vector<std::uint32_t>(segment.begin(), segment.end()),
                   expected)
             << where << " key (" << a << ", " << b << ")";
@@ -533,13 +551,16 @@ void ExpectSpanReadsMatchRows(const Relation& rel,
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t want =
           inside(i) ? static_cast<std::uint32_t>(i) : Relation::kNoRow;
-      EXPECT_EQ(rel.FindRowIn(rows[i], span), want) << where << " row " << i;
-      EXPECT_EQ(rel.FindRowIn(rel.row(i), span), want)
+      EXPECT_EQ(rel.FindRowIdsIn(Ids(rows[i]).data(), span), want)
+          << where << " row " << i;
+      const std::uint32_t stored[] = {rel.column(0)[i], rel.column(1)[i],
+                                      rel.column(2)[i]};
+      EXPECT_EQ(rel.FindRowIdsIn(stored, span), want)
           << where << " row " << i;
     }
-    EXPECT_EQ(rel.FindRowIn(Tuple{Value::Int(-1), Value::Int(0),
-                                  Value::Int(0)},
-                            span),
+    EXPECT_EQ(rel.FindRowIdsIn(
+                  Ids({Value::Int(-1), Value::Int(0), Value::Int(0)}).data(),
+                  span),
               Relation::kNoRow)
         << where;
 
@@ -776,8 +797,9 @@ IdRowBuffer SplitBatch(std::size_t arity, std::size_t count, bool new_first,
   return batch;
 }
 
-/// `rel` holds exactly `ref`'s rows in `ref`'s order; FindRow, FindRowIn
-/// over random spans and FindRowIds find random present rows at their
+/// `rel` holds exactly `ref`'s rows in `ref`'s order; FindRow, FindRowIds
+/// and FindRowIdsIn over random spans (of the row's own ids, and of the
+/// ids its resolved values look up) find random present rows at their
 /// ids, and random absent rows not at all.
 void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
                             const IdDomain& ids, std::mt19937* rng) {
@@ -800,7 +822,7 @@ void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
     ASSERT_EQ(rel.FindRow(tuple), i);
     ASSERT_EQ(rel.FindRow(rel.row(i)), i);
     const RowSpan span = random_span();
-    ASSERT_EQ(rel.FindRowIn(tuple, span),
+    ASSERT_EQ(rel.FindRowIdsIn(Ids(tuple).data(), span),
               span.contains(i) ? i : Relation::kNoRow);
     ASSERT_EQ(rel.FindRowIds(ref.rows[i].data()), i);
     ASSERT_EQ(rel.FindRowIdsIn(ref.rows[i].data(), span),
@@ -811,7 +833,8 @@ void ExpectMatchesReference(const Relation& rel, const ReferenceSet& ref,
     if (ref.ids.contains(absent)) continue;
     const Tuple tuple = ResolveRow(absent);
     ASSERT_EQ(rel.FindRow(tuple), Relation::kNoRow);
-    ASSERT_EQ(rel.FindRowIn(tuple, random_span()), Relation::kNoRow);
+    ASSERT_EQ(rel.FindRowIdsIn(Ids(tuple).data(), random_span()),
+              Relation::kNoRow);
     ASSERT_EQ(rel.FindRowIds(absent.data()), Relation::kNoRow);
   }
 }

@@ -132,20 +132,15 @@ inline PlanRun ApplyPlan(const CompiledRule& plan, const Database& full,
 }
 
 /// The reference executor for the VM: Execute's depth-first enumeration
-/// of the same plan, filtered by NegationHolds, with each match's
-/// InstantiateHeadFromFrame row inserted in order.
+/// of the same plan (CompiledRule::DeriveByExecute), its head rows
+/// inserted in order into an empty relation.
 inline PlanRun ExecutePlan(const CompiledRule& plan, const Database& full,
                            const DeltaRanges* ranges) {
   Relation out(full.symbols()->PredicateArity(plan.head_predicate()));
   PlanRun run;
-  MatchFrame frame(plan);
-  Tuple scratch;
-  plan.Execute(full, ranges, &frame, &run.stats, [&](const MatchFrame& f) {
-    if (plan.NegationHolds(full, f, &scratch)) {
-      out.Insert(plan.InstantiateHeadFromFrame(f));
-    }
-    return true;
-  });
+  IdRowBuffer derived;
+  plan.DeriveByExecute(full, ranges, &run.stats, &derived);
+  out.InsertIdRows(derived);
   run.rows = RowsOf(out);
   return run;
 }

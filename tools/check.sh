@@ -281,8 +281,11 @@ if [ "${SANITIZE}" = "thread" ] && [ "${DATALOG_CHECK_INCR_ASAN:-1}" = "1" ]; th
   # VM-vs-Execute differential checks plus the validator fuzzer
   # (BytecodeFuzzTest), whose whole point is running hostile instruction
   # streams and mutated descriptor tables under ASan/UBSan.
+  # *CompiledRule* runs Execute's id frame and key buffers directly:
+  # pre-bound slots, minus and plus parts, and repeated variables.
   ./tests/integration_test --gtest_filter='*Incremental*:*Multiway*:*Bytecode*'
-  ./tests/eval_test --gtest_filter='*Multiway*:*Hypergraph*:*Bytecode*'
+  ./tests/eval_test \
+    --gtest_filter='*Multiway*:*Hypergraph*:*Bytecode*:*CompiledRule*'
   cd "${ROOT}"
   echo "== OK (address,undefined incremental fuzzer)"
 fi
