@@ -445,7 +445,7 @@ TEST(MultiwayConformanceTest, FirstWitnessOrderBindsKeptVariablesFirst) {
   ASSERT_EQ(clq_order.size(), 4u);
   const std::vector<bytecode::TermDesc>& head = clq.bytecode_program().head;
   EXPECT_EQ(std::set<std::uint32_t>(clq_order.begin(), clq_order.begin() + 2),
-            (std::set<std::uint32_t>{head[0].index, head[1].index}));
+            (std::set<std::uint32_t>{head[0].value, head[1].value}));
   EXPECT_EQ(clq.multiway_exit_depth(), 2u);
   const auto clq_exit = first_witness(clq);
   ASSERT_NE(clq_exit, clq.bytecode_program().code.end());
@@ -458,8 +458,8 @@ TEST(MultiwayConformanceTest, FirstWitnessOrderBindsKeptVariablesFirst) {
       compile("q(x) :- e(x, y), e(y, z), e(z, x), not b(y).");
   const std::vector<std::uint32_t> neg_order = order(neg);
   ASSERT_EQ(neg_order.size(), 3u);
-  const std::uint32_t x = neg.bytecode_program().head[0].index;
-  const std::uint32_t y = neg.bytecode_program().negated[0].terms[0].index;
+  const std::uint32_t x = neg.bytecode_program().head[0].value;
+  const std::uint32_t y = neg.bytecode_program().negated[0].terms[0].value;
   EXPECT_EQ(std::set<std::uint32_t>(neg_order.begin(), neg_order.begin() + 2),
             (std::set<std::uint32_t>{x, y}));
   EXPECT_EQ(neg.multiway_exit_depth(), 2u);
