@@ -11,6 +11,71 @@
 
 namespace datalog {
 
+namespace {
+
+/// The frame slot that fills a probe's k-th bound column, or -1 when the
+/// column holds a constant.
+int FillSlot(const MultiwayProbe& probe, std::size_t k) {
+  for (const CompiledAtomStep::KeyFill& kf : probe.key_fill) {
+    if (static_cast<std::size_t>(kf.key_index) == k) return kf.slot;
+  }
+  return -1;
+}
+
+/// True when every candidate probe `p` offers, probe `q` of the same step
+/// offers too, whatever earlier steps bound: both read one predicate,
+/// q's rows contain p's (the same source, or q reads the whole
+/// relation), every column holding the step's variable in q holds it in
+/// p, and every bound column of q is bound in p to the same key -- the
+/// same constant id or the same frame slot. A row witnessing a candidate
+/// for p then witnesses it for q. A delta's rows are facts of the full
+/// database (the semi-naive invariant), and multiway plans come from
+/// Compile, whose atoms carry no minus or plus part.
+bool Implies(const MultiwayProbe& p, const MultiwayProbe& q,
+             const std::vector<CompiledAtomStep>& steps) {
+  const CompiledAtomStep& ps = steps[p.atom];
+  const CompiledAtomStep& qs = steps[q.atom];
+  if (ps.predicate != qs.predicate) return false;
+  if (ps.source != qs.source && qs.source != AtomSource::kFull) return false;
+  if (!std::includes(p.var_cols.begin(), p.var_cols.end(),
+                     q.var_cols.begin(), q.var_cols.end())) {
+    return false;
+  }
+  for (std::size_t k = 0; k < q.bound_cols.size(); ++k) {
+    const auto it =
+        std::find(p.bound_cols.begin(), p.bound_cols.end(), q.bound_cols[k]);
+    if (it == p.bound_cols.end()) return false;
+    const auto j = static_cast<std::size_t>(it - p.bound_cols.begin());
+    if (p.key_template_ids[j] != q.key_template_ids[k] ||
+        FillSlot(p, j) != FillSlot(q, k)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Drops each probe whose candidates contain another kept probe's: the
+/// step's intersection stays the same, with fewer lists to elect from
+/// and fewer membership seeks per candidate. Of probes that imply each
+/// other, the first is kept.
+void DropImpliedProbes(const std::vector<CompiledAtomStep>& steps,
+                       std::vector<MultiwayProbe>* probes) {
+  std::vector<MultiwayProbe> kept;
+  for (std::size_t i = 0; i < probes->size(); ++i) {
+    const MultiwayProbe& q = (*probes)[i];
+    bool implied = false;
+    for (std::size_t j = 0; j < probes->size() && !implied; ++j) {
+      const MultiwayProbe& p = (*probes)[j];
+      implied = j != i && Implies(p, q, steps) &&
+                (j < i || !Implies(q, p, steps));
+    }
+    if (!implied) kept.push_back(q);
+  }
+  *probes = std::move(kept);
+}
+
+}  // namespace
+
 void MatchFrame::Reset(const CompiledRule& plan) {
   slots.assign(static_cast<std::size_t>(plan.num_slots()), 0);
   keys.resize(plan.num_steps());
@@ -313,6 +378,7 @@ void CompiledRule::BuildMultiwaySchedules(
       probe.unconditional = probe.bound_cols.empty();
       step.probes.push_back(std::move(probe));
     }
+    DropImpliedProbes(steps_, &step.probes);
     bound_slots.insert(s);
     mw_steps_.push_back(std::move(step));
   }

@@ -88,8 +88,12 @@ struct MultiwayProbe {
 };
 
 /// One variable of the multiway plan's fixed variable order: intersect
-/// the candidate lists of every atom containing the variable, bind the
-/// survivors into `slot`, recurse.
+/// the candidate lists of the atoms containing the variable, bind the
+/// survivors into `slot`, recurse. An atom whose candidates always
+/// contain another probe's -- the same predicate over containing rows,
+/// with a subset of that probe's variable columns and of its bound
+/// columns under the same keys -- has no probe here: it cannot change
+/// the intersection.
 struct MultiwayStep {
   int slot = -1;
   std::vector<MultiwayProbe> probes;
@@ -322,8 +326,9 @@ class CompiledRule {
               const PhaseSinks& sinks) const;
 
   /// Builds the multiway variable order, its first-witness exit depth and
-  /// the per-step probe schedules (called by BuildSchedules, after the
-  /// head and negation terms, once it selects PlanShape::kMultiway).
+  /// the per-step probe schedules, without the probes another probe of
+  /// the same step implies (called by BuildSchedules, after the head and
+  /// negation terms, once it selects PlanShape::kMultiway).
   /// `order` is the planned atom list steps_ was built from -- probe
   /// atom indexes refer to it -- and `slot_of` the left-deep slot
   /// assignment, reused so head and negation terms address the same

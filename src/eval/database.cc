@@ -55,7 +55,7 @@ std::size_t Database::ClearRelation(PredicateId pred) {
   return n;
 }
 
-bool Database::Contains(PredicateId pred, RowRef row) const {
+bool Database::Contains(PredicateId pred, const RowRef& row) const {
   auto it = relations_.find(pred);
   return it != relations_.end() && it->second.Contains(row);
 }

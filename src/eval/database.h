@@ -58,7 +58,7 @@ class Database {
 
   /// True if `pred(row)` is a fact; `row` may be a Tuple or a row view
   /// of any relation (the Tuple overload keeps braced lists working).
-  bool Contains(PredicateId pred, RowRef row) const;
+  bool Contains(PredicateId pred, const RowRef& row) const;
   bool Contains(PredicateId pred, const Tuple& tuple) const {
     return Contains(pred, RowRef(tuple));
   }

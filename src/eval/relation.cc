@@ -267,7 +267,7 @@ void Relation::CopyIntoEmpty(const Relation& src) {
   id_table_ = src.id_table_;
 }
 
-std::uint32_t Relation::FindRow(RowRef row) const {
+std::uint32_t Relation::FindRow(const RowRef& row) const {
   if (row.size() != static_cast<std::size_t>(arity_) || num_rows_ == 0) {
     return kNoRow;
   }

@@ -193,8 +193,8 @@ class Relation {
   /// row view). Rows are append-only, so a fully bound atom over a row
   /// range (an old snapshot, a delta) matches iff the id lies inside it
   /// (FindRowIdsIn).
-  std::uint32_t FindRow(RowRef row) const;
-  bool Contains(RowRef row) const { return FindRow(row) != kNoRow; }
+  std::uint32_t FindRow(const RowRef& row) const;
+  bool Contains(const RowRef& row) const { return FindRow(row) != kNoRow; }
   bool Contains(const Tuple& tuple) const { return Contains(RowRef(tuple)); }
 
   /// Hot path of FindRow: `ids` points at arity() ids.

@@ -268,7 +268,10 @@ std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
 /// instead of once per delta position); otherwise those positions read
 /// the full relation. Head facts go to `out`, the relation of the rule's
 /// head predicate (which may belong to `full`: derived rows are inserted
-/// only after the enumeration finishes).
+/// only after the enumeration finishes). Every delta fact must also be a
+/// fact of `full`, as in semi-naive evaluation: a multiway plan takes a
+/// delta atom's candidates as a full atom's on the same columns without
+/// probing the full atom (see BuildMultiwaySchedules).
 std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
                                const DeltaRanges& ranges,
                                std::size_t delta_pos, Relation* out,

@@ -288,10 +288,13 @@ TEST(BytecodeTest, FusedEmitsSkipRowsRejectedMidSegment) {
   // A fused emit op makes room for its whole segment of candidates and
   // writes each accepted row through a cursor. In every case below a
   // segment rejects rows between accepted ones -- by a negated literal,
-  // or by a repeated-variable check -- and the run must still give
-  // Execute's rows in Execute's order. The left-deep ops must also give
-  // its counters; the multiway op has its own probe counters, so only
-  // its substitutions are compared.
+  // or by a repeated-variable check. The left-deep ops must still give
+  // Execute's rows in Execute's order, and its counters. The multiway op
+  // visits candidates in dictionary-id order, which follows the values'
+  // order only while nothing interned them out of order, and has its own
+  // probe counters: it must give Execute's row set, one new fact per
+  // Execute row, and Execute's substitutions (every variable is in the
+  // head, so no first-witness exit applies).
   KnobGuard guard;
   SetGreedyJoinOrdering(false);  // textual order: the segments below
   auto symbols = MakeSymbols();
@@ -350,7 +353,9 @@ TEST(BytecodeTest, FusedEmitsSkipRowsRejectedMidSegment) {
         << c.label;
     vm.rows = RowsOf(out.relation(plan.head_predicate()));
     const PlanRun ref = ExecutePlan(plan, db, nullptr);
-    EXPECT_EQ(vm.rows, ref.rows) << c.label;
+    EXPECT_EQ(std::set<Tuple>(vm.rows.begin(), vm.rows.end()),
+              std::set<Tuple>(ref.rows.begin(), ref.rows.end()))
+        << c.label;
     EXPECT_EQ(new_facts, ref.rows.size()) << c.label;
     EXPECT_EQ(vm.stats.substitutions, ref.stats.substitutions) << c.label;
   }

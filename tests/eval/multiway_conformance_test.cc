@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "ast/pretty_print.h"
+#include "eval/bytecode/bytecode.h"
 #include "eval/compiled_rule.h"
 #include "eval/hypergraph.h"
 #include "eval/naive.h"
@@ -31,11 +33,14 @@ namespace datalog {
 namespace {
 
 using testing::AddFullEnumerationTwins;
+using testing::ExecutePlan;
 using testing::KnobGuard;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseProgramOrDie;
 using testing::ParseRuleOrDie;
+using testing::PlanRun;
+using testing::RowsOf;
 
 Database MakeCyclicDb(const std::shared_ptr<SymbolTable>& symbols,
                       const CyclicOptions& options) {
@@ -478,6 +483,177 @@ TEST(MultiwayConformanceTest, FirstWitnessOrderBindsKeptVariablesFirst) {
   EXPECT_EQ(order(tri), (std::vector<std::uint32_t>{0, 1, 2}));
   EXPECT_EQ(tri.multiway_exit_depth(), 3u);
   EXPECT_EQ(first_witness(tri), tri.bytecode_program().code.end());
+}
+
+/// Each multiway step's probes, one line per step: the step's variable,
+/// then the body atom of every probe the step keeps, tagged with its
+/// source when that is a delta or an old snapshot -- for example
+/// "y: e(x, y)@delta e(y, w)". With greedy ordering off, the plan's atom
+/// i is body atom i and its slot s the body's s-th distinct variable.
+std::vector<std::string> DescribeProbes(const CompiledRule& plan,
+                                        const Rule& rule,
+                                        const SymbolTable& symbols) {
+  const std::vector<Atom> atoms = rule.PositiveBodyAtoms();
+  std::vector<VariableId> vars;
+  for (const Atom& atom : atoms) {
+    for (const Term& t : atom.args()) {
+      if (t.is_variable() &&
+          std::find(vars.begin(), vars.end(), t.var()) == vars.end()) {
+        vars.push_back(t.var());
+      }
+    }
+  }
+  std::vector<std::string> lines;
+  for (const MultiwayStep& step : plan.multiway_steps()) {
+    std::string line =
+        ToString(Term::Variable(vars[static_cast<std::size_t>(step.slot)]),
+                 symbols) +
+        ":";
+    for (const MultiwayProbe& probe : step.probes) {
+      line += " " + ToString(atoms[probe.atom], symbols);
+      const AtomSource source = plan.steps()[probe.atom].source;
+      if (source == AtomSource::kDelta) line += "@delta";
+      if (source == AtomSource::kOld) line += "@old";
+    }
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+/// A step keeps no probe whose candidates contain another kept probe's:
+/// one over the same predicate, whose rows contain the other's (the same
+/// source, or the full relation), whose variable columns are among the
+/// other's, and whose bound columns the other binds to the same keys.
+/// Of equal probes the first stays. Each case pins every step's probes;
+/// its VM run gives Execute's rows and substitutions (one per head row
+/// under a first-witness exit), and the rule's fixpoint equals the naive
+/// engine's.
+TEST(MultiwayConformanceTest, StepsDropProbesAnotherProbeImplies) {
+  KnobGuard guard;
+  SetGreedyJoinOrdering(false);  // the plan's atom order is the body's
+  auto symbols = MakeSymbols();
+  // A hub (1) joined both ways to nodes 2..9, a ring with chords
+  // i -> i+1, i -> i+2 over 2..9, and loops on 2, 5 and 6; f holds the
+  // edges that run upwards.
+  std::string facts;
+  auto edge = [&](int a, int b) {
+    facts += "e(" + std::to_string(a) + ", " + std::to_string(b) + ").\n";
+    if (a < b) {
+      facts += "f(" + std::to_string(a) + ", " + std::to_string(b) + ").\n";
+    }
+  };
+  for (int i = 2; i <= 9; ++i) {
+    edge(1, i);
+    edge(i, 1);
+    edge(i, (i - 1) % 8 + 2);
+    edge(i, i % 8 + 2);
+  }
+  for (int i : {2, 5, 6}) edge(i, i);
+  const Database edb = ParseDatabaseOrDie(symbols, facts);
+  const PredicateId e = symbols->LookupPredicate("e").value();
+  const std::size_t num_edges = edb.relation(e).size();
+
+  constexpr std::size_t kNoDelta = std::size_t(-1);
+  struct Case {
+    const char* label;
+    const char* rule;
+    std::size_t delta_pos;
+    bool use_old;  // delta cases: old snapshot = the first half of e
+    std::vector<std::string> steps;
+  };
+  const char* const clique =
+      " :- e(x, y), e(x, z), e(x, w), e(y, z), e(y, w), e(z, w).";
+  const std::string clq = std::string("c0(x, w)") + clique;
+  const std::string clq_delta = std::string("c1(x, w)") + clique;
+  const std::string clq_old = std::string("c2(x, w)") + clique;
+  const std::string clq_all = std::string("c3(x, y, z, w)") + clique;
+  const Case cases[] = {
+      // Dropped: the roots at x, w and y. At x the three e(x, _) roots
+      // are equal; at w e(x, w)'s postings imply both roots on column 1;
+      // at y e(y, w)'s imply e(y, z)'s root.
+      {"clique", clq.c_str(), kNoDelta, false,
+       {"x: e(x, y)", "w: e(x, w)", "y: e(x, y) e(y, w)",
+        "z: e(x, z) e(y, z) e(z, w)"}},
+      // Kept: bound to different slots on one column (w: x, y and z).
+      {"clique, every variable in the head", clq_all.c_str(), kNoDelta,
+       false,
+       {"x: e(x, y)", "y: e(x, y) e(y, z)", "z: e(x, z) e(y, z) e(z, w)",
+        "w: e(x, w) e(y, w) e(z, w)"}},
+      // Dropped: the full roots beside round 1's delta root of the same
+      // column, whichever atom reads the delta. Kept: the delta root.
+      {"full roots beside a delta root", clq_delta.c_str(), 1, false,
+       {"x: e(x, z)@delta", "w: e(x, w)", "y: e(x, y) e(y, w)",
+        "z: e(x, z)@delta e(y, z) e(z, w)"}},
+      // Kept: an old-snapshot root beside a delta root (disjoint rows);
+      // dropped: the full root both imply. The delta is smaller than the
+      // relation, so z goes before y, and at z e(x, z)'s delta postings
+      // imply e(y, z)'s full root.
+      {"delta root beside an old root", clq_old.c_str(), 1, true,
+       {"x: e(x, y)@old e(x, z)@delta", "w: e(x, w)",
+        "z: e(x, z)@delta e(z, w)", "y: e(x, y)@old e(y, z) e(y, w)"}},
+      // Kept: x sits in column 0 of one atom and column 1 of the other.
+      {"triangle", "t0(x, y, z) :- e(x, y), e(y, z), e(z, x).", kNoDelta,
+       false, {"x: e(x, y) e(z, x)", "y: e(x, y) e(y, z)",
+               "z: e(y, z) e(z, x)"}},
+      // Dropped: a duplicate atom's probe at every step.
+      {"duplicate atom", "t1(x, y, z) :- e(x, y), e(y, z), e(z, x), e(x, y).",
+       kNoDelta, false,
+       {"x: e(x, y) e(z, x)", "y: e(x, y) e(y, z)", "z: e(y, z) e(z, x)"}},
+      // Dropped: e(x, y)'s root, implied by e(x, 5). Kept: e(x, 5) and
+      // e(x, 6), bound to different constants on one column.
+      {"constant implies root",
+       "t2(x, y, z) :- e(x, y), e(y, z), e(z, x), e(x, 5), e(x, 6).",
+       kNoDelta, false,
+       {"x: e(z, x) e(x, 5) e(x, 6)", "y: e(x, y) e(y, z)",
+        "z: e(y, z) e(z, x)"}},
+      // Dropped: both roots at x, each implied by e(x, x). Kept: e(x, x).
+      {"repeated variable implies root",
+       "t3(x, y, z) :- e(x, y), e(y, z), e(z, x), e(x, x).", kNoDelta, false,
+       {"x: e(x, x)", "y: e(x, y) e(y, z)", "z: e(y, z) e(z, x)"}},
+      // Kept: f's probes beside e's on the same columns.
+      {"different predicates",
+       "t4(x, y, z) :- e(x, y), e(y, z), e(z, x), f(x, y).", kNoDelta, false,
+       {"x: e(x, y) e(z, x) f(x, y)", "y: e(x, y) e(y, z) f(x, y)",
+        "z: e(y, z) e(z, x)"}},
+  };
+  for (const Case& c : cases) {
+    const Rule rule = ParseRuleOrDie(symbols, c.rule);
+    DeltaRanges ranges(c.use_old);
+    const std::size_t old = c.use_old ? num_edges / 2 : 0;
+    ranges.SetOld(e, old);
+    ranges.SetDelta(e, RowSpan{old, num_edges});
+    const DeltaRanges* d = c.delta_pos == kNoDelta ? nullptr : &ranges;
+    const CompiledRule plan =
+        CompiledRule::Compile(rule, c.delta_pos, c.use_old, edb, d);
+    ASSERT_EQ(plan.shape(), PlanShape::kMultiway) << c.label;
+    EXPECT_EQ(DescribeProbes(plan, rule, *symbols), c.steps) << c.label;
+
+    plan.EnsureIndexes(edb, d);
+    Database out(symbols);
+    PlanRun vm;
+    std::size_t new_facts = 0;
+    ASSERT_TRUE(bytecode::Run(plan.bytecode_program(), edb, d, &out,
+                              &vm.stats, &new_facts))
+        << c.label;
+    vm.rows = RowsOf(out.relation(plan.head_predicate()));
+    const PlanRun ref = ExecutePlan(plan, edb, d);
+    EXPECT_EQ(std::set<Tuple>(vm.rows.begin(), vm.rows.end()),
+              std::set<Tuple>(ref.rows.begin(), ref.rows.end()))
+        << c.label;
+    EXPECT_EQ(new_facts, ref.rows.size()) << c.label;
+    EXPECT_GT(new_facts, 0u) << c.label;
+    if (plan.multiway_exit_depth() == plan.multiway_steps().size()) {
+      EXPECT_EQ(vm.stats.substitutions, ref.stats.substitutions) << c.label;
+    } else {
+      EXPECT_EQ(vm.stats.substitutions, new_facts) << c.label;
+    }
+
+    const Program program = ParseProgramOrDie(symbols, c.rule);
+    EvalStats stats;
+    EXPECT_EQ(RunSemiNaive(program, edb, /*multiway=*/true, &stats),
+              RunNaive(program, edb))
+        << c.label;
+  }
 }
 
 /// Within one shape the engine is deterministic: every counter and the

@@ -25,11 +25,13 @@ faults per operation, both from getrusage(RUSAGE_CHILDREN) deltas around
 each run.py call. They cover run.py's up-to-date build check as well as
 the driver, and get no verdict.
 
-With --traced, one `--trace 1` run per side follows the pairs, on the
-first pair's seed and for as long as each pair's runs, base first. The
-script prints every per-layer metric in the base tree's BENCHMARK.json
-side by side from those two runs (op_engine_ms, op_io_ms, setup_*_ms,
-the per-operation counts), so a claim's layer split comes from the same
+With --traced N, N `--trace 1` runs per side follow the pairs, as long
+as each pair's runs: traced run i uses seed first-seed + i, and the side
+that runs first alternates as in the pairs (--traced alone means one).
+The script prints every per-layer metric in the base tree's
+BENCHMARK.json (op_engine_ms, op_io_ms, setup_*_ms, the per-operation
+counts) with each side's median and quartiles over its traced runs and
+the ratio of the medians, so a claim's layer split comes from the same
 batch as its end-to-end figures. They get no verdict either.
 
 The verdicts are informational. The exit status is 1 when any run fails,
@@ -107,23 +109,29 @@ def summarize(metric, base, change):
     print("  verdict: " + verdict)
 
 
-def print_layers(layers, base, change):
-    """Prints the traced runs' per-layer metrics side by side."""
-    print("per-layer metrics, one traced run per side (no verdict)")
-    print("  %-26s %-6s %12s %12s %8s" % ("metric", "unit", "base",
-                                         "change", "ratio"))
+def print_layers(layers, base, change, runs):
+    """Prints the traced runs' per-layer metrics side by side: each side's
+    median and quartiles over its runs (`base` and `change` map a metric
+    to its values), and the change's median over the base's."""
+    print("per-layer metrics, %d traced run(s) per side: median (quartiles),"
+          " no verdict" % runs)
+    print("  %-26s %-6s %-34s %-34s %8s" % ("metric", "unit", "base",
+                                           "change", "ratio"))
+
+    def cell(values):
+        if not values:
+            return "-"
+        return "%.4g (%.4g-%.4g)" % (quantile(values, 0.5),
+                                     quantile(values, 0.25),
+                                     quantile(values, 0.75))
+
     for m in layers:
-        name = m["name"]
-        b = base.get(name, {}).get("value")
-        c = change.get(name, {}).get("value")
-        if b is None or c is None:
-            print("  %-26s %-6s %12s %12s" % (name, m.get("unit", ""),
-                                             "-" if b is None else "%.4g" % b,
-                                             "-" if c is None else "%.4g" % c))
-            continue
-        ratio = "%.3f" % (c / b) if b else "-"
-        print("  %-26s %-6s %12.4g %12.4g %8s" % (name, m.get("unit", ""),
-                                                  b, c, ratio))
+        b, c = base[m["name"]], change[m["name"]]
+        ratio = "-"
+        if b and c and quantile(b, 0.5):
+            ratio = "%.3f" % (quantile(c, 0.5) / quantile(b, 0.5))
+        print("  %-26s %-6s %-34s %-34s %8s" % (m["name"], m.get("unit", ""),
+                                               cell(b), cell(c), ratio))
 
 
 def main():
@@ -134,12 +142,16 @@ def main():
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--traced", action="store_true",
-                        help="after the pairs, one --trace 1 run per side "
-                        "on the first seed, with per-layer metrics")
+    parser.add_argument("--traced", type=int, nargs="?", const=1,
+                        default=0, metavar="N",
+                        help="after the pairs, N --trace 1 runs per side "
+                        "(alternating, seeds from --first-seed) with "
+                        "per-layer metrics; alone, N is 1")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
+    if args.traced < 0:
+        parser.error("--traced must not be negative")
 
     with open(os.path.join(args.base, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
@@ -195,22 +207,28 @@ def main():
                  quantile(faults[side], 0.5), quantile(faults[side], 0.25),
                  quantile(faults[side], 0.75)))
     if args.traced:
-        traced = {}
-        for side in ("base", "change"):
-            try:
-                result, _, _ = run_side(sides[side], args.workload,
-                                        args.first_seed, args.seconds,
-                                        trace=1)
-            except RuntimeError as err:
-                print("perfbench_ab: " + str(err), file=sys.stderr)
-                return 1
-            if not result["correct"] or result["failed"] != 0:
-                bad.append("traced run (seed %d) %s: correct=%s failed=%s"
-                           % (args.first_seed, side, result["correct"],
-                              result["failed"]))
-            traced[side] = result["metrics"]
-        print_layers(benchmark.get("per_layer", []), traced["base"],
-                     traced["change"])
+        layers = benchmark.get("per_layer", [])
+        traced = {side: {m["name"]: [] for m in layers} for side in sides}
+        for run in range(args.traced):
+            seed = args.first_seed + run
+            order = ("base", "change") if run % 2 == 0 else ("change", "base")
+            for side in order:
+                try:
+                    result, _, _ = run_side(sides[side], args.workload, seed,
+                                            args.seconds, trace=1)
+                except RuntimeError as err:
+                    print("perfbench_ab: " + str(err), file=sys.stderr)
+                    return 1
+                if not result["correct"] or result["failed"] != 0:
+                    bad.append("traced run %d (seed %d) %s: correct=%s "
+                               "failed=%s" % (run, seed, side,
+                                              result["correct"],
+                                              result["failed"]))
+                for m in layers:
+                    value = result["metrics"].get(m["name"], {}).get("value")
+                    if value is not None:
+                        traced[side][m["name"]].append(value)
+        print_layers(layers, traced["base"], traced["change"], args.traced)
     for line in bad:
         print("FAILED: " + line)
     return 1 if bad else 0
